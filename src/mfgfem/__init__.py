@@ -56,7 +56,6 @@ from .problem import (
     ExactSolution,
     MFGProblem,
     SourceG,
-    assemble_source_load,
     make_g_one_problem,
     make_manufactured,
     make_rough_density_problem,

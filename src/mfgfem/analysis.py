@@ -17,7 +17,7 @@ from . import assembly
 from .errors import ConfigurationError
 from .fespace import P1Function, P1Space, interpolate, quadrature, quadrature_points_xy
 from .mesh import generate_acute_rhombus, generate_structured_square, refine_red
-from .solver import SolverConfig, gram_solver, solve_mfg
+from .solver import SolverConfig, solve_mfg
 from .stabilization import build_acute_tensor, build_xz_tensor, none_tensor
 
 DMP_TOL = -1e-10
@@ -94,7 +94,7 @@ def error_vs_reference(fn_coarse, fn_fine):
     injected = inject_to_descendant(fn_coarse, fine_space)
     d = injected.coeffs - fn_fine.coeffs
     mass = assembly.assemble_mass(fine_space)
-    gram = gram_solver(fine_space).matrix
+    gram = assembly.assemble_h1_gram(fine_space)
     l2 = math.sqrt(max(float(d @ (mass @ d)), 0.0))
     h1 = math.sqrt(max(float(d @ (gram @ d)), 0.0))
     return l2, h1
@@ -151,9 +151,6 @@ class EOCTable:
             return math.nan
         slope = np.polyfit(np.log(hs[keep]), np.log(es[keep]), 1)[0]
         return float(slope)
-
-    def eoc_column(self, field_name):
-        return [self.eoc(field_name, i) for i in range(len(self.records))]
 
     def rows(self):
         out = []
@@ -298,17 +295,17 @@ def check_l2_monotonicity_inequality(space, problem, tensor, solution, pairs=50,
     side minus the right side, so nonpositive means satisfied.
     """
     rng = np.random.default_rng(seed)
-    mass = assembly.assemble_mass(space)
+    system = assembly.DiscreteSystem(space, problem, tensor)
     c_F = problem.coupling.c_F
     worst = -math.inf
     for _ in range(pairs):
         mbar = P1Function(space, np.abs(rng.standard_normal(space.ndof)))
         ubar = P1Function(space, rng.standard_normal(space.ndof))
-        r1 = assembly.assemble_hjb_nonlinear_residual(space, ubar, mbar, problem, tensor)
-        r2 = assembly.assemble_kfp_residual(space, ubar, mbar, problem, tensor)
+        r1 = system.hjb_residual(ubar, mbar)
+        r2 = system.kfp_residual(ubar, mbar)
         dm = mbar.coeffs - solution.m.coeffs
         du = ubar.coeffs - solution.u.coeffs
-        lhs = c_F * float(dm @ (mass @ dm))
+        lhs = c_F * float(dm @ (system.M @ dm))
         rhs = float(r1 @ dm) - float(r2 @ du)
         worst = max(worst, lhs - rhs)
     return worst <= slack, worst

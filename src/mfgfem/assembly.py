@@ -1,13 +1,19 @@
-"""Element-wise assembly of the discrete operators and load vectors.
+"""Element-wise assembly of the discrete operators and load vectors, and the
+discrete system of one solve.
 
 All operators act on interior dofs only (matching the space); ``full=True``
 assembles over every vertex for diagnostics such as row-sum checks.  Matrices
-are returned as ``scipy.sparse`` CSR.
+are returned as ``scipy.sparse`` CSR, filled through the fixed sparsity
+pattern of the space.
 
 Drift fields are element-wise constant 2-vectors.  Because P1 gradients are
 constant per triangle, the Hamiltonian and drift terms are integrated exactly
 with the single weight area/3 per basis function when the Hamiltonian does not
 depend on x; an x-dependent Hamiltonian falls back to degree-2 quadrature.
+
+The discrete KFP operator at u is the transpose of the HJB linearization
+K + B(u) (Achdou & Capuzzo-Dolcetta, SIAM J. Numer. Anal. 48, 2010), so one
+factorization serves the KFP solve at u and the Newton step from u.
 """
 
 from __future__ import annotations
@@ -17,39 +23,25 @@ import warnings
 import numpy as np
 import scipy.io
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
-from .errors import ConfigurationError
-from .fespace import quadrature, quadrature_points_xy
+from .errors import ConfigurationError, SolverError
+from .fespace import csr_pattern, quadrature, quadrature_points_xy
 
 
 def _scatter(space, blocks, full):
     """Sum (nt, 3, 3) local blocks into a CSR matrix."""
-    mesh = space.mesh
-    if full:
-        dofs = mesh.triangles
-        n = mesh.num_vertices
-    else:
-        dofs = space.elem_dofs
-        n = space.ndof
-    rows = np.repeat(dofs, 3, axis=1).ravel()      # i index varies slowly
-    cols = np.tile(dofs, (1, 3)).ravel()           # j index varies fast
-    vals = blocks.ravel()
-    keep = (rows >= 0) & (cols >= 0)
-    mat = sp.coo_matrix((vals[keep], (rows[keep], cols[keep])), shape=(n, n))
-    return mat.tocsr()
+    indptr, indices, slots = (csr_pattern(space.mesh.triangles, space.mesh.num_vertices)
+                              if full else space.pattern)
+    n = len(indptr) - 1
+    data = np.bincount(slots, weights=blocks.ravel(), minlength=len(indices) + 1)[:-1]
+    return sp.csr_matrix((data, indices, indptr), shape=(n, n))
 
 
-def _scatter_load(space, elem_loads, full):
+def _scatter_load(space, elem_loads):
     """Sum (nt, 3) per-element nodal loads into a vector."""
-    mesh = space.mesh
-    if full:
-        dofs = mesh.triangles
-        n = mesh.num_vertices
-    else:
-        dofs = space.elem_dofs
-        n = space.ndof
-    out = np.zeros(n)
-    flat_dofs = dofs.ravel()
+    out = np.zeros(space.ndof)
+    flat_dofs = space.elem_dofs.ravel()
     keep = flat_dofs >= 0
     np.add.at(out, flat_dofs[keep], elem_loads.ravel()[keep])
     return out
@@ -74,7 +66,9 @@ def assemble_diffusion(space, nu, tensor=None, full=False):
 
 
 def assemble_hjb_drift(space, drift, full=False, drift_bound=None):
-    """Advection tested against nodal basis: B[i,j] = sum_K (b.grad xi_j) area/3."""
+    """Advection tested against nodal basis: B[i,j] = sum_K (b.grad xi_j) area/3.
+
+    Its transpose is the divergence-form drift of the KFP equation."""
     drift = np.asarray(drift, dtype=float)
     if drift_bound is not None:
         worst = np.hypot(drift[:, 0], drift[:, 1]).max(initial=0.0)
@@ -83,19 +77,6 @@ def assemble_hjb_drift(space, drift, full=False, drift_bound=None):
                           stacklevel=2)
     col = np.einsum("td,tjd->tj", drift, space.elem_grads) * (space.elem_areas / 3.0)[:, None]
     blocks = np.repeat(col[:, None, :], 3, axis=1)  # same for every test function i
-    return _scatter(space, blocks, full)
-
-
-def assemble_kfp_drift(space, drift, full=False, drift_bound=None):
-    """Divergence-form advection: C[i,j] = sum_K (b.grad xi_i) area/3 (adjoint pattern)."""
-    drift = np.asarray(drift, dtype=float)
-    if drift_bound is not None:
-        worst = np.hypot(drift[:, 0], drift[:, 1]).max(initial=0.0)
-        if worst > drift_bound * (1 + 1e-12):
-            warnings.warn(f"drift magnitude {worst:.3g} exceeds bound {drift_bound:.3g}",
-                          stacklevel=2)
-    row = np.einsum("td,tid->ti", drift, space.elem_grads) * (space.elem_areas / 3.0)[:, None]
-    blocks = np.repeat(row[:, :, None], 3, axis=2)  # same for every trial function j
     return _scatter(space, blocks, full)
 
 
@@ -112,13 +93,21 @@ def assemble_h1_gram(space):
     return assemble_mass(space) + assemble_diffusion(space, 1.0)
 
 
+def factorize(op):
+    """Sparse LU of a square operator."""
+    try:
+        return spla.splu(op.tocsc())
+    except RuntimeError as exc:
+        raise SolverError(f"sparse factorization failed: {exc}") from exc
+
+
 def grad_p_field(space, hamiltonian, u):
     """Element-wise drift dH/dp(x_K, grad u|_K), shape (nt, 2)."""
     grads = u.element_gradients()
     return np.asarray(hamiltonian.grad_p(space.mesh.barycenters, grads), dtype=float)
 
 
-def hamiltonian_load(space, hamiltonian, u, full=False):
+def hamiltonian_load(space, hamiltonian, u):
     """Load vector of H[grad u] against the nodal basis.
 
     Exact (weight area/3) for x-independent Hamiltonians; degree-2 quadrature
@@ -127,43 +116,84 @@ def hamiltonian_load(space, hamiltonian, u, full=False):
     grads = u.element_gradients()
     if not getattr(hamiltonian, "x_dependent", False):
         hvals = np.asarray(hamiltonian.value(space.mesh.barycenters, grads), dtype=float)
-        loads = (hvals * space.elem_areas / 3.0)[:, None] * np.ones(3)
-        return _scatter_load(space, loads, full)
+        return element_constant_load(space, hvals)
     rule = quadrature(2)
     xq = quadrature_points_xy(space.mesh, rule)            # (nt, nq, 2)
     hq = np.asarray(hamiltonian.value(xq, grads[:, None, :]), dtype=float)
     loads = np.einsum("tq,q,qi->ti", hq, rule.weights, rule.points) * space.elem_areas[:, None]
-    return _scatter_load(space, loads, full)
+    return _scatter_load(space, loads)
 
 
-def element_constant_load(space, values, full=False):
+def element_constant_load(space, values):
     """Load of a piecewise constant scalar field against the basis (area/3 rule)."""
     loads = (np.asarray(values, dtype=float) * space.elem_areas / 3.0)[:, None] * np.ones(3)
-    return _scatter_load(space, loads, full)
+    return _scatter_load(space, loads)
 
 
-def assemble_kfp_operator(space, u, nu, tensor, hamiltonian):
-    """Discrete KFP operator at a fixed value function u: diffusion + divergence drift."""
-    drift = grad_p_field(space, hamiltonian, u)
-    K = assemble_diffusion(space, nu, tensor)
-    C = assemble_kfp_drift(space, drift, drift_bound=hamiltonian.L_H)
-    return K + C
+class DiscreteSystem:
+    """The discrete MFG system of one (space, problem, tensor).
+
+    Holds what does not change during a solve -- the diffusion matrix
+    K = nu I + D, the mass matrix M, the offset load <f0, xi_i> and the source
+    load <G, xi_i> -- and evaluates what does: the drift B(u), the coupling
+    load <F[m], xi_i> and both residuals.  ``linearize`` keeps the latest
+    factorization of K + B(u) and only that one.
+    """
+
+    def __init__(self, space, problem, tensor):
+        self.space = space
+        self.problem = problem
+        self.K = assemble_diffusion(space, problem.nu, tensor)
+        self.M = assemble_mass(space)
+        self.f0_load = problem.coupling.offset_load(space)
+        self.g_load = problem.source.load_vector(space)
+        self._linearization = None   # (u coefficients, B(u), K + B(u), its LU)
+
+    def drift(self, u):
+        """HJB drift matrix B(u) of the field dH/dp[grad u]."""
+        hspec = self.problem.hamiltonian
+        return assemble_hjb_drift(self.space, grad_p_field(self.space, hspec, u),
+                                  drift_bound=hspec.L_H)
+
+    def linearize(self, u):
+        """``(B, L, lu)``: B(u), the HJB linearization L = K + B(u) and its LU.
+
+        The KFP operator at u is L^T.  Refactorizes unless u equals the point
+        of the previous call; the previous LU is released first, so at most
+        one is alive.
+        """
+        if (self._linearization is None
+                or not np.array_equal(self._linearization[0], u.coeffs)):
+            self._linearization = None   # release the previous LU before the next
+            B = self.drift(u)
+            L = self.K + B
+            self._linearization = (u.coeffs.copy(), B, L, factorize(L))
+        return self._linearization[1:]
+
+    def coupling_load(self, m):
+        """<F[m], xi_i> for a P1 density m."""
+        return self.f0_load + self.problem.coupling.density_load(self.space, self.M, m)
+
+    def hjb_residual(self, u, m):
+        """Residual load of the discrete HJB equation at (m, u):
+        <F[m], xi_i> - int A grad u . grad xi_i + H[grad u] xi_i."""
+        return (self.coupling_load(m) - self.K @ u.coeffs
+                - hamiltonian_load(self.space, self.problem.hamiltonian, u))
+
+    def kfp_residual(self, u, m):
+        """Residual load of the discrete KFP equation at (m, u):
+        <G, xi_i> - int A grad m . grad xi_i + m dH/dp[grad u] . grad xi_i."""
+        return self.g_load - (self.K + self.drift(u)).T @ m.coeffs
 
 
 def assemble_hjb_nonlinear_residual(space, u, m, problem, tensor):
-    """Residual load of the discrete HJB equation at (m, u):
-    <F[m], xi_i> - int A grad u . grad xi_i + H[grad u] xi_i."""
-    K = assemble_diffusion(space, problem.nu, tensor)
-    return (problem.coupling.load_vector(space, m)
-            - K @ u.coeffs
-            - hamiltonian_load(space, problem.hamiltonian, u))
+    """Residual load of the discrete HJB equation at (m, u)."""
+    return DiscreteSystem(space, problem, tensor).hjb_residual(u, m)
 
 
 def assemble_kfp_residual(space, u, m, problem, tensor):
-    """Residual load of the discrete KFP equation at (m, u):
-    <G, xi_i> - int A grad m . grad xi_i + m dH/dp[grad u] . grad xi_i."""
-    op = assemble_kfp_operator(space, u, problem.nu, tensor, problem.hamiltonian)
-    return problem.source.load_vector(space) - op @ m.coeffs
+    """Residual load of the discrete KFP equation at (m, u)."""
+    return DiscreteSystem(space, problem, tensor).kfp_residual(u, m)
 
 
 def export_matrix_market(op, path, comment=""):

@@ -9,6 +9,7 @@ discrete system computable element by element.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -31,6 +32,11 @@ class P1Space:
         for arr in (self.vertex_of_dof, self.dof_of_vertex, self.elem_dofs):
             arr.setflags(write=False)
 
+    @cached_property
+    def pattern(self):
+        """CSR pattern of the operators on interior dofs (see ``csr_pattern``)."""
+        return csr_pattern(self.elem_dofs, self.ndof)
+
     def zero_function(self):
         return P1Function(self, np.zeros(self.ndof))
 
@@ -43,6 +49,29 @@ class P1Space:
 
     def __repr__(self):
         return f"P1Space(ndof={self.ndof}, mesh={self.mesh!r})"
+
+
+def csr_pattern(dofs, n):
+    """Sparsity of the n x n matrices assembled from (nt, 3, 3) element blocks
+    on ``dofs`` (-1 marks a dropped row or column).
+
+    Returns read-only ``(indptr, indices, slots)``: the CSR structure with
+    sorted column indices, and for every block entry in C order its position
+    in the CSR data, or nnz for a dropped entry.  Summing the blocks into their
+    slots in that order gives the matrix's data.
+    """
+    rows = np.repeat(dofs, 3, axis=1).ravel()
+    cols = np.tile(dofs, (1, 3)).ravel()
+    keep = (rows >= 0) & (cols >= 0)
+    keys, inverse = np.unique(rows[keep] * n + cols[keep], return_inverse=True)
+    slots = np.full(rows.shape, len(keys), dtype=np.int32)
+    slots[keep] = inverse
+    indptr = np.zeros(n + 1, dtype=np.int32)
+    np.cumsum(np.bincount(keys // n, minlength=n), out=indptr[1:])
+    indices = (keys % n).astype(np.int32)
+    for arr in (indptr, indices, slots):
+        arr.setflags(write=False)
+    return indptr, indices, slots
 
 
 @dataclass
@@ -71,11 +100,6 @@ class P1Function:
         vals = self.nodal_values()[self.space.mesh.triangles[tri]]
         return float(np.dot(vals, np.asarray(bary, dtype=float)))
 
-    def grad_on_element(self, tri):
-        """Constant gradient on triangle ``tri`` as a 2-vector."""
-        vals = self.nodal_values()[self.space.mesh.triangles[tri]]
-        return vals @ self.space.elem_grads[tri]
-
     def element_gradients(self):
         """Gradients on all triangles at once, shape (nt, 2)."""
         vals = self.nodal_values()[self.space.mesh.triangles]  # (nt, 3)
@@ -85,15 +109,6 @@ class P1Function:
         """Values at the physical quadrature points of every triangle, (nt, nq)."""
         vals = self.nodal_values()[self.space.mesh.triangles]
         return vals @ rule.points.T
-
-    def __add__(self, other):
-        return P1Function(self.space, self.coeffs + other.coeffs)
-
-    def __sub__(self, other):
-        return P1Function(self.space, self.coeffs - other.coeffs)
-
-    def __rmul__(self, scalar):
-        return P1Function(self.space, float(scalar) * self.coeffs)
 
 
 def interpolate(space, f):

@@ -144,19 +144,19 @@ def check_semismooth_bound(spec, space, pairs=20, seed=0, gamma=1.0 / 9.0):
     """
     from . import assembly
     from .fespace import P1Function
-    from .solver import riesz_dual_norm
+    from .solver import Gram, riesz_dual_norm
 
     if not spec.smooth:
         raise ConfigurationError("semismooth bound check requires a smooth Hamiltonian")
     rng = np.random.default_rng(seed)
-    gram = assembly.assemble_h1_gram(space)
+    gram = Gram(space)
     worst = 0.0
     for k in range(pairs):
         scale = 10.0 ** rng.uniform(-2.0, 0.5)
         v = P1Function(space, scale * rng.standard_normal(space.ndof))
         w = P1Function(space, scale * rng.standard_normal(space.ndof))
         diff = v.coeffs - w.coeffs
-        h1 = math.sqrt(diff @ (gram @ diff))
+        h1 = gram.h1_norm(diff)
         if h1 == 0.0:
             continue
         remainder = linearization_remainder(spec, space, v, w)

@@ -299,14 +299,6 @@ def refine_red(mesh):
                   midpoint_parents=mesh.edges)
 
 
-def refine_red_chain(root, level):
-    """Refine ``root`` ``level`` times, returning the full lineage list."""
-    chain = [root]
-    for _ in range(level):
-        chain.append(refine_red(chain[-1]))
-    return chain
-
-
 # -- angle conditions ------------------------------------------------------
 
 def _cotangents(mesh):

@@ -14,8 +14,7 @@ the source is exactly the one the discrete KFP equation tests against.
 from __future__ import annotations
 
 import math
-import weakref
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
@@ -112,28 +111,27 @@ class CouplingF:
     offset: Optional[Callable] = None          # f0(x, y)
     kernel_matrix: Optional[np.ndarray] = None
     kernel_space: Optional[P1Space] = None
-    _offset_cache: weakref.WeakKeyDictionary = field(
-        default_factory=weakref.WeakKeyDictionary, repr=False)
 
-    def offset_load(self, space, degree=4):
-        """<f0, xi_i> by quadrature (cached per space)."""
+    def offset_load(self, space):
+        """<f0, xi_i> by degree-4 quadrature."""
         if self.offset is None:
             return np.zeros(space.ndof)
-        if space not in self._offset_cache:
-            self._offset_cache[space] = scalar_load(space, self.offset, degree=degree)
-        return self._offset_cache[space]
+        return scalar_load(space, self.offset)
 
-    def load_vector(self, space, m=None):
-        """<F[m], xi_i> for a P1 density m (None means m = 0)."""
-        out = self.offset_load(space).copy()
-        if m is not None:
-            out += self.c_F * (assembly_mass(space) @ m.coeffs)
-            if self.kernel_matrix is not None:
-                if self.kernel_space is not space:
-                    raise ConfigurationError(
-                        "nonlocal coupling was built for a different space")
-                out += self.kernel_matrix @ m.coeffs
+    def density_load(self, space, mass, m):
+        """<F[m] - f0, xi_i> for a P1 density m, given the mass matrix of space."""
+        out = self.c_F * (mass @ m.coeffs)
+        if self.kernel_matrix is not None:
+            if self.kernel_space is not space:
+                raise ConfigurationError(
+                    "nonlocal coupling was built for a different space")
+            out += self.kernel_matrix @ m.coeffs
         return out
+
+    def load_vector(self, space, m):
+        """<F[m], xi_i> for a P1 density m."""
+        return self.offset_load(space) + self.density_load(
+            space, assembly.assemble_mass(space), m)
 
 
 def local_linear_coupling(c_F, offset=None):
@@ -162,7 +160,7 @@ def nonlocal_convolution_coupling(space, c_F, kernel, offset=None, degree=2):
     Kq = kernel(xq[:, None, :], xq[None, :, :])
     C = basis.T @ (wq[:, None] * Kq * wq[None, :]) @ basis
     C = 0.5 * (C + C.T)
-    mass = assembly_mass(space).toarray()
+    mass = assembly.assemble_mass(space).toarray()
     lam_max = float(scipy.linalg.eigh(C, mass, eigvals_only=True)[-1])
     return CouplingF(kind="nonlocal_convolution", c_F=float(c_F),
                      L_F=float(c_F) + max(lam_max, 0.0), offset=offset,
@@ -194,17 +192,13 @@ class SourceG:
     nonneg_certified: bool = False
     label: str = ""
     exact_load: Optional[Callable] = None  # space -> load vector
-    _load_cache: weakref.WeakKeyDictionary = field(
-        default_factory=weakref.WeakKeyDictionary, repr=False)
 
-    def load_vector(self, space, degree=4):
-        per_space = self._load_cache.setdefault(space, {})
-        if degree not in per_space:
-            per_space[degree] = source_load(space, self, degree=degree)
-        return per_space[degree]
+    def load_vector(self, space):
+        """<G, xi_i> by degree-4 quadrature, or by ``exact_load`` when given."""
+        return source_load(space, self)
 
 
-def scalar_load(space, f, degree=4, full=False):
+def scalar_load(space, f, degree=4):
     """<f, xi_i> by symmetric quadrature of the stated degree."""
     rule = quadrature(degree)
     mesh = space.mesh
@@ -212,10 +206,10 @@ def scalar_load(space, f, degree=4, full=False):
     fq = np.asarray(f(xq[..., 0], xq[..., 1]), dtype=float)
     fq = np.broadcast_to(fq, xq.shape[:2])
     loads = np.einsum("tq,q,qi->ti", fq, rule.weights, rule.points) * mesh.areas[:, None]
-    return assembly._scatter_load(space, loads, full)
+    return assembly._scatter_load(space, loads)
 
 
-def vector_load(space, gt, degree=4, full=False):
+def vector_load(space, gt, degree=4):
     """<gtilde, grad xi_i> by quadrature; exact when gtilde is constant per element."""
     rule = quadrature(degree)
     mesh = space.mesh
@@ -223,17 +217,17 @@ def vector_load(space, gt, degree=4, full=False):
     gq = np.asarray(gt(xq[..., 0], xq[..., 1]), dtype=float)   # (nt, nq, 2)
     mean = np.einsum("tqd,q->td", gq, rule.weights)
     loads = np.einsum("td,tid->ti", mean, space.elem_grads) * mesh.areas[:, None]
-    return assembly._scatter_load(space, loads, full)
+    return assembly._scatter_load(space, loads)
 
 
-def source_load(space, source, degree=4, full=False, force_quadrature=False):
-    if source.exact_load is not None and not force_quadrature and not full:
+def source_load(space, source, degree=4, force_quadrature=False):
+    if source.exact_load is not None and not force_quadrature:
         return source.exact_load(space)
-    out = np.zeros(space.mesh.num_vertices if full else space.ndof)
+    out = np.zeros(space.ndof)
     if source.g0 is not None:
-        out += scalar_load(space, source.g0, degree=degree, full=full)
+        out += scalar_load(space, source.g0, degree=degree)
     if source.g_tilde is not None:
-        out += vector_load(space, source.g_tilde, degree=degree, full=full)
+        out += vector_load(space, source.g_tilde, degree=degree)
     return out
 
 
@@ -260,11 +254,6 @@ def halfplane_clipped_areas(mesh, threshold):
             x, y = poly_arr[:, 0], poly_arr[:, 1]
             areas[t] = 0.5 * abs(np.dot(x, np.roll(y, -1)) - np.dot(y, np.roll(x, -1)))
     return areas
-
-
-def assemble_source_load(space, source, degree=4):
-    """Load vector b_i = int g0 xi_i + gtilde . grad xi_i dx."""
-    return source_load(space, source, degree=degree)
 
 
 # -- problems -----------------------------------------------------------------
@@ -381,7 +370,7 @@ def make_rough_density_problem(nu=1.0, hamiltonian=None, c_F=1.0, jump_x=1.0 / 3
     def exact_load(space):
         clipped = halfplane_clipped_areas(space.mesh, jump)
         loads = space.elem_grads[:, :, 0] * clipped[:, None]
-        return assembly._scatter_load(space, loads, False)
+        return assembly._scatter_load(space, loads)
 
     source = SourceG(g0=None, g_tilde=g_tilde, nonneg_certified=False,
                      label="rough", exact_load=exact_load)
@@ -404,12 +393,3 @@ def make_zero_problem(nu=1.0, hamiltonian=None, c_F=1.0, domain="xz_square"):
                       coupling=local_linear_coupling(c_F, offset=f0),
                       source=source, domain=domain,
                       exact=ExactSolution(u=zero_field(), m=zero_field()))
-
-
-def assembly_mass(space):
-    """Mass matrix memoized on the space instance."""
-    cached = getattr(space, "_mass_cache", None)
-    if cached is None:
-        cached = assembly.assemble_mass(space)
-        space._mass_cache = cached
-    return cached

@@ -1,6 +1,8 @@
 """Solution of the coupled discrete system: a damped Picard outer loop around a
 semismooth-Newton inner solve for the HJB equation, with every linear step a
-direct sparse factorization.
+direct sparse solve.  The KFP step solves with the transpose of the HJB
+linearization at the new value function, and the next sweep's first Newton
+step linearizes at that same point, so the two share one factorization.
 
 Convergence is declared on the dual norms of the two discrete residual
 operators (the quantities the stability theory controls), computed exactly via
@@ -13,7 +15,6 @@ import math
 from dataclasses import dataclass, field as dataclass_field
 
 import numpy as np
-import scipy.sparse.linalg as spla
 
 from . import assembly
 from .errors import ConfigurationError, NonConvergenceError, SolverError
@@ -29,7 +30,6 @@ class SolverConfig:
     damping: float = 0.5
     tol_newton: float = 1e-10
     max_newton: int = 30
-    linear_solver: str = "direct_sparse"
 
     def __post_init__(self):
         if not (0.0 < self.damping <= 1.0):
@@ -38,8 +38,6 @@ class SolverConfig:
             raise ConfigurationError("tolerances must be positive")
         if self.max_outer < 1 or self.max_newton < 1:
             raise ConfigurationError("iteration budgets must be positive")
-        if self.linear_solver != "direct_sparse":
-            raise ConfigurationError(f"unknown linear solver {self.linear_solver!r}")
 
 
 @dataclass
@@ -54,11 +52,14 @@ class DiscreteSolution:
     history: list = dataclass_field(default_factory=list)
 
 
-def _factorize(op):
-    try:
-        return spla.splu(op.tocsc())
-    except RuntimeError as exc:
-        raise SolverError(f"sparse factorization failed: {exc}") from exc
+def _accepted(op, x, rhs):
+    """``x`` if it solves op x = rhs up to the linear residual tolerance."""
+    if not np.all(np.isfinite(x)):
+        raise SolverError("singular operator: non-finite solution")
+    resid = np.linalg.norm(op @ x - rhs)
+    if resid > LINEAR_RESIDUAL_TOL * (1.0 + np.linalg.norm(rhs)):
+        raise SolverError(f"direct solve residual {resid:.3e} above tolerance")
+    return x
 
 
 def solve_linear(op, rhs):
@@ -68,13 +69,7 @@ def solve_linear(op, rhs):
         raise ConfigurationError("operator/vector shape mismatch")
     if rhs.shape[0] == 0:
         return np.zeros(0)
-    x = _factorize(op).solve(rhs)
-    if not np.all(np.isfinite(x)):
-        raise SolverError("singular operator: non-finite solution")
-    resid = np.linalg.norm(op @ x - rhs)
-    if resid > LINEAR_RESIDUAL_TOL * (1.0 + np.linalg.norm(rhs)):
-        raise SolverError(f"direct solve residual {resid:.3e} above tolerance")
-    return x
+    return _accepted(op, assembly.factorize(op).solve(rhs), rhs)
 
 
 def riesz_dual_norm(gram, r):
@@ -82,25 +77,21 @@ def riesz_dual_norm(gram, r):
     r = np.asarray(r, dtype=float)
     if r.shape[0] == 0:
         return 0.0
-    if isinstance(gram, _GramSolver):
-        w = gram.solve(r)
-    else:
-        w = _factorize(gram).solve(r)
-    val = float(r @ w)
+    val = float(r @ gram.solve(r))
     if val < -1e-12 * max(1.0, float(r @ r)):
         raise SolverError("Gram matrix is not positive definite")
     return math.sqrt(max(val, 0.0))
 
 
-class _GramSolver:
-    """H1 Gram matrix with a reusable factorization."""
+class Gram:
+    """H1 Gram matrix of a space with its factorization."""
 
     def __init__(self, space):
         self.matrix = assembly.assemble_h1_gram(space)
-        self._lu = _factorize(self.matrix) if space.ndof else None
+        self._lu = assembly.factorize(self.matrix)
 
     def solve(self, r):
-        return self._lu.solve(r) if self._lu is not None else np.zeros(0)
+        return self._lu.solve(r)
 
     def dual_norm(self, r):
         return riesz_dual_norm(self, r)
@@ -109,54 +100,48 @@ class _GramSolver:
         return math.sqrt(max(float(coeffs @ (self.matrix @ coeffs)), 0.0))
 
 
-def gram_solver(space):
-    cached = getattr(space, "_gram_cache", None)
-    if cached is None:
-        cached = _GramSolver(space)
-        space._gram_cache = cached
-    return cached
+def _newton_proposal(system, m, u):
+    """Solution of the HJB equation linearized at u:
+    (K + B(u)) x = <F[m], xi_i> + B(u) u - H[grad u]."""
+    # a function of its own so that no reference to this LU outlives the step
+    # and the next linearization can release it before factorizing
+    fn = P1Function(system.space, u)
+    B, L, lu = system.linearize(fn)
+    rhs = (system.coupling_load(m) + B @ u
+           - assembly.hamiltonian_load(system.space, system.problem.hamiltonian, fn))
+    return _accepted(L, lu.solve(rhs), rhs)
 
 
-def solve_hjb(space, m_fixed, problem, tensor, cfg=None, u0=None):
-    """Semismooth Newton for the discrete HJB equation at a frozen density.
+def solve_hjb(system, gram, m_fixed, cfg=None, u0=None):
+    """Semismooth Newton for the HJB equation of ``system`` at a frozen density,
+    with residual dual norms measured by ``gram``.
 
     Each step freezes the drift dH/dp[grad u^n] and solves the resulting member
     of the advection class; the step is damped by halving whenever the residual
     dual norm fails to decrease.  Returns ``(u, newton_iterations)``.
     """
-    if not problem.hamiltonian.smooth:
+    if not system.problem.hamiltonian.smooth:
         raise ConfigurationError("Newton solver requires a smooth Hamiltonian")
     cfg = cfg or SolverConfig()
-    gram = gram_solver(space)
-    K = assembly.assemble_diffusion(space, problem.nu, tensor)
-    c_load = problem.coupling.load_vector(space, m_fixed)
-    hspec = problem.hamiltonian
-
+    space = system.space
     u = np.zeros(space.ndof) if u0 is None else np.asarray(u0.coeffs, dtype=float).copy()
 
-    def residual(vec):
-        fn = P1Function(space, vec)
-        return c_load - K @ vec - assembly.hamiltonian_load(space, hspec, fn)
+    def residual_norm(vec):
+        return gram.dual_norm(system.hjb_residual(P1Function(space, vec), m_fixed))
 
-    res = residual(u)
-    res_norm = gram.dual_norm(res)
+    res_norm = residual_norm(u)
     for it in range(1, cfg.max_newton + 1):
         if res_norm <= cfg.tol_newton:
             return P1Function(space, u), it - 1
-        drift = assembly.grad_p_field(space, hspec, P1Function(space, u))
-        B = assembly.assemble_hjb_drift(space, drift, drift_bound=hspec.L_H)
-        rhs = c_load + B @ u - assembly.hamiltonian_load(space, hspec, P1Function(space, u))
-        u_prop = solve_linear(K + B, rhs)
+        u_prop = _newton_proposal(system, m_fixed, u)
 
         step = 1.0
         u_new = u_prop
-        res_new = residual(u_new)
-        norm_new = gram.dual_norm(res_new)
+        norm_new = residual_norm(u_new)
         while norm_new > res_norm and step > 2.0 ** -10:
             step *= 0.5
             u_new = u + step * (u_prop - u)
-            res_new = residual(u_new)
-            norm_new = gram.dual_norm(res_new)
+            norm_new = residual_norm(u_new)
         u, res_norm = u_new, norm_new
 
     if res_norm <= cfg.tol_newton:
@@ -166,12 +151,12 @@ def solve_hjb(space, m_fixed, problem, tensor, cfg=None, u0=None):
         f"(last residual {res_norm:.3e})", last_residual=res_norm)
 
 
-def solve_kfp(space, u_fixed, problem, tensor):
-    """Single linear solve of the discrete KFP equation at a frozen value function."""
-    op = assembly.assemble_kfp_operator(space, u_fixed, problem.nu, tensor,
-                                        problem.hamiltonian)
-    rhs = problem.source.load_vector(space)
-    return P1Function(space, solve_linear(op, rhs))
+def solve_kfp(system, u_fixed):
+    """Single linear solve of the discrete KFP equation at a frozen value
+    function, with the transpose of the HJB linearization at it."""
+    _, L, lu = system.linearize(u_fixed)
+    m = _accepted(L.T, lu.solve(system.g_load, trans="T"), system.g_load)
+    return P1Function(system.space, m)
 
 
 def solve_m_k_plus(space, problem, tensor):
@@ -182,10 +167,9 @@ def solve_m_k_plus(space, problem, tensor):
     bary = space.mesh.barycenters
     grads = problem.exact.u.grad(bary[:, 0], bary[:, 1])
     drift = np.asarray(problem.hamiltonian.grad_p(bary, grads), dtype=float)
-    op = (assembly.assemble_diffusion(space, problem.nu, tensor)
-          + assembly.assemble_kfp_drift(space, drift, drift_bound=problem.hamiltonian.L_H))
-    rhs = problem.source.load_vector(space)
-    return P1Function(space, solve_linear(op, rhs))
+    L = (assembly.assemble_diffusion(space, problem.nu, tensor)
+         + assembly.assemble_hjb_drift(space, drift, drift_bound=problem.hamiltonian.L_H))
+    return P1Function(space, solve_linear(L.T, problem.source.load_vector(space)))
 
 
 def solve_mfg(space, problem, tensor, cfg=None):
@@ -199,25 +183,25 @@ def solve_mfg(space, problem, tensor, cfg=None):
     increase aborts.
     """
     cfg = cfg or SolverConfig()
-    gram = gram_solver(space)
+    system = assembly.DiscreteSystem(space, problem, tensor)
+    gram = Gram(space)
     damping = cfg.damping
     downgraded = False
     history = []
     newton_total = 0
 
     u = space.zero_function()
-    m = solve_kfp(space, u, problem, tensor)
+    m = solve_kfp(system, u)
 
     prev_max = math.inf
     for outer in range(1, cfg.max_outer + 1):
-        u, newton_iters = solve_hjb(space, m, problem, tensor, cfg, u0=u)
+        u, newton_iters = solve_hjb(system, gram, m, cfg, u0=u)
         newton_total += newton_iters
-        m_tilde = solve_kfp(space, u, problem, tensor)
+        m_tilde = solve_kfp(system, u)
         m = P1Function(space, (1.0 - damping) * m.coeffs + damping * m_tilde.coeffs)
 
-        r1 = assembly.assemble_hjb_nonlinear_residual(space, u, m, problem, tensor)
-        r2 = assembly.assemble_kfp_residual(space, u, m, problem, tensor)
-        d1, d2 = gram.dual_norm(r1), gram.dual_norm(r2)
+        d1 = gram.dual_norm(system.hjb_residual(u, m))
+        d2 = gram.dual_norm(system.kfp_residual(u, m))
         cur_max = max(d1, d2)
         history.append({"outer": outer, "residual1_dual": d1, "residual2_dual": d2,
                         "newton_iters": newton_iters, "damping": damping})

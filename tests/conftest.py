@@ -1,5 +1,6 @@
 import time
 
+import numpy as np
 import pytest
 
 import mfgfem as mf
@@ -15,6 +16,21 @@ def record_criterion(name, ok, detail=""):
     ACCEPTANCE_RESULTS.append(line)
     print(line)
     return ok
+
+
+def kfp_drift_oracle(space, drift):
+    """Dense divergence-form drift C[i,j] = sum_K (b_K . grad xi_i) |K| / 3,
+    one triangle and one entry at a time."""
+    C = np.zeros((space.ndof, space.ndof))
+    for t, dofs in enumerate(space.elem_dofs):
+        for a, i in enumerate(dofs):
+            if i < 0:
+                continue
+            weight = float(drift[t] @ space.elem_grads[t, a]) * space.elem_areas[t] / 3.0
+            for j in dofs:
+                if j >= 0:
+                    C[i, j] += weight
+    return C
 
 
 def pytest_terminal_summary(terminalreporter):

@@ -6,7 +6,10 @@ import scipy.linalg
 import mfgfem as mf
 from mfgfem import assembly
 from mfgfem.problem import scalar_load
+from mfgfem.solver import Gram
 from mfgfem.stabilization import StabilizationTensor
+
+from conftest import kfp_drift_oracle
 
 # hand-derived element matrices on the reference triangle (0,0), (1,0), (0,1):
 # gradients (-1,-1), (1,0), (0,1) over area 1/2
@@ -16,6 +19,20 @@ REF_MASS = 0.5 / 12.0 * np.array([[2.0, 1.0, 1.0], [1.0, 2.0, 1.0], [1.0, 1.0, 2
 
 def reference_space():
     return mf.P1Space(mf.Mesh2D([(0, 0), (1, 0), (0, 1)], [(0, 1, 2)]))
+
+
+def coo_to_csr_reference(dofs, n, blocks):
+    """CSR (indptr, indices, data) of the element blocks' (row, col, value)
+    triplets taken in element order, duplicates summed in that order."""
+    sums = {}
+    for t, tri in enumerate(dofs):
+        for a, i in enumerate(tri):
+            for b, j in enumerate(tri):
+                if i >= 0 and j >= 0:
+                    sums[i, j] = sums.get((i, j), 0.0) + blocks[t, a, b]
+    keys = sorted(sums)
+    indptr = np.searchsorted([i for i, _ in keys], np.arange(n + 1))
+    return indptr, np.array([j for _, j in keys]), np.array([sums[k] for k in keys])
 
 
 class TestElementOracles:
@@ -33,6 +50,23 @@ class TestElementOracles:
         B = assembly.assemble_hjb_drift(space, [[1.0, 0.0]], full=True).toarray()
         expected_cols = np.array([-1.0, 1.0, 0.0]) / 6.0
         assert np.allclose(B, np.tile(expected_cols, (3, 1)), atol=1e-15)
+
+    @pytest.mark.parametrize("family", ["square", "rhombus"])
+    @pytest.mark.parametrize("full", [False, True])
+    def test_pattern_scatter_matches_coo_reference(self, family, full, request):
+        space = request.getfixturevalue(f"{family}_spaces")[3]
+        mesh = space.mesh
+        blocks = np.random.default_rng(7).standard_normal((mesh.num_triangles, 3, 3))
+        A = assembly._scatter(space, blocks, full)
+        if full:
+            dofs, n = mesh.triangles, mesh.num_vertices
+        else:
+            dofs, n = space.elem_dofs, space.ndof
+        indptr, indices, data = coo_to_csr_reference(dofs, n, blocks)
+        assert A.shape == (n, n)
+        assert np.array_equal(A.indptr, indptr)
+        assert np.array_equal(A.indices, indices)
+        assert np.array_equal(A.data, data)
 
     def test_row_sums_vanish(self, square_spaces):
         K = assembly.assemble_diffusion(square_spaces[3], 1.0, full=True)
@@ -63,8 +97,8 @@ class TestDriftMatrices:
         rng = np.random.default_rng(0)
         drift = rng.standard_normal((space.mesh.num_triangles, 2))
         B = assembly.assemble_hjb_drift(space, drift)
-        C = assembly.assemble_kfp_drift(space, drift)
-        assert abs(C - B.T).max() < 1e-14
+        C = kfp_drift_oracle(space, drift)
+        assert np.abs(C - B.T.toarray()).max() < 1e-14
 
     def test_adjoint_pairing(self, square_spaces):
         # <L v, w> with the matrix equals <L* w, v> with its transpose
@@ -82,7 +116,7 @@ class TestDriftMatrices:
         # int b . grad(phi) = 0 for constant b and phi in the zero-trace space
         space = square_spaces[3]
         drift = np.tile([0.4, -0.3], (space.mesh.num_triangles, 1))
-        C = assembly.assemble_kfp_drift(space, drift)
+        C = assembly.assemble_hjb_drift(space, drift).T
         ones = mf.interpolate(space, lambda x, y: np.ones_like(x))
         # sum_i (C 1)_i pairs the constant drift against grad of the hat sums
         total = float(np.sum(C.T @ ones.coeffs))
@@ -108,7 +142,7 @@ class TestMassAndGram:
         assert float(fn.coeffs @ (M @ fn.coeffs)) == pytest.approx(quad, rel=1e-12)
 
     def test_gram_spd(self, square_spaces):
-        G = mf.solver.gram_solver(square_spaces[2]).matrix.toarray()
+        G = Gram(square_spaces[2]).matrix.toarray()
         eigs = scipy.linalg.eigvalsh(G)
         assert eigs.min() > 0
 

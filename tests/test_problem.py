@@ -16,7 +16,7 @@ from mfgfem.problem import (
     sine_product_field,
     source_load,
 )
-from mfgfem.solver import gram_solver
+from mfgfem.solver import Gram
 
 
 class TestExactFields:
@@ -96,7 +96,7 @@ class TestManufactured:
         norms1, norms2, hs = [], [], []
         for level in (3, 4, 5):
             space = square_spaces[level]
-            gram = gram_solver(space)
+            gram = Gram(space)
             u_i = mf.interpolate(space, sine_problem.exact.u.value)
             m_i = mf.interpolate(space, sine_problem.exact.m.value)
             r1 = assembly.assemble_hjb_nonlinear_residual(space, u_i, m_i,

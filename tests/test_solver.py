@@ -2,14 +2,16 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse.linalg
 
 import mfgfem as mf
 from mfgfem import assembly
+from mfgfem.assembly import DiscreteSystem
 from mfgfem.errors import ConfigurationError, NonConvergenceError
 from mfgfem.problem import scalar_load
 from mfgfem.solver import (
+    Gram,
     SolverConfig,
-    gram_solver,
     riesz_dual_norm,
     solve_hjb,
     solve_kfp,
@@ -17,6 +19,8 @@ from mfgfem.solver import (
     solve_m_k_plus,
     solve_mfg,
 )
+
+from conftest import kfp_drift_oracle
 
 # independent oracle: Fourier series value of the Poisson problem -lap u = 1
 # at the center of the unit square, sum over odd (m, n) of
@@ -64,12 +68,12 @@ class TestLinearSolve:
 
 class TestRieszDualNorm:
     def test_zero(self, square_spaces):
-        gram = gram_solver(square_spaces[3])
+        gram = Gram(square_spaces[3])
         assert riesz_dual_norm(gram, np.zeros(square_spaces[3].ndof)) == 0.0
 
     def test_homogeneity(self, square_spaces):
         space = square_spaces[3]
-        gram = gram_solver(space)
+        gram = Gram(space)
         rng = np.random.default_rng(0)
         r = rng.standard_normal(space.ndof)
         assert riesz_dual_norm(gram, 2.0 * r) == pytest.approx(
@@ -77,7 +81,7 @@ class TestRieszDualNorm:
 
     def test_gram_column_closed_form(self, square_spaces):
         space = square_spaces[2]
-        gram = gram_solver(space)
+        gram = Gram(space)
         r = np.asarray(gram.matrix @ np.eye(space.ndof)[0])
         assert riesz_dual_norm(gram, r) == pytest.approx(
             math.sqrt(gram.matrix[0, 0]), rel=1e-12)
@@ -86,7 +90,7 @@ class TestRieszDualNorm:
         # dual norm = sup <r, phi> / ||phi||_H1; check against the maximizer
         # phi = Gram^-1 r and random competitors
         space = square_spaces[2]
-        gram = gram_solver(space)
+        gram = Gram(space)
         rng = np.random.default_rng(1)
         r = rng.standard_normal(space.ndof)
         dual = riesz_dual_norm(gram, r)
@@ -106,13 +110,15 @@ class TestHJB:
             coupling=mf.problem.local_linear_coupling(
                 1.0, offset=lambda x, y: np.sin(3 * x) * y),
             source=mf.SourceG(nonneg_certified=True))
-        u, iters = solve_hjb(space, space.zero_function(), problem, None)
+        u, iters = solve_hjb(DiscreteSystem(space, problem, None), Gram(space),
+                             space.zero_function())
         assert iters == 1
 
     def test_zero_fixed_point(self, square_spaces):
         space = square_spaces[3]
         problem = mf.make_zero_problem()
-        u, iters = solve_hjb(space, space.zero_function(), problem, None)
+        u, iters = solve_hjb(DiscreteSystem(space, problem, None), Gram(space),
+                             space.zero_function())
         assert np.all(u.coeffs == 0.0)
         assert iters == 0
 
@@ -122,8 +128,8 @@ class TestHJB:
             space = mf.P1Space(mesh)
             tensor = mf.build_xz_tensor(mesh, 1.0)
             m_i = mf.interpolate(space, sine_problem.exact.m.value)
-            u, iters = solve_hjb(space, m_i, sine_problem, tensor,
-                                 SolverConfig(tol_newton=1e-10))
+            u, iters = solve_hjb(DiscreteSystem(space, sine_problem, tensor), Gram(space),
+                                 m_i, SolverConfig(tol_newton=1e-10))
             assert iters <= 8
 
     def test_rejects_nonsmooth(self, square_spaces):
@@ -131,20 +137,22 @@ class TestHJB:
         problem = mf.MFGProblem(nu=1.0, hamiltonian=ham,
                                 coupling=mf.problem.local_linear_coupling(1.0),
                                 source=mf.SourceG())
+        space = square_spaces[2]
+        system, gram = DiscreteSystem(space, problem, None), Gram(space)
         with pytest.raises(ConfigurationError):
-            solve_hjb(square_spaces[2], square_spaces[2].zero_function(), problem, None)
+            solve_hjb(system, gram, space.zero_function())
 
 
 class TestKFP:
     def test_g_one_pure_diffusion_nonnegative(self, g_one_problem, square_spaces):
         space = square_spaces[3]
-        m = solve_kfp(space, space.zero_function(), g_one_problem, None)
+        m = solve_kfp(DiscreteSystem(space, g_one_problem, None), space.zero_function())
         assert m.coeffs.min() >= 0.0
 
     def test_zero_source(self, square_spaces):
         space = square_spaces[3]
         problem = mf.make_zero_problem()
-        m = solve_kfp(space, space.zero_function(), problem, None)
+        m = solve_kfp(DiscreteSystem(space, problem, None), space.zero_function())
         assert np.all(m.coeffs == 0.0)
 
     def test_kfp_operator_is_hjb_adjoint(self, g_one_problem, square_spaces):
@@ -152,12 +160,12 @@ class TestKFP:
         space = square_spaces[3]
         rng = np.random.default_rng(2)
         u = mf.P1Function(space, 0.3 * rng.standard_normal(space.ndof))
-        op = assembly.assemble_kfp_operator(space, u, 1.0, None,
-                                            g_one_problem.hamiltonian)
+        _, L, _ = DiscreteSystem(space, g_one_problem, None).linearize(u)
+        op = L.T.toarray()
         drift = assembly.grad_p_field(space, g_one_problem.hamiltonian, u)
-        L = (assembly.assemble_diffusion(space, 1.0)
-             + assembly.assemble_hjb_drift(space, drift))
-        assert abs(op - L.T).max() < 1e-14
+        oracle = (assembly.assemble_diffusion(space, 1.0).toarray()
+                  + kfp_drift_oracle(space, drift))
+        assert np.abs(op - oracle).max() < 1e-14
 
 
 class TestMFG:
@@ -195,6 +203,36 @@ class TestMFG:
         peaks = [max(h["residual1_dual"], h["residual2_dual"]) for h in sol.history]
         for prev, cur in zip(peaks[1:], peaks[2:]):
             assert cur <= prev * (1 + 1e-10)
+
+    def test_kfp_shares_newton_factorization(self, sine_problem, square_hierarchy,
+                                             monkeypatch):
+        # one LU for the Gram matrix and one for the first KFP solve; after that
+        # one per Newton step, because each KFP solve factorizes the operator
+        # the next sweep's first Newton step needs
+        mesh = square_hierarchy[3]
+        space = mf.P1Space(mesh)
+        tensor = mf.build_xz_tensor(mesh, 1.0)
+        splu = scipy.sparse.linalg.splu
+        calls = []
+
+        def counting_splu(*args, **kwargs):
+            calls.append(None)
+            return splu(*args, **kwargs)
+
+        monkeypatch.setattr(scipy.sparse.linalg, "splu", counting_splu)
+        sol = solve_mfg(space, sine_problem, tensor)
+        assert len(calls) <= sol.newton_iters_total + 2
+
+    def test_level4_sine_matches_recorded_solve(self, sine_problem, square_hierarchy):
+        # recorded from a solve that assembled every operator per call and
+        # factorized the KFP operator separately; only rounding may differ
+        mesh = square_hierarchy[4]
+        space = mf.P1Space(mesh)
+        sol = solve_mfg(space, sine_problem, mf.build_xz_tensor(mesh, 1.0))
+        ex = sine_problem.exact
+        assert (sol.outer_iters, sol.newton_iters_total) == (29, 36)
+        assert abs(mf.error_h1(sol.u, ex.u.value, ex.u.grad) - 0.3730181080289075) <= 1e-12
+        assert abs(mf.error_h1(sol.m, ex.m.value, ex.m.grad) - 0.364474191355241) <= 1e-12
 
     def test_nonconvergence_carries_history(self, sine_problem, square_hierarchy):
         mesh = square_hierarchy[3]
@@ -256,5 +294,3 @@ class TestSolverConfig:
             SolverConfig(damping=0.0)
         with pytest.raises(ConfigurationError):
             SolverConfig(tol_outer=-1.0)
-        with pytest.raises(ConfigurationError):
-            SolverConfig(linear_solver="iterative")
