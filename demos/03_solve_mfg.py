@@ -3,9 +3,11 @@ the solver telemetry.
 
 The exact pair is u* = m* = sin(pi x) sin(pi y) with nu = 1, the Huber
 Hamiltonian of the unit control disk, and the local coupling F[m] = m + f0.
-The outer loop is damped Picard (HJB solved by semismooth Newton at frozen
-density, then one linear KFP solve); convergence is declared on the dual
-norms of the two discrete residuals.
+Each outer sweep solves HJB by semismooth Newton at a frozen density, then
+the KFP equation once; the next density mixes the last five sweeps (Anderson
+mixing with weight damping), and falls back to the damped Picard step when a
+mixed density raises the residual.  Convergence is declared on the dual norms
+of the two discrete residuals, and the density returned is the last KFP solve.
 """
 
 import numpy as np
@@ -33,7 +35,8 @@ print("outer iteration history (max residual dual norm):")
 for entry in solution.history[:6]:
     peak = max(entry["residual1_dual"], entry["residual2_dual"])
     print(f"  sweep {entry['outer']:2d}: {peak:.3e} "
-          f"({entry['newton_iters']} Newton steps)")
+          f"({entry['step']}, {entry['newton_iters']} Newton steps, "
+          f"min m {entry['min_m']:.3e})")
 if len(solution.history) > 6:
     print(f"  ... {len(solution.history) - 6} more sweeps")
 

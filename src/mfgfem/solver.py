@@ -1,12 +1,15 @@
-"""Solution of the coupled discrete system: a damped Picard outer loop around a
-semismooth-Newton inner solve for the HJB equation, with every linear step a
-direct sparse solve.  The KFP step solves with the transpose of the HJB
-linearization at the new value function, and the next sweep's first Newton
-step linearizes at that same point, so the two share one factorization.
+"""Solution of the coupled discrete system: safeguarded Anderson mixing of the
+density fixed-point map m -> KFP(HJB(m)) around a semismooth-Newton inner solve
+for the HJB equation, with every linear step a direct sparse solve.  The KFP
+step solves with the transpose of the HJB linearization at the new value
+function, and the next sweep's first Newton step linearizes at that same
+point, so the two share one factorization.
 
 Convergence is declared on the dual norms of the two discrete residual
 operators (the quantities the stability theory controls), computed exactly via
-the H1 Gram matrix: ||r||_{V*} = sqrt(r^T Gram^-1 r).
+the H1 Gram matrix: ||r||_{V*} = sqrt(r^T Gram^-1 r).  The returned density is
+always a KFP solve, never a mixed iterate, so it obeys the discrete maximum
+principle whenever the scheme does.
 """
 
 from __future__ import annotations
@@ -21,6 +24,8 @@ from .errors import ConfigurationError, NonConvergenceError, SolverError
 from .fespace import P1Function
 
 LINEAR_RESIDUAL_TOL = 1e-10
+# differences of iterates and of residuals kept by the Anderson mixing
+ANDERSON_DEPTH = 5
 
 
 @dataclass
@@ -118,7 +123,8 @@ def solve_hjb(system, gram, m_fixed, cfg=None, u0=None):
 
     Each step freezes the drift dH/dp[grad u^n] and solves the resulting member
     of the advection class; the step is damped by halving whenever the residual
-    dual norm fails to decrease.  Returns ``(u, newton_iterations)``.
+    dual norm fails to decrease.  If it still fails at step 2^-10, the solve
+    raises NonConvergenceError.  Returns ``(u, newton_iterations, halvings)``.
     """
     if not system.problem.hamiltonian.smooth:
         raise ConfigurationError("Newton solver requires a smooth Hamiltonian")
@@ -129,23 +135,29 @@ def solve_hjb(system, gram, m_fixed, cfg=None, u0=None):
     def residual_norm(vec):
         return gram.dual_norm(system.hjb_residual(P1Function(space, vec), m_fixed))
 
+    halvings = 0
     res_norm = residual_norm(u)
     for it in range(1, cfg.max_newton + 1):
         if res_norm <= cfg.tol_newton:
-            return P1Function(space, u), it - 1
+            return P1Function(space, u), it - 1, halvings
         u_prop = _newton_proposal(system, m_fixed, u)
 
         step = 1.0
         u_new = u_prop
         norm_new = residual_norm(u_new)
-        while norm_new > res_norm and step > 2.0 ** -10:
+        while norm_new > res_norm:
+            if step <= 2.0 ** -10:
+                raise NonConvergenceError(
+                    f"Newton line search raised the residual at step 2^-10 "
+                    f"(residual {res_norm:.3e})", last_residual=res_norm)
             step *= 0.5
+            halvings += 1
             u_new = u + step * (u_prop - u)
             norm_new = residual_norm(u_new)
         u, res_norm = u_new, norm_new
 
     if res_norm <= cfg.tol_newton:
-        return P1Function(space, u), cfg.max_newton
+        return P1Function(space, u), cfg.max_newton, halvings
     raise NonConvergenceError(
         f"Newton did not reach {cfg.tol_newton:.1e} in {cfg.max_newton} iterations "
         f"(last residual {res_norm:.3e})", last_residual=res_norm)
@@ -172,55 +184,102 @@ def solve_m_k_plus(space, problem, tensor):
     return P1Function(space, solve_linear(L.T, problem.source.load_vector(space)))
 
 
-def solve_mfg(space, problem, tensor, cfg=None):
-    """Damped Picard iteration on the coupled system.
+class _AndersonHistory:
+    """The last ANDERSON_DEPTH differences of accepted iterates and of their
+    residuals, kept in two preallocated (depth, ndof) arrays used as rings."""
 
-    m^0 solves the KFP equation at u = 0; each sweep solves HJB at the current
-    density (warm-started Newton), then KFP at the new value function, and
-    relaxes the density with factor damping.  Convergence is declared when both
-    residual dual norms at the current pair fall below tol_outer.  A residual
-    increase after the first sweep downgrades the damping once; a second
-    increase aborts.
+    def __init__(self, ndof):
+        self.dm = np.empty((ANDERSON_DEPTH, ndof))
+        self.df = np.empty((ANDERSON_DEPTH, ndof))
+        self.size = 0
+        self._next = 0
+
+    def push(self, m, m_prev, f, f_prev):
+        np.subtract(m, m_prev, out=self.dm[self._next])
+        np.subtract(f, f_prev, out=self.df[self._next])
+        self._next = (self._next + 1) % ANDERSON_DEPTH
+        self.size = min(self.size + 1, ANDERSON_DEPTH)
+
+    def clear(self):
+        self.size = self._next = 0
+
+    def mix(self, m, f, beta):
+        """Next iterate from m with residual f: m + beta f - (dM + beta dF)^T gamma,
+        gamma minimizing |f - dF^T gamma|.  It is the damped Picard step when the
+        history is empty or its residual differences are linearly dependent;
+        the history is cleared in the latter case."""
+        nxt = m + beta * f
+        if self.size:
+            dm, df = self.dm[:self.size], self.df[:self.size]
+            # normal equations by LU: an SVD least-squares driver would add
+            # about 1 MB of resident memory to the process for this 5x5 system
+            try:
+                gamma = np.linalg.solve(df @ df.T, df @ f)
+            except np.linalg.LinAlgError:
+                self.clear()
+                return nxt
+            nxt -= gamma @ dm + beta * (gamma @ df)
+        return nxt
+
+
+def solve_mfg(space, problem, tensor, cfg=None):
+    """Safeguarded Anderson mixing of the density fixed-point map
+    m -> KFP(HJB(m)) (Walker & Ni, SIAM J. Numer. Anal. 49, 2011).
+
+    The first iterate solves the KFP equation at u = 0.  Sweep k solves HJB at
+    the iterate m_k (Newton warm-started from the last accepted value
+    function), then KFP at the new u_k, giving g_k, and measures both residual
+    dual norms at (u_k, g_k).  Convergence is declared, and (u_k, g_k)
+    returned, when both fall below tol_outer.  Otherwise the next iterate mixes
+    the last ANDERSON_DEPTH differences of iterates and of residuals f = g - m
+    with weight ``cfg.damping``; with no history that is the damped Picard step
+    m + damping f.  A mixed iterate whose sweep raises the larger dual norm
+    above the last accepted sweep's is rejected: the history is cleared and
+    the damped Picard step is taken from the last accepted sweep.  Every sweep,
+    a rejected one too, appends an entry to ``history``.
     """
     cfg = cfg or SolverConfig()
     system = assembly.DiscreteSystem(space, problem, tensor)
     gram = Gram(space)
-    damping = cfg.damping
-    downgraded = False
+    mixing = _AndersonHistory(space.ndof)
     history = []
     newton_total = 0
 
-    u = space.zero_function()
-    m = solve_kfp(system, u)
-
-    prev_max = math.inf
+    u_acc = space.zero_function()
+    m = solve_kfp(system, u_acc).coeffs
+    step = "picard"
+    m_acc = f_acc = None
     for outer in range(1, cfg.max_outer + 1):
-        u, newton_iters = solve_hjb(system, gram, m, cfg, u0=u)
+        u, newton_iters, halvings = solve_hjb(system, gram, P1Function(space, m), cfg,
+                                              u0=u_acc)
         newton_total += newton_iters
-        m_tilde = solve_kfp(system, u)
-        m = P1Function(space, (1.0 - damping) * m.coeffs + damping * m_tilde.coeffs)
+        g = solve_kfp(system, u)
 
-        d1 = gram.dual_norm(system.hjb_residual(u, m))
-        d2 = gram.dual_norm(system.kfp_residual(u, m))
-        cur_max = max(d1, d2)
+        d1 = gram.dual_norm(system.hjb_residual(u, g))
+        d2 = gram.dual_norm(system.kfp_residual(u, g))
+        peak = max(d1, d2)
+        rejected = step == "anderson" and peak > peak_acc * (1.0 + 1e-10)
         history.append({"outer": outer, "residual1_dual": d1, "residual2_dual": d2,
-                        "newton_iters": newton_iters, "damping": damping})
+                        "newton_iters": newton_iters, "linesearch_halvings": halvings,
+                        "min_m": float(g.coeffs.min()) if space.ndof else 0.0,
+                        "step": step, "rejected": rejected})
 
-        if cur_max <= cfg.tol_outer:
-            return DiscreteSolution(u=u, m=m, outer_iters=outer,
+        if peak <= cfg.tol_outer:
+            return DiscreteSolution(u=u, m=g, outer_iters=outer,
                                     newton_iters_total=newton_total,
                                     residual1_dual=d1, residual2_dual=d2,
                                     converged=True, history=history)
 
-        if outer > 1 and cur_max > prev_max * (1.0 + 1e-10):
-            if downgraded:
-                raise NonConvergenceError(
-                    f"outer residual increased twice (last {cur_max:.3e})",
-                    history=history, last_residual=cur_max)
-            damping *= 0.5
-            downgraded = True
-        prev_max = cur_max
+        if rejected:
+            mixing.clear()
+        else:
+            f = g.coeffs - m
+            if m_acc is not None:
+                mixing.push(m, m_acc, f, f_acc)
+            m_acc, f_acc, u_acc, peak_acc = m, f, u, peak
+        m = mixing.mix(m_acc, f_acc, cfg.damping)
+        step = "anderson" if mixing.size else "picard"
 
     raise NonConvergenceError(
-        f"Picard did not reach {cfg.tol_outer:.1e} in {cfg.max_outer} iterations "
-        f"(last residual {prev_max:.3e})", history=history, last_residual=prev_max)
+        f"outer loop did not reach {cfg.tol_outer:.1e} in {cfg.max_outer} sweeps "
+        f"(last residual {peak:.3e})", history=history, last_residual=peak)
