@@ -6,8 +6,11 @@ Hamiltonian of the unit control disk, and the local coupling F[m] = m + f0.
 Each outer sweep solves HJB by semismooth Newton at a frozen density, then
 the KFP equation once; the next density mixes the last five sweeps (Anderson
 mixing with weight damping), and falls back to the damped Picard step when a
-mixed density raises the residual.  Convergence is declared on the dual norms
-of the two discrete residuals, and the density returned is the last KFP solve.
+mixed density raises the residual.  Every linear solve is GMRES preconditioned
+with one held LU, which is factorized again only when GMRES falls short; each
+sweep reports its factorizations and GMRES iterations.  Convergence is
+declared on the dual norms of the two discrete residuals, and the density
+returned is the last KFP solve.
 """
 
 import numpy as np
@@ -36,6 +39,7 @@ for entry in solution.history[:6]:
     peak = max(entry["residual1_dual"], entry["residual2_dual"])
     print(f"  sweep {entry['outer']:2d}: {peak:.3e} "
           f"({entry['step']}, {entry['newton_iters']} Newton steps, "
+          f"{entry['factorizations']} LU, {entry['krylov_iters']} GMRES iterations, "
           f"min m {entry['min_m']:.3e})")
 if len(solution.history) > 6:
     print(f"  ... {len(solution.history) - 6} more sweeps")

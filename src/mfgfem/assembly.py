@@ -12,8 +12,11 @@ with the single weight area/3 per basis function when the Hamiltonian does not
 depend on x; an x-dependent Hamiltonian falls back to degree-2 quadrature.
 
 The discrete KFP operator at u is the transpose of the HJB linearization
-K + B(u) (Achdou & Capuzzo-Dolcetta, SIAM J. Numer. Anal. 48, 2010), so one
-factorization serves the KFP solve at u and the Newton step from u.
+K + B(u) (Achdou & Capuzzo-Dolcetta, SIAM J. Numer. Anal. 48, 2010).  Every
+linearization K + B(u) met in a solve is a drift perturbation, bounded by L_H,
+of the same uniformly elliptic K, so the LU of any one of them preconditions
+all the others: ``DiscreteSystem.solve`` runs right-preconditioned GMRES with
+one held LU and factorizes again only when GMRES does not converge.
 """
 
 from __future__ import annotations
@@ -136,8 +139,10 @@ class DiscreteSystem:
     Holds what does not change during a solve -- the diffusion matrix
     K = nu I + D, the mass matrix M, the offset load <f0, xi_i> and the source
     load <G, xi_i> -- and evaluates what does: the drift B(u), the coupling
-    load <F[m], xi_i> and both residuals.  ``linearize`` keeps the latest
-    factorization of K + B(u) and only that one.
+    load <F[m], xi_i> and both residuals.  ``linearize`` caches the latest
+    linearization K + B(u); ``solve`` holds one LU, that of the last
+    linearization it had to factorize, and counts its ``factorizations`` and
+    GMRES iterations (``krylov_iters``).
     """
 
     def __init__(self, space, problem, tensor):
@@ -147,7 +152,10 @@ class DiscreteSystem:
         self.M = assemble_mass(space)
         self.f0_load = problem.coupling.offset_load(space)
         self.g_load = problem.source.load_vector(space)
-        self._linearization = None   # (u coefficients, B(u), K + B(u), its LU)
+        self._linearization = None   # (u coefficients, B(u), K + B(u))
+        self._lu = None
+        self.factorizations = 0
+        self.krylov_iters = 0
 
     def drift(self, u):
         """HJB drift matrix B(u) of the field dH/dp[grad u]."""
@@ -156,19 +164,81 @@ class DiscreteSystem:
                                   drift_bound=hspec.L_H)
 
     def linearize(self, u):
-        """``(B, L, lu)``: B(u), the HJB linearization L = K + B(u) and its LU.
+        """``(B, L)``: B(u) and the HJB linearization L = K + B(u).
 
-        The KFP operator at u is L^T.  Refactorizes unless u equals the point
-        of the previous call; the previous LU is released first, so at most
-        one is alive.
+        The KFP operator at u is L^T.  Reassembles unless u equals the point
+        of the previous call.
         """
         if (self._linearization is None
                 or not np.array_equal(self._linearization[0], u.coeffs)):
-            self._linearization = None   # release the previous LU before the next
             B = self.drift(u)
-            L = self.K + B
-            self._linearization = (u.coeffs.copy(), B, L, factorize(L))
+            self._linearization = (u.coeffs.copy(), B, self.K + B)
         return self._linearization[1:]
+
+    def solve(self, u, rhs, x0, trans, rtol, max_iter):
+        """``(op, x)``: x solves op x = rhs with op = L, or L^T if trans is "T",
+        for L = K + B(u).
+
+        Runs one cycle of at most ``max_iter`` GMRES iterations from x0 (zero
+        if None), right-preconditioned with the held LU, until the true
+        residual meets the bound of ``_gmres``.  When no iterate does, or no
+        LU is held yet, it releases the held LU, factorizes L, solves directly
+        and holds that LU for the next solves, so at most one is alive.
+        """
+        _, L = self.linearize(u)
+        op = L.T if trans == "T" else L
+        if self._lu is not None:
+            x = self._gmres(op, rhs, x0, trans, rtol, max_iter)
+            if x is not None:
+                return op, x
+        self._lu = None   # release the held LU before the next
+        self._lu = factorize(L)
+        self.factorizations += 1
+        return op, self._lu.solve(rhs, trans=trans)
+
+    def _gmres(self, op, rhs, x0, trans, rtol, max_iter):
+        """GMRES for op x = rhs, right-preconditioned with the held LU P: the
+        iterates are x_k = x0 + Z y_k, Z = P^-1 V for an orthonormal Krylov
+        basis V of op P^-1.  Returns the first x_k whose true residual
+        |rhs - op x_k| is at most rtol |rhs| or eps |op| |x_k|; None if no
+        iterate is.
+
+        The second bound is the residual a backward-stable solve leaves.  It
+        grows like the condition number, h^-2, relative to |rhs|: a direct LU
+        of the level-8 KFP system leaves 3.1e-12 |rhs|.
+        """
+        n = rhs.size
+        x0 = np.zeros(n) if x0 is None else x0
+        tol = rtol * np.linalg.norm(rhs)
+        floor = np.finfo(float).eps * spla.norm(op, np.inf)
+
+        def accepted(x, r):
+            return np.linalg.norm(r) <= max(tol, floor * np.linalg.norm(x))
+
+        r0 = rhs - op @ x0
+        if accepted(x0, r0):
+            return x0
+        beta = np.linalg.norm(r0)
+        V = np.empty((max_iter + 1, n))
+        Z = np.empty((max_iter, n))
+        H = np.zeros((max_iter + 1, max_iter))
+        V[0] = r0 / beta
+        for k in range(max_iter):
+            Z[k] = self._lu.solve(V[k], trans=trans)
+            w = op @ Z[k]
+            for j in range(k + 1):   # modified Gram-Schmidt
+                H[j, k] = V[j] @ w
+                w -= H[j, k] * V[j]
+            H[k + 1, k] = np.linalg.norm(w)
+            self.krylov_iters += 1
+            q, R = np.linalg.qr(H[:k + 2, :k + 1])
+            x = x0 + np.linalg.solve(R, beta * q[0]) @ Z[:k + 1]
+            if accepted(x, rhs - op @ x):
+                return x
+            if H[k + 1, k] == 0.0:   # the Krylov space is invariant: no better iterate
+                return None
+            V[k + 1] = w / H[k + 1, k]
+        return None
 
     def coupling_load(self, m):
         """<F[m], xi_i> for a P1 density m."""
@@ -183,7 +253,7 @@ class DiscreteSystem:
     def kfp_residual(self, u, m):
         """Residual load of the discrete KFP equation at (m, u):
         <G, xi_i> - int A grad m . grad xi_i + m dH/dp[grad u] . grad xi_i."""
-        return self.g_load - (self.K + self.drift(u)).T @ m.coeffs
+        return self.g_load - self.linearize(u)[1].T @ m.coeffs
 
 
 def assemble_hjb_nonlinear_residual(space, u, m, problem, tensor):

@@ -1,9 +1,10 @@
 """Solution of the coupled discrete system: safeguarded Anderson mixing of the
 density fixed-point map m -> KFP(HJB(m)) around a semismooth-Newton inner solve
-for the HJB equation, with every linear step a direct sparse solve.  The KFP
-step solves with the transpose of the HJB linearization at the new value
-function, and the next sweep's first Newton step linearizes at that same
-point, so the two share one factorization.
+for the HJB equation.  The KFP step solves with the transpose of the HJB
+linearization at the new value function.  Every linear step is GMRES
+right-preconditioned with the one LU the discrete system holds, and the
+system factorizes again only when GMRES does not reach KRYLOV_RTOL in
+KRYLOV_MAX iterations; each solve still passes the LINEAR_RESIDUAL_TOL check.
 
 Convergence is declared on the dual norms of the two discrete residual
 operators (the quantities the stability theory controls), computed exactly via
@@ -26,6 +27,10 @@ from .fespace import P1Function
 LINEAR_RESIDUAL_TOL = 1e-10
 # differences of iterates and of residuals kept by the Anderson mixing
 ANDERSON_DEPTH = 5
+# GMRES of a linearized solve: bound on the true relative residual, and the
+# iterations of its single cycle before the system factorizes instead
+KRYLOV_RTOL = 1e-12
+KRYLOV_MAX = 20
 
 
 @dataclass
@@ -63,7 +68,7 @@ def _accepted(op, x, rhs):
         raise SolverError("singular operator: non-finite solution")
     resid = np.linalg.norm(op @ x - rhs)
     if resid > LINEAR_RESIDUAL_TOL * (1.0 + np.linalg.norm(rhs)):
-        raise SolverError(f"direct solve residual {resid:.3e} above tolerance")
+        raise SolverError(f"linear solve residual {resid:.3e} above tolerance")
     return x
 
 
@@ -105,16 +110,20 @@ class Gram:
         return math.sqrt(max(float(coeffs @ (self.matrix @ coeffs)), 0.0))
 
 
+def _linearized_solve(system, u, rhs, x0=None, trans="N"):
+    """x with (K + B(u)) x = rhs, or its transpose if trans is "T"."""
+    op, x = system.solve(u, rhs, x0, trans, KRYLOV_RTOL, KRYLOV_MAX)
+    return _accepted(op, x, rhs)
+
+
 def _newton_proposal(system, m, u):
     """Solution of the HJB equation linearized at u:
     (K + B(u)) x = <F[m], xi_i> + B(u) u - H[grad u]."""
-    # a function of its own so that no reference to this LU outlives the step
-    # and the next linearization can release it before factorizing
     fn = P1Function(system.space, u)
-    B, L, lu = system.linearize(fn)
+    B, _ = system.linearize(fn)
     rhs = (system.coupling_load(m) + B @ u
            - assembly.hamiltonian_load(system.space, system.problem.hamiltonian, fn))
-    return _accepted(L, lu.solve(rhs), rhs)
+    return _linearized_solve(system, fn, rhs, x0=u)
 
 
 def solve_hjb(system, gram, m_fixed, cfg=None, u0=None):
@@ -166,9 +175,8 @@ def solve_hjb(system, gram, m_fixed, cfg=None, u0=None):
 def solve_kfp(system, u_fixed):
     """Single linear solve of the discrete KFP equation at a frozen value
     function, with the transpose of the HJB linearization at it."""
-    _, L, lu = system.linearize(u_fixed)
-    m = _accepted(L.T, lu.solve(system.g_load, trans="T"), system.g_load)
-    return P1Function(system.space, m)
+    return P1Function(system.space,
+                      _linearized_solve(system, u_fixed, system.g_load, trans="T"))
 
 
 def solve_m_k_plus(space, problem, tensor):
@@ -236,7 +244,10 @@ def solve_mfg(space, problem, tensor, cfg=None):
     m + damping f.  A mixed iterate whose sweep raises the larger dual norm
     above the last accepted sweep's is rejected: the history is cleared and
     the damped Picard step is taken from the last accepted sweep.  Every sweep,
-    a rejected one too, appends an entry to ``history``.
+    a rejected one too, appends an entry to ``history``, with the
+    factorizations and GMRES iterations of its linear solves (the first entry
+    counts the initial KFP solve too).  A NonConvergenceError of the HJB solve
+    is raised again carrying the history of the sweeps before it.
     """
     cfg = cfg or SolverConfig()
     system = assembly.DiscreteSystem(space, problem, tensor)
@@ -249,9 +260,14 @@ def solve_mfg(space, problem, tensor, cfg=None):
     m = solve_kfp(system, u_acc).coeffs
     step = "picard"
     m_acc = f_acc = None
+    counted = (0, 0)   # factorizations and GMRES iterations before this sweep
     for outer in range(1, cfg.max_outer + 1):
-        u, newton_iters, halvings = solve_hjb(system, gram, P1Function(space, m), cfg,
-                                              u0=u_acc)
+        try:
+            u, newton_iters, halvings = solve_hjb(system, gram, P1Function(space, m), cfg,
+                                                  u0=u_acc)
+        except NonConvergenceError as exc:
+            exc.history = history
+            raise
         newton_total += newton_iters
         g = solve_kfp(system, u)
 
@@ -262,7 +278,10 @@ def solve_mfg(space, problem, tensor, cfg=None):
         history.append({"outer": outer, "residual1_dual": d1, "residual2_dual": d2,
                         "newton_iters": newton_iters, "linesearch_halvings": halvings,
                         "min_m": float(g.coeffs.min()) if space.ndof else 0.0,
-                        "step": step, "rejected": rejected})
+                        "step": step, "rejected": rejected,
+                        "factorizations": system.factorizations - counted[0],
+                        "krylov_iters": system.krylov_iters - counted[1]})
+        counted = (system.factorizations, system.krylov_iters)
 
         if peak <= cfg.tol_outer:
             return DiscreteSolution(u=u, m=g, outer_iters=outer,

@@ -1,8 +1,11 @@
 import math
+import weakref
 
 import numpy as np
 import pytest
 import scipy.sparse.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import mfgfem as mf
 from mfgfem import assembly, solver
@@ -35,6 +38,13 @@ def poisson_center_series(terms=199):
             total += (16.0 * math.sin(m * math.pi / 2) * math.sin(n * math.pi / 2)
                       / (math.pi ** 4 * m * n * (m * m + n * n)))
     return total
+
+
+def _all_direct_solve(space, problem, tensor, cfg=None):
+    """solve_mfg with no GMRES answer accepted, so every linear solve factorizes."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(DiscreteSystem, "_gmres", lambda self, *args: None)
+        return solve_mfg(space, problem, tensor, cfg)
 
 
 class TestLinearSolve:
@@ -168,12 +178,28 @@ class TestKFP:
         m = solve_kfp(DiscreteSystem(space, problem, None), space.zero_function())
         assert np.all(m.coeffs == 0.0)
 
+    def test_rounding_floor_accepts_without_refactorizing(self, sine_problem,
+                                                          square_hierarchy):
+        # with no relative bound to meet, GMRES preconditioned with the LU of K
+        # stops at the residual a backward-stable solve leaves, eps |op| |x|,
+        # and the drifted KFP operator is solved without a second factorization
+        mesh = square_hierarchy[4]
+        space = mf.P1Space(mesh)
+        system = DiscreteSystem(space, sine_problem, mf.build_xz_tensor(mesh, 1.0))
+        system.solve(space.zero_function(), system.g_load, None, "T", 1e-12, 20)
+        u = mf.interpolate(space, sine_problem.exact.u.value)
+        op, x = system.solve(u, system.g_load, None, "T", 0.0, 20)
+        assert system.factorizations == 1
+        assert 0 < system.krylov_iters <= 20
+        floor = np.finfo(float).eps * scipy.sparse.linalg.norm(op, np.inf)
+        assert np.linalg.norm(system.g_load - op @ x) <= floor * np.linalg.norm(x)
+
     def test_kfp_operator_is_hjb_adjoint(self, g_one_problem, square_spaces):
         # the KFP matrix at u equals the transpose of the HJB linearization
         space = square_spaces[3]
         rng = np.random.default_rng(2)
         u = mf.P1Function(space, 0.3 * rng.standard_normal(space.ndof))
-        _, L, _ = DiscreteSystem(space, g_one_problem, None).linearize(u)
+        _, L = DiscreteSystem(space, g_one_problem, None).linearize(u)
         op = L.T.toarray()
         drift = assembly.grad_p_field(space, g_one_problem.hamiltonian, u)
         oracle = (assembly.assemble_diffusion(space, 1.0).toarray()
@@ -219,9 +245,8 @@ class TestMFG:
 
     def test_kfp_shares_newton_factorization(self, sine_problem, square_hierarchy,
                                              monkeypatch):
-        # one LU for the Gram matrix and one for the first KFP solve; after that
-        # one per Newton step, because each KFP solve factorizes the operator
-        # the next sweep's first Newton step needs
+        # one LU for the Gram matrix and one for the first KFP solve; it then
+        # preconditions every Newton step and KFP solve of the run
         mesh = square_hierarchy[3]
         space = mf.P1Space(mesh)
         tensor = mf.build_xz_tensor(mesh, 1.0)
@@ -234,7 +259,49 @@ class TestMFG:
 
         monkeypatch.setattr(scipy.sparse.linalg, "splu", counting_splu)
         sol = solve_mfg(space, sine_problem, tensor)
-        assert len(calls) <= sol.newton_iters_total + 2
+        assert len(calls) == 2
+        assert [h["factorizations"] for h in sol.history] == [1] + [0] * (sol.outer_iters - 1)
+        # each sweep solves at least one Newton step and one KFP equation by GMRES
+        assert all(h["krylov_iters"] >= 2 for h in sol.history[1:])
+
+    def test_krylov_fallback_refactorizes(self, sine_problem, square_hierarchy,
+                                          monkeypatch):
+        # one GMRES iteration is too few away from the held LU's own point: the
+        # system releases it, factorizes the current linearization and solves
+        # directly, and the answer is that of a run where every solve factorizes
+        mesh = square_hierarchy[3]
+        space = mf.P1Space(mesh)
+        tensor = mf.build_xz_tensor(mesh, 1.0)
+        direct = _all_direct_solve(space, sine_problem, tensor)
+        assert sum(h["factorizations"] for h in direct.history) == (
+            1 + direct.newton_iters_total + direct.outer_iters)
+
+        splu = scipy.sparse.linalg.splu
+        live = weakref.WeakSet()
+        alive_at_factorization = []
+
+        class TrackedLU:
+            def __init__(self, lu):
+                self.solve = lu.solve
+
+        def tracking_splu(*args, **kwargs):
+            alive_at_factorization.append(len(live))
+            lu = TrackedLU(splu(*args, **kwargs))
+            live.add(lu)
+            return lu
+
+        monkeypatch.setattr(scipy.sparse.linalg, "splu", tracking_splu)
+        monkeypatch.setattr(solver, "KRYLOV_MAX", 1)
+        sol = solve_mfg(space, sine_problem, tensor)
+        fallbacks = sum(h["factorizations"] for h in sol.history) - 1
+        assert fallbacks >= 1
+        assert len(alive_at_factorization) == 2 + fallbacks
+        # only the Gram LU may be alive when a linearization is factorized
+        assert max(alive_at_factorization) <= 1
+        assert (sol.outer_iters, sol.newton_iters_total) == (
+            direct.outer_iters, direct.newton_iters_total)
+        assert np.abs(sol.u.coeffs - direct.u.coeffs).max() < 1e-12
+        assert np.abs(sol.m.coeffs - direct.m.coeffs).max() < 1e-12
 
     def test_level4_sine_matches_recorded_solve(self, sine_problem, square_hierarchy):
         # two default-tolerance iterates that both pass tol_outer may differ by
@@ -289,12 +356,15 @@ class TestMFG:
 
     def test_returned_density_is_a_kfp_solve(self, sine_problem, square_hierarchy):
         # the mixed iterate is never returned: m solves the KFP equation at u
+        # to the tolerance of its linear solve (whose rounding-floor bound lies
+        # far below KRYLOV_RTOL |G| at this level)
         mesh = square_hierarchy[3]
         space = mf.P1Space(mesh)
         tensor = mf.build_xz_tensor(mesh, 1.0)
         sol = solve_mfg(space, sine_problem, tensor)
-        kfp = solve_kfp(DiscreteSystem(space, sine_problem, tensor), sol.u)
-        assert np.abs(kfp.coeffs - sol.m.coeffs).max() < 1e-14
+        system = DiscreteSystem(space, sine_problem, tensor)
+        residual = np.linalg.norm(system.kfp_residual(sol.u, sol.m))
+        assert residual <= solver.KRYLOV_RTOL * np.linalg.norm(system.g_load)
 
     def test_dependent_differences_restart_mixing(self):
         # parallel residual differences leave the mixing coefficients undetermined
@@ -314,6 +384,29 @@ class TestMFG:
             solve_mfg(space, sine_problem, tensor, SolverConfig(max_outer=1))
         assert len(err.value.history) == 1
 
+    def test_newton_failure_carries_outer_history(self, sine_problem, square_hierarchy,
+                                                  monkeypatch):
+        # the 6th Newton proposal ascends, so the line search fails in a later
+        # sweep; the error lists the sweeps completed before it
+        mesh = square_hierarchy[3]
+        space = mf.P1Space(mesh)
+        tensor = mf.build_xz_tensor(mesh, 1.0)
+        newton = solver._newton_proposal
+        calls = []
+
+        def proposal(system, m, u):
+            calls.append(None)
+            x = newton(system, m, u)
+            return x if len(calls) < 6 else 2.0 * u - x
+
+        monkeypatch.setattr(solver, "_newton_proposal", proposal)
+        with pytest.raises(NonConvergenceError) as err:
+            solve_mfg(space, sine_problem, tensor)
+        history = err.value.history
+        assert [h["outer"] for h in history] == [1, 2]
+        assert sum(h["newton_iters"] for h in history) == 5
+        assert err.value.last_residual is not None
+
     def test_telemetry_fields(self, sine_problem, square_hierarchy):
         mesh = square_hierarchy[2]
         space = mf.P1Space(mesh)
@@ -321,6 +414,43 @@ class TestMFG:
         sol = solve_mfg(space, sine_problem, tensor)
         assert sol.newton_iters_total >= sol.outer_iters
         assert sol.history[-1]["residual1_dual"] == sol.residual1_dual
+
+
+@st.composite
+def g_one_instances(draw):
+    """Certified g_one instances: nu, c_F and a Huber or smoothed finite-control
+    Hamiltonian, on an XZ square mesh of level 2-4."""
+    nu = draw(st.floats(0.1, 1.0))
+    c_F = draw(st.floats(0.5, 5.0))
+    if draw(st.booleans()):
+        ham = mf.huber_ball(draw(st.floats(0.5, 2.0)))
+    else:
+        n = draw(st.integers(2, 4))
+        drifts = draw(st.lists(st.tuples(st.floats(-1.0, 1.0), st.floats(-1.0, 1.0)),
+                               min_size=n, max_size=n))
+        costs = draw(st.lists(st.floats(0.0, 1.0), min_size=n, max_size=n))
+        ham = mf.finite_control(drifts, costs, smoothing=draw(st.floats(0.2, 1.0)))
+    return draw(st.integers(2, 4)), mf.make_g_one_problem(nu, ham, c_F)
+
+
+class TestRecycledLUProperty:
+    @settings(max_examples=40, deadline=None)
+    @given(instance=g_one_instances())
+    def test_matches_all_direct_path(self, instance, square_hierarchy):
+        # GMRES preconditioned with the recycled LU must land where factorizing
+        # every linearization does, converged, with the DMP intact
+        level, problem = instance
+        mesh = square_hierarchy[level]
+        space = mf.P1Space(mesh)
+        tensor = mf.build_xz_tensor(mesh, problem.hamiltonian.L_H)
+        cfg = SolverConfig(tol_outer=1e-12, tol_newton=1e-12, max_outer=400)
+        sol = solve_mfg(space, problem, tensor, cfg)
+        direct = _all_direct_solve(space, problem, tensor, cfg)
+        assert sol.converged
+        assert max(sol.residual1_dual, sol.residual2_dual) <= cfg.tol_outer
+        assert sol.m.coeffs.min() >= mf.analysis.DMP_TOL
+        assert np.abs(sol.u.coeffs - direct.u.coeffs).max() <= 1e-10
+        assert np.abs(sol.m.coeffs - direct.m.coeffs).max() <= 1e-10
 
 
 class TestMkPlus:
