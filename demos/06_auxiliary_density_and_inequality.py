@@ -55,14 +55,14 @@ rng = np.random.default_rng(0)
 print()
 print("the inequality margin grows with the distance from the solution:")
 from mfgfem import assembly
-mass = assembly.assemble_mass(space)
+system = assembly.DiscreteSystem(space, g_one, tensor)
 for scale in (0.1, 1.0, 10.0):
     mbar = mf.P1Function(space, scale * np.abs(rng.standard_normal(space.ndof)))
     ubar = mf.P1Function(space, scale * rng.standard_normal(space.ndof))
-    r1 = assembly.assemble_hjb_nonlinear_residual(space, ubar, mbar, g_one, tensor)
-    r2 = assembly.assemble_kfp_residual(space, ubar, mbar, g_one, tensor)
+    r1 = system.hjb_residual(ubar, mbar)
+    r2 = system.kfp_residual(ubar, mbar)
     dm = mbar.coeffs - solution.m.coeffs
     du = ubar.coeffs - solution.u.coeffs
-    lhs = float(dm @ (mass @ dm))
+    lhs = float(dm @ (system.M @ dm))
     rhs = float(r1 @ dm) - float(r2 @ du)
     print(f"  scale {scale:5.1f}: c_F ||dm||^2 = {lhs:.3e} <= pairing = {rhs:.3e}")

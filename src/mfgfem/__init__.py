@@ -68,7 +68,6 @@ from .solver import (
     riesz_dual_norm,
     solve_hjb,
     solve_kfp,
-    solve_linear,
     solve_m_k_plus,
     solve_mfg,
 )

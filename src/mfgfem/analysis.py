@@ -18,9 +18,7 @@ from .errors import ConfigurationError
 from .fespace import P1Function, P1Space, interpolate, quadrature, quadrature_points_xy
 from .mesh import generate_acute_rhombus, generate_structured_square, refine_red
 from .solver import SolverConfig, solve_mfg
-from .stabilization import build_acute_tensor, build_xz_tensor, none_tensor
-
-DMP_TOL = -1e-10
+from .stabilization import DMP_TOL, build_acute_tensor, build_xz_tensor, none_tensor
 
 
 # -- norms ---------------------------------------------------------------------

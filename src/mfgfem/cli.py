@@ -77,12 +77,24 @@ def _parse_bool(text):
     raise ConfigurationError(f"not a boolean: {text!r}")
 
 
+# Level 15 of either family has 2^31 triangles, past the int32 sparsity
+# pattern of its operators; a bound also keeps 'lo:hi' ranges small.
+MAX_LEVEL = 14
+
+
+def _parse_level(text):
+    level = int(text)
+    if not 0 <= level <= MAX_LEVEL:
+        raise ConfigurationError(f"mesh level {level} outside 0..{MAX_LEVEL}")
+    return level
+
+
 def _parse_levels(text):
     text = text.strip()
     if ":" in text:
         lo, hi = text.split(":", 1)
-        return tuple(range(int(lo), int(hi) + 1))
-    return tuple(int(tok) for tok in text.replace(",", " ").split())
+        return tuple(range(_parse_level(lo), _parse_level(hi) + 1))
+    return tuple(_parse_level(tok) for tok in text.replace(",", " ").split())
 
 
 def _parse_vectors(text):
@@ -104,7 +116,7 @@ def _parse_scalars(text):
 
 _KEYS = {
     "mesh.family": ("mesh_family", str),
-    "mesh.level": ("mesh_level", int),
+    "mesh.level": ("mesh_level", _parse_level),
     "mesh.levels": ("mesh_levels", _parse_levels),
     "stabilization": ("stabilization", str),
     "stabilization.omega_factor": ("omega_factor", float),
@@ -137,8 +149,10 @@ def parse_config(path):
     """Read a flat 'key = value' file ('#' starts a comment)."""
     config = RunConfig()
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             lines = fh.readlines()
+    except UnicodeDecodeError as exc:
+        raise ConfigurationError(f"config file is not UTF-8 text: {exc}") from None
     except OSError as exc:
         raise ConfigurationError(f"cannot read config file: {exc}") from exc
     for lineno, raw in enumerate(lines, start=1):

@@ -95,11 +95,6 @@ class P1Function:
         full[self.space.vertex_of_dof] = self.coeffs
         return full
 
-    def eval(self, tri, bary):
-        """Value at a barycentric point of triangle ``tri``."""
-        vals = self.nodal_values()[self.space.mesh.triangles[tri]]
-        return float(np.dot(vals, np.asarray(bary, dtype=float)))
-
     def element_gradients(self):
         """Gradients on all triangles at once, shape (nt, 2)."""
         vals = self.nodal_values()[self.space.mesh.triangles]  # (nt, 3)

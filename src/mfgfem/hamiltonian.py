@@ -2,10 +2,10 @@
 constants that the discretization needs from them: the Lipschitz/drift bound
 L_H, the growth constant C_H, and the Lipschitz constant L_Hp of dH/dp.
 
-Both built-in instances are x-independent, but every callable accepts the
-spatial argument so that x-dependent variants plug into the same machinery.
-Callables are vectorized: x has shape (..., 2), p has shape (..., 2), values
-have shape (...).
+Both instances are x-independent; their callables still take the spatial
+argument, as the assembly passes element barycentres.  Callables are
+vectorized: x has shape (..., 2), p has shape (..., 2), values have shape
+(...).
 """
 
 from __future__ import annotations
@@ -28,7 +28,6 @@ class HamiltonianSpec:
     C_H: float           # growth constant: |H| <= C_H (|p| + 1)
     L_Hp: float          # Lipschitz constant of dH/dp in p
     smooth: bool         # True iff grad_p is globally Lipschitz
-    x_dependent: bool = False
     label: str = ""
 
 
@@ -72,7 +71,9 @@ def finite_control(drifts, costs, smoothing=0.0):
     eps = float(smoothing)
     if eps < 0:
         raise ConfigurationError("smoothing must be nonnegative")
-    bmax = float(np.linalg.norm(B, axis=1).max())
+    # hypot, as the drift assembly measures fields: squaring underflows to 0
+    # for drifts below ~1e-162
+    bmax = float(np.hypot(B[:, 0], B[:, 1]).max())
     label = f"finite_control(n={len(f)}, eps={eps})"
 
     if eps == 0.0:

@@ -372,29 +372,42 @@ def write_mesh(mesh, path):
 def read_mesh(path):
     """Read an MFGMESH 1 file; raises :class:`MeshFormatError` with the
     offending line number on malformed input."""
-    with open(path) as fh:
-        lines = fh.read().splitlines()
+    try:
+        with open(path, encoding="utf-8") as fh:
+            lines = fh.read().splitlines()
+    except UnicodeDecodeError as exc:
+        raise MeshFormatError(f"not UTF-8 text: {exc}") from None
+    except OSError as exc:
+        raise MeshFormatError(f"cannot read mesh file: {exc}") from None
 
     def need(idx):
         if idx >= len(lines):
             raise MeshFormatError("unexpected end of file", line=len(lines) + 1)
         return lines[idx]
 
+    def count(row, name):
+        """The count N of the 'name N' line at ``row``, checked against the
+        lines that follow it before anything of that size is allocated."""
+        head = need(row).split()
+        if len(head) != 2 or head[0] != name:
+            raise MeshFormatError(f"expected '{name} N'", line=row + 1)
+        try:
+            n = int(head[1])
+        except ValueError:
+            raise MeshFormatError(f"{name} count is not an integer", line=row + 1) from None
+        if n < 0:
+            raise MeshFormatError(f"{name} count {n} is negative", line=row + 1)
+        if n > len(lines) - row - 1:
+            raise MeshFormatError(f"{name} count {n} exceeds the lines that follow",
+                                  line=row + 1)
+        return n
+
     if need(0).strip() != "MFGMESH 1":
         raise MeshFormatError("expected header 'MFGMESH 1'", line=1)
-    head = need(1).split()
-    if len(head) != 2 or head[0] != "vertices":
-        raise MeshFormatError("expected 'vertices N'", line=2)
-    try:
-        nv = int(head[1])
-    except ValueError:
-        raise MeshFormatError("vertex count is not an integer", line=2) from None
-    if nv < 0:
-        raise MeshFormatError("negative vertex count", line=2)
-
+    nv = count(1, "vertices")
     vertices = np.empty((nv, 2))
     for k in range(nv):
-        parts = need(2 + k).split()
+        parts = lines[2 + k].split()
         if len(parts) != 2:
             raise MeshFormatError("expected 'x y'", line=3 + k)
         try:
@@ -403,25 +416,19 @@ def read_mesh(path):
             raise MeshFormatError("coordinate is not a number", line=3 + k) from None
 
     row = 2 + nv
-    head = need(row).split()
-    if len(head) != 2 or head[0] != "triangles":
-        raise MeshFormatError("expected 'triangles M'", line=row + 1)
-    try:
-        nt = int(head[1])
-    except ValueError:
-        raise MeshFormatError("triangle count is not an integer", line=row + 1) from None
-
+    nt = count(row, "triangles")
     triangles = np.empty((nt, 3), dtype=np.int64)
     for k in range(nt):
-        parts = need(row + 1 + k).split()
+        parts = lines[row + 1 + k].split()
         if len(parts) != 3:
             raise MeshFormatError("expected 'i j k'", line=row + 2 + k)
         try:
-            triangles[k] = [int(v) for v in parts]
+            idx = [int(v) for v in parts]
         except ValueError:
             raise MeshFormatError("vertex index is not an integer", line=row + 2 + k) from None
-        if triangles[k].min() < 0 or triangles[k].max() >= nv:
+        if min(idx) < 0 or max(idx) >= nv:
             raise MeshFormatError("vertex index out of range", line=row + 2 + k)
+        triangles[k] = idx
 
     try:
         return Mesh2D(vertices, triangles)

@@ -1,6 +1,6 @@
-"""Problem data for the stationary MFG system: coupling operators F, sources G
-in the weak form <G, phi> = int g0 phi + gtilde . grad phi, and manufactured
-instances with known exact pairs (u*, m*).
+"""Problem data for the stationary MFG system: the local linear coupling F,
+sources G in the weak form <G, phi> = int g0 phi + gtilde . grad phi, and
+manufactured instances with known exact pairs (u*, m*).
 
 The manufactured construction works backwards from the exact pair:
 
@@ -18,7 +18,6 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
-import scipy.linalg
 
 from . import assembly
 from .errors import ConfigurationError
@@ -92,25 +91,14 @@ def zero_field():
 
 RHOMBUS_TRANSFORM = np.array([[1.0, 0.5], [0.0, math.sqrt(3.0) / 2.0]])
 
-EXACT_REGISTRY = {
-    "sine_product": sine_product_field,
-    "zero": lambda transform=None: zero_field(),
-}
-
 
 # -- coupling ----------------------------------------------------------------
 
 @dataclass
 class CouplingF:
-    """F[m] = c_F m + (K * m) + f0; the kernel part is present only for the
-    nonlocal variant and is realized as a dense symmetric PSD matrix built for
-    one specific space."""
-    kind: str                                  # local_linear | nonlocal_convolution
+    """Local linear coupling F[m] = c_F m + f0."""
     c_F: float
-    L_F: float
     offset: Optional[Callable] = None          # f0(x, y)
-    kernel_matrix: Optional[np.ndarray] = None
-    kernel_space: Optional[P1Space] = None
 
     def offset_load(self, space):
         """<f0, xi_i> by degree-4 quadrature."""
@@ -118,63 +106,9 @@ class CouplingF:
             return np.zeros(space.ndof)
         return scalar_load(space, self.offset)
 
-    def density_load(self, space, mass, m):
-        """<F[m] - f0, xi_i> for a P1 density m, given the mass matrix of space."""
-        out = self.c_F * (mass @ m.coeffs)
-        if self.kernel_matrix is not None:
-            if self.kernel_space is not space:
-                raise ConfigurationError(
-                    "nonlocal coupling was built for a different space")
-            out += self.kernel_matrix @ m.coeffs
-        return out
-
-    def load_vector(self, space, m):
-        """<F[m], xi_i> for a P1 density m."""
-        return self.offset_load(space) + self.density_load(
-            space, assembly.assemble_mass(space), m)
-
 
 def local_linear_coupling(c_F, offset=None):
-    return CouplingF(kind="local_linear", c_F=float(c_F), L_F=float(c_F), offset=offset)
-
-
-def nonlocal_convolution_coupling(space, c_F, kernel, offset=None, degree=2):
-    """c_F m + (K * m) + f0 with K(x, y) a symmetric PSD kernel function.
-
-    The discrete kernel matrix C[i,j] = int int K(x,y) xi_i(x) xi_j(y) dx dy is
-    dense; intended for small spaces.
-    """
-    rule = quadrature(degree)
-    mesh = space.mesh
-    xq = quadrature_points_xy(mesh, rule).reshape(-1, 2)          # (NQ, 2)
-    wq = (mesh.areas[:, None] * rule.weights[None, :]).ravel()     # (NQ,)
-    # basis values at quadrature points, restricted to interior dofs
-    nt, nq = mesh.num_triangles, len(rule.weights)
-    basis = np.zeros((nt * nq, space.ndof))
-    rows = np.arange(nt * nq)
-    for i in range(3):
-        dofs = np.repeat(space.elem_dofs[:, i], nq)
-        vals = np.tile(rule.points[:, i], nt)
-        keep = dofs >= 0
-        basis[rows[keep], dofs[keep]] += vals[keep]
-    Kq = kernel(xq[:, None, :], xq[None, :, :])
-    C = basis.T @ (wq[:, None] * Kq * wq[None, :]) @ basis
-    C = 0.5 * (C + C.T)
-    mass = assembly.assemble_mass(space).toarray()
-    lam_max = float(scipy.linalg.eigh(C, mass, eigvals_only=True)[-1])
-    return CouplingF(kind="nonlocal_convolution", c_F=float(c_F),
-                     L_F=float(c_F) + max(lam_max, 0.0), offset=offset,
-                     kernel_matrix=C, kernel_space=space)
-
-
-def gaussian_kernel(width, scale=1.0):
-    """K(x, y) = scale * exp(-|x - y|^2 / (2 width^2)); symmetric and PSD."""
-
-    def kernel(x, y):
-        d2 = ((np.asarray(x) - np.asarray(y)) ** 2).sum(axis=-1)
-        return scale * np.exp(-0.5 * d2 / width ** 2)
-
-    return kernel
+    return CouplingF(c_F=float(c_F), offset=offset)
 
 
 # -- source -------------------------------------------------------------------
@@ -268,8 +202,8 @@ class MFGProblem:
     exact: Optional[ExactSolution] = None
 
     def __post_init__(self):
-        if self.nu <= 0:
-            raise ConfigurationError("nu must be positive")
+        if not (math.isfinite(self.nu) and self.nu > 0):
+            raise ConfigurationError("nu must be finite and positive")
 
 
 def _certification_mesh(domain, level):

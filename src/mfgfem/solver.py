@@ -72,16 +72,6 @@ def _accepted(op, x, rhs):
     return x
 
 
-def solve_linear(op, rhs):
-    """Direct sparse solve with an explicit residual acceptance test."""
-    rhs = np.asarray(rhs, dtype=float)
-    if op.shape[0] != op.shape[1] or op.shape[0] != rhs.shape[0]:
-        raise ConfigurationError("operator/vector shape mismatch")
-    if rhs.shape[0] == 0:
-        return np.zeros(0)
-    return _accepted(op, assembly.factorize(op).solve(rhs), rhs)
-
-
 def riesz_dual_norm(gram, r):
     """Discrete V* norm sqrt(r^T Gram^-1 r) of the functional with load r."""
     r = np.asarray(r, dtype=float)
@@ -189,7 +179,8 @@ def solve_m_k_plus(space, problem, tensor):
     drift = np.asarray(problem.hamiltonian.grad_p(bary, grads), dtype=float)
     L = (assembly.assemble_diffusion(space, problem.nu, tensor)
          + assembly.assemble_hjb_drift(space, drift, drift_bound=problem.hamiltonian.L_H))
-    return P1Function(space, solve_linear(L.T, problem.source.load_vector(space)))
+    load = problem.source.load_vector(space)
+    return P1Function(space, _accepted(L.T, assembly.factorize(L.T).solve(load), load))
 
 
 class _AndersonHistory:
@@ -250,6 +241,8 @@ def solve_mfg(space, problem, tensor, cfg=None):
     is raised again carrying the history of the sweeps before it.
     """
     cfg = cfg or SolverConfig()
+    if space.ndof == 0:
+        raise ConfigurationError("the mesh has no interior vertex: nothing to solve")
     system = assembly.DiscreteSystem(space, problem, tensor)
     gram = Gram(space)
     mixing = _AndersonHistory(space.ndof)
@@ -277,7 +270,7 @@ def solve_mfg(space, problem, tensor, cfg=None):
         rejected = step == "anderson" and peak > peak_acc * (1.0 + 1e-10)
         history.append({"outer": outer, "residual1_dual": d1, "residual2_dual": d2,
                         "newton_iters": newton_iters, "linesearch_halvings": halvings,
-                        "min_m": float(g.coeffs.min()) if space.ndof else 0.0,
+                        "min_m": float(g.coeffs.min()),
                         "step": step, "rejected": rejected,
                         "factorizations": system.factorizations - counted[0],
                         "krylov_iters": system.krylov_iters - counted[1]})

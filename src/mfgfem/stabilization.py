@@ -144,16 +144,6 @@ def verify_h1(tensor, mesh):
     return H1Report(True, min_eig, _observed_cd(D, mesh), worst)
 
 
-def tensor_to_csv(tensor, mesh, path):
-    """Per-element dump 'element,d00,d01,d10,d11,frobenius,diam' for debugging."""
-    frob = _frobenius(tensor.per_element)
-    with open(path, "w") as fh:
-        fh.write("element,d00,d01,d10,d11,frobenius,diam\n")
-        for t, D in enumerate(tensor.per_element):
-            fh.write(f"{t},{D[0, 0]:.17g},{D[0, 1]:.17g},{D[1, 0]:.17g},"
-                     f"{D[1, 1]:.17g},{frob[t]:.17g},{mesh.diameters[t]:.17g}\n")
-
-
 def random_disk_drift(mesh, L_H, rng):
     """Element-wise constant drift drawn uniformly from the disk of radius L_H."""
     nt = mesh.num_triangles

@@ -1,10 +1,10 @@
 import numpy as np
 import pytest
-import scipy.io
 import scipy.linalg
 
 import mfgfem as mf
 from mfgfem import assembly
+from mfgfem.fespace import quadrature, quadrature_points_xy
 from mfgfem.problem import scalar_load
 from mfgfem.solver import Gram
 from mfgfem.stabilization import StabilizationTensor
@@ -178,27 +178,26 @@ class TestLoadsAndResiduals:
         rng = np.random.default_rng(5)
         m = mf.P1Function(space, rng.standard_normal(space.ndof))
         u = space.zero_function()
-        r = assembly.assemble_hjb_nonlinear_residual(space, u, m, problem, None)
+        r = assembly.DiscreteSystem(space, problem, None).hjb_residual(u, m)
         M = assembly.assemble_mass(space)
         assert np.abs(r - M @ m.coeffs).max() < 1e-14
 
     def test_hamiltonian_load_matches_quadrature(self, square_spaces):
-        # for x-independent H the area/3 rule equals degree-2 quadrature exactly
+        # H[grad u] is constant per triangle for x-independent H, so degree-2
+        # quadrature of H[grad u] xi_i at the physical points is exact
         space = square_spaces[2]
         ham = mf.huber_ball(1.0)
         rng = np.random.default_rng(6)
         u = mf.P1Function(space, rng.standard_normal(space.ndof))
         load = assembly.hamiltonian_load(space, ham, u)
-        hvals = ham.value(space.mesh.barycenters, u.element_gradients())
-        expected = assembly.element_constant_load(space, hvals)
+        rule = quadrature(2)
+        xq = quadrature_points_xy(space.mesh, rule)                 # (nt, nq, 2)
+        grads = np.broadcast_to(u.element_gradients()[:, None, :], xq.shape)
+        hq = ham.value(xq, grads)                                   # (nt, nq)
+        expected = np.zeros(space.ndof)
+        for t, dofs in enumerate(space.elem_dofs):
+            for i, dof in enumerate(dofs):
+                if dof >= 0:
+                    expected[dof] += space.elem_areas[t] * float(
+                        np.sum(rule.weights * hq[t] * rule.points[:, i]))
         assert np.abs(load - expected).max() < 1e-15
-
-
-class TestExport:
-    def test_matrix_market_roundtrip(self, tmp_path, square_spaces):
-        space = square_spaces[2]
-        K = assembly.assemble_diffusion(space, 1.0)
-        path = tmp_path / "K.mtx"
-        assembly.export_matrix_market(K, path)
-        back = scipy.io.mmread(path).tocsr()
-        assert abs(K - back).max() < 1e-15

@@ -1,6 +1,8 @@
 import json
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import mfgfem as mf
 from mfgfem import cli
@@ -11,6 +13,41 @@ def write_config(tmp_path, text, name="run.cfg"):
     path = tmp_path / name
     path.write_text(text)
     return str(path)
+
+
+# inputs that once ended in a traceback (exit 1) instead of exit 2
+MALFORMED_MESH_FILES = {
+    "negative_triangle_count": b"MFGMESH 1\nvertices 3\n0 0\n1 0\n0 1\ntriangles -1\n",
+    "count_past_end_of_file": b"MFGMESH 1\nvertices 1000000000000\n0 0\n",
+    "not_utf8": b"MFGMESH 1\nvertices 3\n0 0\n1 0\n0 1\ntriangles 1\n0 1 2\xff\n",
+    "index_past_int64": (b"MFGMESH 1\nvertices 3\n0 0\n1 0\n0 1\ntriangles 1\n"
+                         b"0 1 99999999999999999999\n"),
+    "missing_file": None,
+}
+BAD_CONFIGS = {
+    "negative_level": b"mesh.level = -1\n",
+    "negative_level_in_list": b"mesh.levels = -1 0 1 2\n",
+    "negative_range_start": b"mesh.levels = -1:2\n",
+    "range_past_max_level": b"mesh.levels = 2:99999999999\n",
+    "nan_nu": b"problem.nu = nan\n",
+    "not_utf8": b"seed = 1\xfe\n",
+}
+
+_VALUE = st.one_of(
+    st.text(max_size=20),
+    st.integers(-10 ** 15, 10 ** 15).map(str),
+    st.tuples(st.integers(-10 ** 15, 10 ** 15), st.integers(-10 ** 15, 10 ** 15)).map(
+        lambda lohi: f"{lohi[0]}:{lohi[1]}"),
+    st.floats().map(repr),
+)
+_CONFIG_LINE = st.one_of(
+    st.tuples(st.sampled_from(sorted(cli._KEYS)), _VALUE).map(lambda kv: f"{kv[0]} = {kv[1]}"),
+    st.text(max_size=30),
+)
+CONFIG_FILES = st.one_of(
+    st.lists(_CONFIG_LINE, max_size=6).map(lambda lines: "\n".join(lines).encode()),
+    st.binary(max_size=120),
+)
 
 
 class TestConfigParsing:
@@ -55,6 +92,26 @@ class TestConfigParsing:
         path = write_config(tmp_path, "mesh.level = four\n")
         with pytest.raises(ConfigurationError):
             cli.parse_config(path)
+
+    @settings(max_examples=100, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=CONFIG_FILES)
+    def test_fuzzed_config_parses_or_exits_2(self, tmp_path, data):
+        # malformed input raises ConfigurationError only, which main reports as
+        # exit 2 before any command runs
+        path = tmp_path / "fuzz.cfg"
+        path.write_bytes(data)
+        try:
+            cli.parse_config(str(path))
+        except ConfigurationError:
+            assert cli.main(["solve", str(path)]) == cli.EXIT_INPUT_ERROR
+
+    @pytest.mark.parametrize("text", BAD_CONFIGS.values(), ids=BAD_CONFIGS.keys())
+    def test_bad_input_exits_2(self, tmp_path, capsys, text):
+        path = tmp_path / "run.cfg"
+        path.write_bytes(text + f"output.dir = {tmp_path / 'out'}\n".encode())
+        assert cli.main(["solve", str(path)]) == cli.EXIT_INPUT_ERROR
+        assert capsys.readouterr().err.startswith("error: ")
 
     def test_hash_stable(self, tmp_path):
         a = cli.parse_config(write_config(tmp_path, "seed = 1\n", "a.cfg"))
@@ -111,6 +168,16 @@ class TestCheckMesh:
         path = write_config(tmp_path, f"mesh.family = file:{mesh_path}\n")
         assert cli.main(["check-mesh", path]) == cli.EXIT_INPUT_ERROR
 
+    @pytest.mark.parametrize("content", MALFORMED_MESH_FILES.values(),
+                             ids=MALFORMED_MESH_FILES.keys())
+    def test_malformed_mesh_file_exit_2(self, tmp_path, capsys, content):
+        mesh_path = tmp_path / "bad.txt"
+        if content is not None:
+            mesh_path.write_bytes(content)
+        path = write_config(tmp_path, f"mesh.family = file:{mesh_path}\n")
+        assert cli.main(["check-mesh", path]) == cli.EXIT_INPUT_ERROR
+        assert capsys.readouterr().err.startswith("error: ")
+
     def test_missing_config_exit_2(self):
         assert cli.main(["check-mesh", "/nonexistent/run.cfg"]) == cli.EXIT_INPUT_ERROR
 
@@ -158,6 +225,15 @@ class TestSolve:
         assert telemetry["converged"] is False
         assert len(telemetry["history"]) == 1
 
+    @pytest.mark.parametrize("family", ["xz_square", "acute_rhombus"])
+    def test_mesh_without_interior_dofs_exit_2(self, tmp_path, family):
+        path = write_config(tmp_path, f"""
+            mesh.family = {family}
+            mesh.level = 0
+            output.dir = {tmp_path / "out"}
+        """)
+        assert cli.main(["solve", path]) == cli.EXIT_INPUT_ERROR
+
     def test_bit_identical_reruns(self, tmp_path):
         # identical config (including output.dir) and seed: byte-identical files
         out = tmp_path / "out"
@@ -177,6 +253,13 @@ class TestSolve:
 class TestConvergence:
     def test_two_levels_rejected(self, tmp_path):
         path = write_config(tmp_path, "mesh.levels = 2:3\n")
+        assert cli.main(["convergence", path]) == cli.EXIT_INPUT_ERROR
+
+    def test_level_without_interior_dofs_rejected(self, tmp_path):
+        path = write_config(tmp_path, f"""
+            mesh.levels = 0 1 2
+            output.dir = {tmp_path / "out"}
+        """)
         assert cli.main(["convergence", path]) == cli.EXIT_INPUT_ERROR
 
     def test_acute_family_all_verdicts_pass(self, tmp_path):

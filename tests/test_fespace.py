@@ -52,11 +52,6 @@ class TestInterpolation:
         mesh = space.mesh
         center_vertex = int(np.argmin(((mesh.vertices - 0.5) ** 2).sum(axis=1)))
         assert fn.nodal_values()[center_vertex] == pytest.approx(0.25)
-        # barycentric evaluation at that vertex returns the nodal value
-        tri = int(np.nonzero((mesh.triangles == center_vertex).any(axis=1))[0][0])
-        local = list(mesh.triangles[tri]).index(center_vertex)
-        bary = np.eye(3)[local]
-        assert fn.eval(tri, bary) == pytest.approx(0.25)
 
     def test_affine_reproduced_at_quadrature_points(self, square_spaces):
         # P1 reproduces affine functions: on elements away from the boundary the

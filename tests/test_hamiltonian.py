@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import mfgfem as mf
+from mfgfem import assembly
 from mfgfem.errors import ConfigurationError
 from mfgfem.hamiltonian import check_gradient, check_semismooth_bound, linearization_remainder
 
@@ -95,6 +97,18 @@ class TestFiniteControl:
     def test_empty_rejected(self):
         with pytest.raises(ConfigurationError):
             mf.finite_control([], [])
+
+    def test_tiny_drift_bound_does_not_underflow(self, square_spaces):
+        # squaring 3e-163 underflows to 0; the bound must still be max |b_a|,
+        # so the drift assembly measuring the same field does not warn
+        spec = mf.finite_control([(3e-163, 0), (0, -1e-163)], [0, 0.5], smoothing=0.5)
+        assert spec.L_H == 3e-163
+        space = square_spaces[3]
+        u = mf.P1Function(space, np.random.default_rng(7).standard_normal(space.ndof))
+        drift = spec.grad_p(space.mesh.barycenters, u.element_gradients())
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assembly.assemble_hjb_drift(space, drift, drift_bound=spec.L_H)
 
 
 class TestInvariantSamples:

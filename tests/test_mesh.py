@@ -2,9 +2,36 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import mfgfem as mf
+from mfgfem import cli
 from mfgfem.errors import GeometryError, MeshFormatError
+
+_COUNT = st.one_of(st.integers(0, 6), st.integers(-10 ** 15, 10 ** 15))
+_COORD_LINE = st.one_of(
+    st.tuples(st.floats(), st.floats()).map(lambda xy: f"{xy[0]!r} {xy[1]!r}"),
+    st.tuples(st.integers(0, 3), st.integers(0, 3)).map(lambda xy: f"{xy[0]} {xy[1]}"),
+    st.text(max_size=12),
+)
+_TRIANGLE_LINE = st.one_of(
+    st.lists(st.integers(0, 5), min_size=3, max_size=3),
+    st.lists(st.integers(-2, 2 ** 70), max_size=4),
+).map(lambda idx: " ".join(map(str, idx))) | st.text(max_size=12)
+
+
+@st.composite
+def _mesh_text(draw):
+    header = draw(st.sampled_from(["MFGMESH 1", "MFGMESH 2", ""]))
+    vertex_lines = draw(st.lists(_COORD_LINE, max_size=6))
+    triangle_lines = draw(st.lists(_TRIANGLE_LINE, max_size=6))
+    lines = [header, f"vertices {draw(_COUNT)}", *vertex_lines,
+             f"triangles {draw(_COUNT)}", *triangle_lines]
+    return "\n".join(lines).encode()
+
+
+MESH_FILES = st.one_of(_mesh_text(), st.binary(max_size=120))
 
 
 def kite_mesh(apex_angle_deg=100.0):
@@ -228,6 +255,30 @@ class TestMeshIO:
         path.write_text("MFGMESH 1\nvertices 3\n0 0\n1 0\n0 1\ntriangles 1\n0 2 1\n")
         mesh = mf.read_mesh(path)
         assert mesh.areas[0] > 0
+
+    def test_count_checked_before_allocation(self, tmp_path):
+        path = tmp_path / "huge.txt"
+        path.write_text("MFGMESH 1\nvertices 3\n0 0\n1 0\n0 1\ntriangles 1000000000000\n")
+        with pytest.raises(MeshFormatError) as err:
+            mf.read_mesh(path)
+        assert "line 6" in str(err.value)
+
+    @settings(max_examples=100, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=MESH_FILES)
+    def test_fuzzed_file_reads_or_exits_2(self, tmp_path, data):
+        # a file either reads as a mesh or raises MeshFormatError, which the
+        # command line reports as exit 2
+        path = tmp_path / "fuzz.txt"
+        path.write_bytes(data)
+        try:
+            mesh = mf.read_mesh(path)
+        except MeshFormatError:
+            config = tmp_path / "run.cfg"
+            config.write_text(f"mesh.family = file:{path}\nmesh.level = 0\n")
+            assert cli.main(["check-mesh", str(config)]) == cli.EXIT_INPUT_ERROR
+        else:
+            assert isinstance(mesh, mf.Mesh2D)
 
     def test_truncated_file(self, tmp_path):
         path = tmp_path / "short.txt"

@@ -2,17 +2,13 @@ import math
 
 import numpy as np
 import pytest
-import scipy.linalg
 
 import mfgfem as mf
 from mfgfem import assembly
 from mfgfem.errors import ConfigurationError
 from mfgfem.fespace import quadrature, quadrature_points_xy
 from mfgfem.problem import (
-    gaussian_kernel,
     halfplane_clipped_areas,
-    local_linear_coupling,
-    nonlocal_convolution_coupling,
     sine_product_field,
     source_load,
 )
@@ -69,6 +65,13 @@ class TestManufactured:
     def test_g_one_certified(self, g_one_problem):
         assert g_one_problem.source.nonneg_certified is True
 
+    @pytest.mark.parametrize("nu", [0.0, -1.0, math.nan, math.inf])
+    def test_nu_must_be_finite_and_positive(self, nu):
+        with pytest.raises(ConfigurationError):
+            mf.MFGProblem(nu=nu, hamiltonian=mf.huber_ball(1.0),
+                          coupling=mf.problem.local_linear_coupling(1.0),
+                          source=mf.SourceG())
+
     def test_requires_smooth_hamiltonian(self):
         nonsmooth = mf.finite_control([(1, 0), (-1, 0)], [0, 0])
         with pytest.raises(ConfigurationError):
@@ -97,13 +100,11 @@ class TestManufactured:
         for level in (3, 4, 5):
             space = square_spaces[level]
             gram = Gram(space)
+            system = assembly.DiscreteSystem(space, sine_problem, None)
             u_i = mf.interpolate(space, sine_problem.exact.u.value)
             m_i = mf.interpolate(space, sine_problem.exact.m.value)
-            r1 = assembly.assemble_hjb_nonlinear_residual(space, u_i, m_i,
-                                                          sine_problem, None)
-            r2 = assembly.assemble_kfp_residual(space, u_i, m_i, sine_problem, None)
-            norms1.append(gram.dual_norm(r1))
-            norms2.append(gram.dual_norm(r2))
+            norms1.append(gram.dual_norm(system.hjb_residual(u_i, m_i)))
+            norms2.append(gram.dual_norm(system.kfp_residual(u_i, m_i)))
             hs.append(space.mesh.h_max)
         for norms in (norms1, norms2):
             slope = np.polyfit(np.log(hs), np.log(norms), 1)[0]
@@ -180,46 +181,12 @@ class TestCouplings:
     def test_local_linear_monotonicity_identity(self, square_spaces):
         # <F[w] - F[v], w - v> = c_F ||w - v||^2 exactly through the mass matrix
         space = square_spaces[3]
-        coupling = local_linear_coupling(1.7)
+        system = assembly.DiscreteSystem(space, mf.make_g_one_problem(c_F=1.7), None)
         rng = np.random.default_rng(0)
         M = assembly.assemble_mass(space)
         for _ in range(5):
             w = mf.P1Function(space, rng.standard_normal(space.ndof))
             v = mf.P1Function(space, rng.standard_normal(space.ndof))
             d = w.coeffs - v.coeffs
-            pairing = float((coupling.load_vector(space, w)
-                             - coupling.load_vector(space, v)) @ d)
+            pairing = float((system.coupling_load(w) - system.coupling_load(v)) @ d)
             assert pairing == pytest.approx(1.7 * float(d @ (M @ d)), rel=1e-12)
-
-    def test_nonlocal_kernel_matrix_psd(self, square_spaces):
-        space = square_spaces[2]
-        coupling = nonlocal_convolution_coupling(space, 1.0,
-                                                 gaussian_kernel(width=0.3))
-        C = coupling.kernel_matrix
-        assert np.abs(C - C.T).max() < 1e-14
-        eigs = scipy.linalg.eigvalsh(C)
-        assert eigs.min() > -1e-10
-        assert coupling.L_F >= coupling.c_F
-
-    def test_nonlocal_monotonicity_at_least_c_f(self, square_spaces):
-        space = square_spaces[2]
-        coupling = nonlocal_convolution_coupling(space, 0.9,
-                                                 gaussian_kernel(width=0.4))
-        M = assembly.assemble_mass(space)
-        rng = np.random.default_rng(1)
-        for _ in range(5):
-            w = mf.P1Function(space, rng.standard_normal(space.ndof))
-            v = mf.P1Function(space, rng.standard_normal(space.ndof))
-            d = w.coeffs - v.coeffs
-            pairing = float((coupling.load_vector(space, w)
-                             - coupling.load_vector(space, v)) @ d)
-            assert pairing >= 0.9 * float(d @ (M @ d)) - 1e-10
-
-    def test_nonlocal_space_mismatch(self, square_spaces):
-        coupling = nonlocal_convolution_coupling(square_spaces[2], 1.0,
-                                                 gaussian_kernel(width=0.3))
-        other = square_spaces[3]
-        fn = other.zero_function()
-        fn = mf.P1Function(other, np.ones(other.ndof))
-        with pytest.raises(ConfigurationError):
-            coupling.load_vector(other, fn)

@@ -18,7 +18,6 @@ from mfgfem.solver import (
     riesz_dual_norm,
     solve_hjb,
     solve_kfp,
-    solve_linear,
     solve_m_k_plus,
     solve_mfg,
 )
@@ -52,17 +51,12 @@ class TestLinearSolve:
         space = square_spaces[3]
         M = assembly.assemble_mass(space)
         e = np.ones(space.ndof)
-        x = solve_linear(M, M @ e)
+        x = assembly.factorize(M).solve(M @ e)
         assert np.abs(x - e).max() < 1e-10
 
     def test_zero_rhs(self, square_spaces):
         K = assembly.assemble_diffusion(square_spaces[3], 1.0)
-        assert np.all(solve_linear(K, np.zeros(square_spaces[3].ndof)) == 0.0)
-
-    def test_shape_mismatch(self, square_spaces):
-        K = assembly.assemble_diffusion(square_spaces[2], 1.0)
-        with pytest.raises(ConfigurationError):
-            solve_linear(K, np.zeros(3))
+        assert np.all(assembly.factorize(K).solve(np.zeros(square_spaces[3].ndof)) == 0.0)
 
     def test_poisson_center_value(self, square_spaces):
         # series oracle frozen above; +-0.002 covers the level-4 discretization error
@@ -70,7 +64,7 @@ class TestLinearSolve:
         space = square_spaces[4]
         K = assembly.assemble_diffusion(space, 1.0)
         load = scalar_load(space, lambda x, y: np.ones_like(x))
-        u = solve_linear(K, load)
+        u = assembly.factorize(K).solve(load)
         center = space.dof_of_vertex[
             int(np.argmin(((space.mesh.vertices - 0.5) ** 2).sum(axis=1)))]
         assert abs(u[center] - POISSON_CENTER) < 0.002
@@ -208,6 +202,12 @@ class TestKFP:
 
 
 class TestMFG:
+    def test_no_interior_dofs_rejected(self, sine_problem):
+        space = mf.P1Space(mf.generate_structured_square(1))
+        assert space.ndof == 0
+        with pytest.raises(ConfigurationError):
+            solve_mfg(space, sine_problem, None)
+
     def test_zero_problem_single_sweep(self, square_spaces):
         problem = mf.make_zero_problem()
         sol = solve_mfg(square_spaces[3], problem, None)
@@ -469,7 +469,7 @@ class TestMkPlus:
             exact=mf.ExactSolution(u=zero, m=zero))
         mkp = solve_m_k_plus(space, problem, None)
         K = assembly.assemble_diffusion(space, 1.0)
-        direct = solve_linear(K, scalar_load(space, one))
+        direct = assembly.factorize(K).solve(scalar_load(space, one))
         assert np.abs(mkp.coeffs - direct).max() < 1e-12
 
     def test_requires_exact_solution(self, g_one_problem, square_spaces):

@@ -191,18 +191,3 @@ class TestVerifyH2DMP:
     def test_requires_drift_or_bound(self, square_spaces):
         with pytest.raises(ConfigurationError):
             mf.verify_h2_dmp(square_spaces[2], 1.0, None)
-
-
-class TestExport:
-    def test_tensor_csv(self, tmp_path, square_hierarchy):
-        from mfgfem.stabilization import tensor_to_csv
-        mesh = square_hierarchy[2]
-        tensor = mf.build_xz_tensor(mesh, 1.0)
-        path = tmp_path / "tensor.csv"
-        tensor_to_csv(tensor, mesh, path)
-        lines = path.read_text().splitlines()
-        assert lines[0] == "element,d00,d01,d10,d11,frobenius,diam"
-        assert len(lines) == 1 + mesh.num_triangles
-        # round-trip a representative entry
-        parts = lines[1].split(",")
-        assert float(parts[1]) == tensor.per_element[0, 0, 0]
