@@ -116,9 +116,6 @@ class ErrorRecord:
     outer_iters: int
 
 
-_EOC_FIELDS = ("err_u_h1", "err_m_h1", "err_m_l2", "err_u_l2", "stab_term_u",
-               "stab_term_m")
-
 _CSV_HEADER = ("level,h,ndof,err_u_H1,eoc_u_H1,err_m_H1,eoc_m_H1,err_m_L2,eoc_m_L2,"
                "err_u_L2,eoc_u_L2,stab_u,stab_m,res1,res2,outer_iters")
 
@@ -219,13 +216,18 @@ def run_convergence_study(problem, family, levels, stabilization_kind, cfg=None,
     stabilization terms use the interpolated exact gradients.  Without one, a
     reference solution ``reference_offset`` levels finer than the finest
     requested level is solved once and compared through exact nested injection;
-    stabilization terms then use the discrete gradients.
+    stabilization terms then use the discrete gradients.  That reference must
+    lie at least one level finer.
     """
     levels = sorted(int(l) for l in levels)
     if not levels:
         raise ConfigurationError("no levels requested")
     cfg = cfg or SolverConfig()
     use_reference = problem.exact is None
+    if use_reference and reference_offset < 1:
+        raise ConfigurationError(
+            f"reference_offset {reference_offset} must be at least 1: the reference "
+            "solution must be finer than every requested level")
     top = levels[-1] + (reference_offset if use_reference else 0)
     meshes = mesh_hierarchy(family, top, root=root)
 

@@ -15,8 +15,13 @@ The discrete KFP operator at u is the transpose of the HJB linearization
 K + B(u) (Achdou & Capuzzo-Dolcetta, SIAM J. Numer. Anal. 48, 2010).  Every
 linearization K + B(u) met in a solve is a drift perturbation, bounded by L_H,
 of the same uniformly elliptic K, so the LU of any one of them preconditions
-all the others: ``DiscreteSystem.solve`` runs right-preconditioned GMRES with
-one held LU and factorizes again only when GMRES does not converge.
+all the others.  This module holds the whole linear-solve policy:
+``DiscreteSystem.solve`` runs one cycle of at most KRYLOV_MAX iterations of
+GMRES right-preconditioned with one held LU, accepts an iterate within
+KRYLOV_RTOL or the rounding floor, and factorizes again only when none is;
+every solve, direct ones included, then passes ``checked``, the
+LINEAR_RESIDUAL_TOL residual test.  ``factorize`` is the one place a sparse LU
+is made.
 """
 
 from __future__ import annotations
@@ -30,6 +35,12 @@ import scipy.sparse.linalg as spla
 from .errors import ConfigurationError, SolverError
 from .fespace import csr_pattern
 
+# every linear solve must leave |op x - rhs| <= LINEAR_RESIDUAL_TOL (1 + |rhs|)
+LINEAR_RESIDUAL_TOL = 1e-10
+# GMRES of a linearized solve: bound on the true relative residual, and the
+# iterations of its single cycle before the system factorizes instead
+KRYLOV_RTOL = 1e-12
+KRYLOV_MAX = 20
 
 def _scatter(space, blocks, full):
     """Sum (nt, 3, 3) local blocks into a CSR matrix."""
@@ -103,6 +114,16 @@ def factorize(op):
         raise SolverError(f"sparse factorization failed: {exc}") from exc
 
 
+def checked(op, x, rhs):
+    """``x`` if it solves op x = rhs up to the linear residual tolerance."""
+    if not np.all(np.isfinite(x)):
+        raise SolverError("singular operator: non-finite solution")
+    resid = np.linalg.norm(op @ x - rhs)
+    if resid > LINEAR_RESIDUAL_TOL * (1.0 + np.linalg.norm(rhs)):
+        raise SolverError(f"linear solve residual {resid:.3e} above tolerance")
+    return x
+
+
 def grad_p_field(space, hamiltonian, u):
     """Element-wise drift dH/dp(x_K, grad u|_K), shape (nt, 2)."""
     grads = u.element_gradients()
@@ -146,29 +167,26 @@ class DiscreteSystem:
         self.factorizations = 0
         self.krylov_iters = 0
 
-    def drift(self, u):
-        """HJB drift matrix B(u) of the field dH/dp[grad u]."""
-        hspec = self.problem.hamiltonian
-        return assemble_hjb_drift(self.space, grad_p_field(self.space, hspec, u),
-                                  drift_bound=hspec.L_H)
-
     def linearize(self, u):
-        """``(B, L)``: B(u) and the HJB linearization L = K + B(u).
+        """``(B, L)``: the drift matrix B(u) of the field dH/dp[grad u] and the
+        HJB linearization L = K + B(u).
 
         The KFP operator at u is L^T.  Reassembles unless u equals the point
         of the previous call.
         """
         if (self._linearization is None
                 or not np.array_equal(self._linearization[0], u.coeffs)):
-            B = self.drift(u)
+            hspec = self.problem.hamiltonian
+            B = assemble_hjb_drift(self.space, grad_p_field(self.space, hspec, u),
+                                   drift_bound=hspec.L_H)
             self._linearization = (u.coeffs.copy(), B, self.K + B)
         return self._linearization[1:]
 
-    def solve(self, u, rhs, x0, trans, rtol, max_iter):
-        """``(op, x)``: x solves op x = rhs with op = L, or L^T if trans is "T",
-        for L = K + B(u).
+    def solve(self, u, rhs, x0=None, trans="N"):
+        """x with op x = rhs for op = L, or L^T if trans is "T", and
+        L = K + B(u); ``checked`` against op.
 
-        Runs one cycle of at most ``max_iter`` GMRES iterations from x0 (zero
+        Runs one cycle of at most KRYLOV_MAX GMRES iterations from x0 (zero
         if None), right-preconditioned with the held LU, until the true
         residual meets the bound of ``_gmres``.  When no iterate does, or no
         LU is held yet, it releases the held LU, factorizes L, solves directly
@@ -176,29 +194,28 @@ class DiscreteSystem:
         """
         _, L = self.linearize(u)
         op = L.T if trans == "T" else L
-        if self._lu is not None:
-            x = self._gmres(op, rhs, x0, trans, rtol, max_iter)
-            if x is not None:
-                return op, x
-        self._lu = None   # release the held LU before the next
-        self._lu = factorize(L)
-        self.factorizations += 1
-        return op, self._lu.solve(rhs, trans=trans)
+        x = None if self._lu is None else self._gmres(op, rhs, x0, trans)
+        if x is None:
+            self._lu = None   # release the held LU before the next
+            self._lu = factorize(L)
+            self.factorizations += 1
+            x = self._lu.solve(rhs, trans=trans)
+        return checked(op, x, rhs)
 
-    def _gmres(self, op, rhs, x0, trans, rtol, max_iter):
+    def _gmres(self, op, rhs, x0, trans):
         """GMRES for op x = rhs, right-preconditioned with the held LU P: the
         iterates are x_k = x0 + Z y_k, Z = P^-1 V for an orthonormal Krylov
-        basis V of op P^-1.  Returns the first x_k whose true residual
-        |rhs - op x_k| is at most rtol |rhs| or eps |op| |x_k|; None if no
-        iterate is.
+        basis V of op P^-1, k <= KRYLOV_MAX.  Returns the first x_k whose true
+        residual |rhs - op x_k| is at most KRYLOV_RTOL |rhs| or eps |op| |x_k|;
+        None if no iterate is.
 
         The second bound is the residual a backward-stable solve leaves.  It
         grows like the condition number, h^-2, relative to |rhs|: a direct LU
         of the level-8 KFP system leaves 3.1e-12 |rhs|.
         """
-        n = rhs.size
+        n, max_iter = rhs.size, KRYLOV_MAX
         x0 = np.zeros(n) if x0 is None else x0
-        tol = rtol * np.linalg.norm(rhs)
+        tol = KRYLOV_RTOL * np.linalg.norm(rhs)
         floor = np.finfo(float).eps * spla.norm(op, np.inf)
 
         def accepted(x, r):

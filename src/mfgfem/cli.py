@@ -15,7 +15,7 @@ import math
 import os
 import sys
 import time
-from dataclasses import dataclass, fields as dataclass_fields
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -39,7 +39,7 @@ class RunConfig:
     mesh_levels: tuple = (2, 3, 4, 5, 6)
     stabilization: str = "auto"             # auto | xz | acute | none
     allow_unstabilized: bool = False
-    omega_factor: float = math.nan          # nan = family default (delta/3)
+    omega_factor: float | None = None       # None = family default (delta/3)
     mu: float = 1.1
     problem_kind: str = "manufactured"      # manufactured | g_one | rough | zero
     problem_exact: str = "sine_product"     # sine_product | zero
@@ -97,6 +97,13 @@ def _parse_levels(text):
     return tuple(_parse_level(tok) for tok in text.replace(",", " ").split())
 
 
+def _parse_float(text):
+    value = float(text)
+    if not math.isfinite(value):
+        raise ConfigurationError(f"not a finite number: {text!r}")
+    return value
+
+
 def _parse_vectors(text):
     out = []
     for chunk in text.split(";"):
@@ -106,12 +113,13 @@ def _parse_vectors(text):
         parts = chunk.replace(",", " ").split()
         if len(parts) != 2:
             raise ConfigurationError(f"expected 2D vector, got {chunk!r}")
-        out.append((float(parts[0]), float(parts[1])))
+        out.append((_parse_float(parts[0]), _parse_float(parts[1])))
     return tuple(out)
 
 
 def _parse_scalars(text):
-    return tuple(float(tok) for tok in text.replace(",", " ").replace(";", " ").split())
+    return tuple(_parse_float(tok)
+                 for tok in text.replace(",", " ").replace(";", " ").split())
 
 
 _KEYS = {
@@ -119,22 +127,22 @@ _KEYS = {
     "mesh.level": ("mesh_level", _parse_level),
     "mesh.levels": ("mesh_levels", _parse_levels),
     "stabilization": ("stabilization", str),
-    "stabilization.omega_factor": ("omega_factor", float),
-    "stabilization.mu": ("mu", float),
+    "stabilization.omega_factor": ("omega_factor", _parse_float),
+    "stabilization.mu": ("mu", _parse_float),
     "allow_unstabilized": ("allow_unstabilized", _parse_bool),
     "problem.kind": ("problem_kind", str),
     "problem.exact": ("problem_exact", str),
-    "problem.nu": ("nu", float),
-    "problem.c_F": ("c_F", float),
+    "problem.nu": ("nu", _parse_float),
+    "problem.c_F": ("c_F", _parse_float),
     "hamiltonian.kind": ("hamiltonian_kind", str),
-    "hamiltonian.R": ("hamiltonian_R", float),
-    "hamiltonian.epsilon": ("hamiltonian_epsilon", float),
+    "hamiltonian.R": ("hamiltonian_R", _parse_float),
+    "hamiltonian.epsilon": ("hamiltonian_epsilon", _parse_float),
     "hamiltonian.drifts": ("hamiltonian_drifts", _parse_vectors),
     "hamiltonian.costs": ("hamiltonian_costs", _parse_scalars),
-    "solver.tol_outer": ("tol_outer", float),
+    "solver.tol_outer": ("tol_outer", _parse_float),
     "solver.max_outer": ("max_outer", int),
-    "solver.damping": ("damping", float),
-    "solver.tol_newton": ("tol_newton", float),
+    "solver.damping": ("damping", _parse_float),
+    "solver.tol_newton": ("tol_newton", _parse_float),
     "solver.max_newton": ("max_newton", int),
     "reference_offset": ("reference_offset", int),
     "output.dir": ("output_dir", str),
@@ -172,18 +180,8 @@ def parse_config(path):
     return config
 
 
-def config_echo(config):
-    out = {}
-    for f in dataclass_fields(config):
-        value = getattr(config, f.name)
-        if isinstance(value, float) and math.isnan(value):
-            value = None
-        out[f.name] = value
-    return out
-
-
 def config_hash(config):
-    text = json.dumps(config_echo(config), sort_keys=True, default=str)
+    text = json.dumps(asdict(config), sort_keys=True, default=str)
     return hashlib.sha256(text.encode()).hexdigest()[:16]
 
 
@@ -238,20 +236,24 @@ def build_problem(config):
     raise ConfigurationError(f"unknown problem kind {kind!r}")
 
 
-def build_mesh(config, level):
+def root_mesh(config):
+    """The mesh a ``file:<path>`` family refines; None for a built-in family."""
     family = config.mesh_family
-    if family.startswith("file:"):
-        mesh = read_mesh(family[5:])
-        for _ in range(level):
-            mesh = refine_red(mesh)
-        return mesh
-    if family not in analysis.FAMILY_ROOTS:
-        raise ConfigurationError(f"unknown mesh family {family!r}")
-    return analysis.mesh_hierarchy(family, level)[level]
+    return read_mesh(family[5:]) if family.startswith("file:") else None
 
 
-def _omega(config):
-    return None if math.isnan(config.omega_factor) else config.omega_factor
+def build_mesh(config, level):
+    return analysis.mesh_hierarchy(config.mesh_family, level, root=root_mesh(config))[level]
+
+
+def discretize(config):
+    """``(mesh, space, problem, stabilization kind, tensor)`` at mesh.level."""
+    prob = build_problem(config)
+    kind = resolve_stabilization(config)
+    mesh = build_mesh(config, config.mesh_level)
+    tensor = analysis.tensor_for(mesh, kind, prob.hamiltonian.L_H, prob.nu,
+                                 omega_factor=config.omega_factor, mu=config.mu)
+    return mesh, P1Space(mesh), prob, kind, tensor
 
 
 def _write_json(payload, path, digest):
@@ -284,7 +286,7 @@ def cmd_check_mesh(config):
         condition_ok = report.acute_theta > 0.0
     else:
         condition_ok = True
-    payload = report.as_dict()
+    payload = asdict(report)
     payload.update({
         "level": config.mesh_level,
         "num_vertices": mesh.num_vertices,
@@ -300,16 +302,11 @@ def cmd_check_mesh(config):
 
 def cmd_solve(config):
     digest = config_hash(config)
-    mesh = build_mesh(config, config.mesh_level)
-    space = P1Space(mesh)
-    prob = build_problem(config)
-    kind = resolve_stabilization(config)
-    tensor = analysis.tensor_for(mesh, kind, prob.hamiltonian.L_H, prob.nu,
-                                 omega_factor=_omega(config), mu=config.mu)
+    _, space, prob, kind, tensor = discretize(config)
     os.makedirs(config.output_dir, exist_ok=True)
 
     telemetry = {
-        "config": config_echo(config),
+        "config": asdict(config),
         "stabilization": kind,
         "level": config.mesh_level,
         "ndof": space.ndof,
@@ -386,22 +383,17 @@ def cmd_convergence(config):
     digest = config_hash(config)
     prob = build_problem(config)
     kind = resolve_stabilization(config)
-    family = config.mesh_family
-    root = None
-    if family.startswith("file:"):
-        root = read_mesh(family[5:])
-        family = "file"
     table = analysis.run_convergence_study(
-        prob, family, config.mesh_levels, kind, cfg=config.solver_config(),
-        omega_factor=_omega(config), mu=config.mu,
-        reference_offset=config.reference_offset, root=root)
+        prob, config.mesh_family, config.mesh_levels, kind, cfg=config.solver_config(),
+        omega_factor=config.omega_factor, mu=config.mu,
+        reference_offset=config.reference_offset, root=root_mesh(config))
 
     os.makedirs(config.output_dir, exist_ok=True)
     table.to_csv(os.path.join(config.output_dir, "eoc.csv"),
                  header_comment=f"config {digest}")
     verdicts = _convergence_verdicts(config, table)
     report = {
-        "config": config_echo(config),
+        "config": asdict(config),
         "stabilization": kind,
         "records": table.rows(),
         "verdicts": verdicts,
@@ -413,12 +405,7 @@ def cmd_convergence(config):
 
 def cmd_verify(config):
     digest = config_hash(config)
-    prob = build_problem(config)
-    kind = resolve_stabilization(config)
-    mesh = build_mesh(config, config.mesh_level)
-    space = P1Space(mesh)
-    tensor = analysis.tensor_for(mesh, kind, prob.hamiltonian.L_H, prob.nu,
-                                 omega_factor=_omega(config), mu=config.mu)
+    mesh, space, prob, kind, tensor = discretize(config)
 
     results = {}
     h1_report = stabilization.verify_h1(tensor, mesh)
@@ -466,7 +453,7 @@ def cmd_verify(config):
                                        "ratio_finer": ratio_finer}
 
     all_pass = all(entry["pass"] for entry in results.values())
-    report = {"config": config_echo(config), "stabilization": kind,
+    report = {"config": asdict(config), "stabilization": kind,
               "results": results, "all_pass": bool(all_pass)}
     os.makedirs(config.output_dir, exist_ok=True)
     _write_json(report, os.path.join(config.output_dir, "report.json"), digest)

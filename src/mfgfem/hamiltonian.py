@@ -17,7 +17,10 @@ from typing import Callable
 import numpy as np
 from scipy.special import logsumexp, softmax
 
+from . import assembly
 from .errors import ConfigurationError
+from .fespace import P1Function
+from .solver import Gram, riesz_dual_norm
 
 
 @dataclass(frozen=True)
@@ -28,7 +31,6 @@ class HamiltonianSpec:
     C_H: float           # growth constant: |H| <= C_H (|p| + 1)
     L_Hp: float          # Lipschitz constant of dH/dp in p
     smooth: bool         # True iff grad_p is globally Lipschitz
-    label: str = ""
 
 
 def huber_ball(R):
@@ -49,8 +51,7 @@ def huber_ball(R):
         return scale[..., None] * p
 
     return HamiltonianSpec(value=value, grad_p=grad_p, L_H=float(R),
-                           C_H=float(max(R, 0.5 * R * R)), L_Hp=1.0,
-                           smooth=True, label=f"huber_ball(R={R})")
+                           C_H=float(max(R, 0.5 * R * R)), L_Hp=1.0, smooth=True)
 
 
 def finite_control(drifts, costs, smoothing=0.0):
@@ -74,7 +75,6 @@ def finite_control(drifts, costs, smoothing=0.0):
     # hypot, as the drift assembly measures fields: squaring underflows to 0
     # for drifts below ~1e-162
     bmax = float(np.hypot(B[:, 0], B[:, 1]).max())
-    label = f"finite_control(n={len(f)}, eps={eps})"
 
     if eps == 0.0:
 
@@ -89,7 +89,7 @@ def finite_control(drifts, costs, smoothing=0.0):
 
         return HamiltonianSpec(value=value, grad_p=grad_p, L_H=bmax,
                                C_H=float(max(bmax, np.abs(f).max())),
-                               L_Hp=math.inf, smooth=False, label=label)
+                               L_Hp=math.inf, smooth=False)
 
     def value(x, p):
         scores = (np.asarray(p, dtype=float) @ B.T - f) / eps
@@ -101,7 +101,7 @@ def finite_control(drifts, costs, smoothing=0.0):
 
     c_h = float(max(bmax, np.abs(f).max()) + eps * math.log(len(f)))
     return HamiltonianSpec(value=value, grad_p=grad_p, L_H=bmax, C_H=c_h,
-                           L_Hp=2.0 * bmax ** 2 / eps, smooth=True, label=label)
+                           L_Hp=2.0 * bmax ** 2 / eps, smooth=True)
 
 
 def check_gradient(spec, samples=1000, seed=0, step=1e-6, p_scale=3.0):
@@ -143,10 +143,6 @@ def check_semismooth_bound(spec, space, pairs=20, seed=0, gamma=1.0 / 9.0):
     The constant multiplying ||v - w||^{1+gamma} in the bound is existential,
     so callers assert boundedness/stability of this ratio, not a value.
     """
-    from . import assembly
-    from .fespace import P1Function
-    from .solver import Gram, riesz_dual_norm
-
     if not spec.smooth:
         raise ConfigurationError("semismooth bound check requires a smooth Hamiltonian")
     rng = np.random.default_rng(seed)

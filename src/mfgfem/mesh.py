@@ -216,15 +216,6 @@ class MeshQualityReport:
     xz_worst_edge_sum: float
     acute_theta: float
 
-    def as_dict(self):
-        return {
-            "h_max": self.h_max,
-            "shape_regularity": self.shape_regularity,
-            "xz_satisfied": self.xz_satisfied,
-            "xz_worst_edge_sum": self.xz_worst_edge_sum,
-            "acute_theta": self.acute_theta,
-        }
-
 
 # -- generators -----------------------------------------------------------
 

@@ -32,10 +32,10 @@ NONNEG_TOL = -1e-10
 
 @dataclass(frozen=True)
 class ScalarField:
-    """C^2 scalar field bundle: value, gradient and (optionally) Laplacian."""
+    """C^2 scalar field bundle: value, gradient and Laplacian."""
     value: Callable                      # (x, y) -> (...)
     grad: Callable                       # (x, y) -> (..., 2)
-    laplacian: Optional[Callable] = None
+    laplacian: Callable                  # (x, y) -> (...)
 
 
 @dataclass(frozen=True)
@@ -124,7 +124,6 @@ class SourceG:
     g0: Optional[Callable] = None          # (x, y) -> (...)
     g_tilde: Optional[Callable] = None     # (x, y) -> (..., 2)
     nonneg_certified: bool = False
-    label: str = ""
     exact_load: Optional[Callable] = None  # space -> load vector
 
     def load_vector(self, space):
@@ -213,10 +212,9 @@ def _certification_mesh(domain, level):
     return generate_structured_square(n)
 
 
-def make_manufactured(nu, hamiltonian, c_F, u_star=None, m_star=None,
-                      domain="xz_square", certify_level=6):
-    """Manufactured instance with exact pair (u*, m*), defaulting to the mapped
-    sine product on the requested domain.
+def make_manufactured(nu, hamiltonian, c_F, domain="xz_square", certify_level=6):
+    """Manufactured instance with exact pair u* = m* the mapped sine product
+    on the requested domain.
 
     The source nonnegativity flag is set by sampling the nodal loads <G, xi_i>
     on the finest experiment mesh of the family; the construction itself does
@@ -224,27 +222,21 @@ def make_manufactured(nu, hamiltonian, c_F, u_star=None, m_star=None,
     """
     if not hamiltonian.smooth:
         raise ConfigurationError("manufactured instances require a smooth Hamiltonian")
-    transform = RHOMBUS_TRANSFORM if domain == "acute_rhombus" else None
-    if u_star is None:
-        u_star = sine_product_field(transform)
-    if m_star is None:
-        m_star = sine_product_field(transform)
-    if u_star.laplacian is None:
-        raise ConfigurationError("u_star needs a Laplacian callable")
+    sine = sine_product_field(
+        RHOMBUS_TRANSFORM if domain == "acute_rhombus" else None)
 
     def f0(x, y):
         xy = np.stack(np.broadcast_arrays(x, y), axis=-1)
-        return (-nu * u_star.laplacian(x, y)
-                + hamiltonian.value(xy, u_star.grad(x, y))
-                - c_F * m_star.value(x, y))
+        return (-nu * sine.laplacian(x, y)
+                + hamiltonian.value(xy, sine.grad(x, y))
+                - c_F * sine.value(x, y))
 
     def g_tilde(x, y):
         xy = np.stack(np.broadcast_arrays(x, y), axis=-1)
-        drift = hamiltonian.grad_p(xy, u_star.grad(x, y))
-        return nu * m_star.grad(x, y) + m_star.value(x, y)[..., None] * drift
+        drift = hamiltonian.grad_p(xy, sine.grad(x, y))
+        return nu * sine.grad(x, y) + sine.value(x, y)[..., None] * drift
 
-    source = SourceG(g0=None, g_tilde=g_tilde, nonneg_certified=False,
-                     label="manufactured")
+    source = SourceG(g0=None, g_tilde=g_tilde, nonneg_certified=False)
     if certify_level is not None:
         space = P1Space(_certification_mesh(domain, certify_level))
         loads = source_load(space, source)
@@ -253,7 +245,7 @@ def make_manufactured(nu, hamiltonian, c_F, u_star=None, m_star=None,
     return MFGProblem(nu=float(nu), hamiltonian=hamiltonian,
                       coupling=local_linear_coupling(c_F, offset=f0),
                       source=source, domain=domain,
-                      exact=ExactSolution(u=u_star, m=m_star))
+                      exact=ExactSolution(u=sine, m=sine))
 
 
 def make_g_one_problem(nu=1.0, hamiltonian=None, c_F=1.0, domain="xz_square"):
@@ -265,7 +257,7 @@ def make_g_one_problem(nu=1.0, hamiltonian=None, c_F=1.0, domain="xz_square"):
     def one(x, y):
         return np.ones(np.broadcast(x, y).shape)
 
-    source = SourceG(g0=one, g_tilde=None, nonneg_certified=True, label="g_one")
+    source = SourceG(g0=one, g_tilde=None, nonneg_certified=True)
     return MFGProblem(nu=float(nu), hamiltonian=hamiltonian,
                       coupling=local_linear_coupling(c_F),
                       source=source, domain=domain, exact=None)
@@ -307,7 +299,7 @@ def make_rough_density_problem(nu=1.0, hamiltonian=None, c_F=1.0, jump_x=1.0 / 3
         return assembly._scatter_load(space, loads)
 
     source = SourceG(g0=None, g_tilde=g_tilde, nonneg_certified=False,
-                     label="rough", exact_load=exact_load)
+                     exact_load=exact_load)
     return MFGProblem(nu=float(nu), hamiltonian=hamiltonian,
                       coupling=local_linear_coupling(c_F, offset=f0),
                       source=source, domain="xz_square", exact=None)
@@ -322,7 +314,7 @@ def make_zero_problem(nu=1.0, hamiltonian=None, c_F=1.0, domain="xz_square"):
         xy = np.stack(np.broadcast_arrays(x, y), axis=-1)
         return hamiltonian.value(xy, np.zeros(xy.shape))
 
-    source = SourceG(g0=None, g_tilde=None, nonneg_certified=True, label="zero")
+    source = SourceG(g0=None, g_tilde=None, nonneg_certified=True)
     return MFGProblem(nu=float(nu), hamiltonian=hamiltonian,
                       coupling=local_linear_coupling(c_F, offset=f0),
                       source=source, domain=domain,

@@ -1,10 +1,8 @@
 """Solution of the coupled discrete system: safeguarded Anderson mixing of the
 density fixed-point map m -> KFP(HJB(m)) around a semismooth-Newton inner solve
 for the HJB equation.  The KFP step solves with the transpose of the HJB
-linearization at the new value function.  Every linear step is GMRES
-right-preconditioned with the one LU the discrete system holds, and the
-system factorizes again only when GMRES does not reach KRYLOV_RTOL in
-KRYLOV_MAX iterations; each solve still passes the LINEAR_RESIDUAL_TOL check.
+linearization at the new value function.  Every linear step is one
+``DiscreteSystem.solve``, which owns the linear-solve policy (see ``assembly``).
 
 Convergence is declared on the dual norms of the two discrete residual
 operators (the quantities the stability theory controls), computed exactly via
@@ -16,6 +14,7 @@ principle whenever the scheme does.
 from __future__ import annotations
 
 import math
+from collections import deque
 from dataclasses import dataclass, field as dataclass_field
 
 import numpy as np
@@ -24,13 +23,8 @@ from . import assembly
 from .errors import ConfigurationError, NonConvergenceError, SolverError
 from .fespace import P1Function
 
-LINEAR_RESIDUAL_TOL = 1e-10
 # differences of iterates and of residuals kept by the Anderson mixing
 ANDERSON_DEPTH = 5
-# GMRES of a linearized solve: bound on the true relative residual, and the
-# iterations of its single cycle before the system factorizes instead
-KRYLOV_RTOL = 1e-12
-KRYLOV_MAX = 20
 
 
 @dataclass
@@ -62,16 +56,6 @@ class DiscreteSolution:
     history: list = dataclass_field(default_factory=list)
 
 
-def _accepted(op, x, rhs):
-    """``x`` if it solves op x = rhs up to the linear residual tolerance."""
-    if not np.all(np.isfinite(x)):
-        raise SolverError("singular operator: non-finite solution")
-    resid = np.linalg.norm(op @ x - rhs)
-    if resid > LINEAR_RESIDUAL_TOL * (1.0 + np.linalg.norm(rhs)):
-        raise SolverError(f"linear solve residual {resid:.3e} above tolerance")
-    return x
-
-
 def riesz_dual_norm(gram, r):
     """Discrete V* norm sqrt(r^T Gram^-1 r) of the functional with load r."""
     r = np.asarray(r, dtype=float)
@@ -100,12 +84,6 @@ class Gram:
         return math.sqrt(max(float(coeffs @ (self.matrix @ coeffs)), 0.0))
 
 
-def _linearized_solve(system, u, rhs, x0=None, trans="N"):
-    """x with (K + B(u)) x = rhs, or its transpose if trans is "T"."""
-    op, x = system.solve(u, rhs, x0, trans, KRYLOV_RTOL, KRYLOV_MAX)
-    return _accepted(op, x, rhs)
-
-
 def _newton_proposal(system, m, u):
     """Solution of the HJB equation linearized at u:
     (K + B(u)) x = <F[m], xi_i> + B(u) u - H[grad u]."""
@@ -113,7 +91,7 @@ def _newton_proposal(system, m, u):
     B, _ = system.linearize(fn)
     rhs = (system.coupling_load(m) + B @ u
            - assembly.hamiltonian_load(system.space, system.problem.hamiltonian, fn))
-    return _linearized_solve(system, fn, rhs, x0=u)
+    return system.solve(fn, rhs, x0=u)
 
 
 def solve_hjb(system, gram, m_fixed, cfg=None, u0=None):
@@ -165,8 +143,7 @@ def solve_hjb(system, gram, m_fixed, cfg=None, u0=None):
 def solve_kfp(system, u_fixed):
     """Single linear solve of the discrete KFP equation at a frozen value
     function, with the transpose of the HJB linearization at it."""
-    return P1Function(system.space,
-                      _linearized_solve(system, u_fixed, system.g_load, trans="T"))
+    return P1Function(system.space, system.solve(u_fixed, system.g_load, trans="T"))
 
 
 def solve_m_k_plus(space, problem, tensor):
@@ -180,45 +157,27 @@ def solve_m_k_plus(space, problem, tensor):
     L = (assembly.assemble_diffusion(space, problem.nu, tensor)
          + assembly.assemble_hjb_drift(space, drift, drift_bound=problem.hamiltonian.L_H))
     load = problem.source.load_vector(space)
-    return P1Function(space, _accepted(L.T, assembly.factorize(L.T).solve(load), load))
+    return P1Function(space, assembly.checked(L.T, assembly.factorize(L.T).solve(load), load))
 
 
-class _AndersonHistory:
-    """The last ANDERSON_DEPTH differences of accepted iterates and of their
-    residuals, kept in two preallocated (depth, ndof) arrays used as rings."""
-
-    def __init__(self, ndof):
-        self.dm = np.empty((ANDERSON_DEPTH, ndof))
-        self.df = np.empty((ANDERSON_DEPTH, ndof))
-        self.size = 0
-        self._next = 0
-
-    def push(self, m, m_prev, f, f_prev):
-        np.subtract(m, m_prev, out=self.dm[self._next])
-        np.subtract(f, f_prev, out=self.df[self._next])
-        self._next = (self._next + 1) % ANDERSON_DEPTH
-        self.size = min(self.size + 1, ANDERSON_DEPTH)
-
-    def clear(self):
-        self.size = self._next = 0
-
-    def mix(self, m, f, beta):
-        """Next iterate from m with residual f: m + beta f - (dM + beta dF)^T gamma,
-        gamma minimizing |f - dF^T gamma|.  It is the damped Picard step when the
-        history is empty or its residual differences are linearly dependent;
-        the history is cleared in the latter case."""
-        nxt = m + beta * f
-        if self.size:
-            dm, df = self.dm[:self.size], self.df[:self.size]
-            # normal equations by LU: an SVD least-squares driver would add
-            # about 1 MB of resident memory to the process for this 5x5 system
-            try:
-                gamma = np.linalg.solve(df @ df.T, df @ f)
-            except np.linalg.LinAlgError:
-                self.clear()
-                return nxt
-            nxt -= gamma @ dm + beta * (gamma @ df)
-        return nxt
+def _anderson_mix(pairs, m, f, beta):
+    """Next iterate from m with residual f: m + beta f - (dM + beta dF)^T gamma,
+    the rows of dM and dF the (dm, df) difference pairs, gamma minimizing
+    |f - dF^T gamma|.  It is the damped Picard step when there are no pairs or
+    their residual differences are linearly dependent; the pairs are cleared
+    in the latter case."""
+    nxt = m + beta * f
+    if pairs:
+        dm, df = (np.array(rows) for rows in zip(*pairs))
+        # normal equations by LU: an SVD least-squares driver would add
+        # about 1 MB of resident memory to the process for this 5x5 system
+        try:
+            gamma = np.linalg.solve(df @ df.T, df @ f)
+        except np.linalg.LinAlgError:
+            pairs.clear()
+            return nxt
+        nxt -= gamma @ dm + beta * (gamma @ df)
+    return nxt
 
 
 def solve_mfg(space, problem, tensor, cfg=None):
@@ -245,7 +204,7 @@ def solve_mfg(space, problem, tensor, cfg=None):
         raise ConfigurationError("the mesh has no interior vertex: nothing to solve")
     system = assembly.DiscreteSystem(space, problem, tensor)
     gram = Gram(space)
-    mixing = _AndersonHistory(space.ndof)
+    pairs = deque(maxlen=ANDERSON_DEPTH)   # (dm, df) of consecutive accepted sweeps
     history = []
     newton_total = 0
 
@@ -283,14 +242,14 @@ def solve_mfg(space, problem, tensor, cfg=None):
                                     converged=True, history=history)
 
         if rejected:
-            mixing.clear()
+            pairs.clear()
         else:
             f = g.coeffs - m
             if m_acc is not None:
-                mixing.push(m, m_acc, f, f_acc)
+                pairs.append((m - m_acc, f - f_acc))
             m_acc, f_acc, u_acc, peak_acc = m, f, u, peak
-        m = mixing.mix(m_acc, f_acc, cfg.damping)
-        step = "anderson" if mixing.size else "picard"
+        m = _anderson_mix(pairs, m_acc, f_acc, cfg.damping)
+        step = "anderson" if pairs else "picard"
 
     raise NonConvergenceError(
         f"outer loop did not reach {cfg.tol_outer:.1e} in {cfg.max_outer} sweeps "

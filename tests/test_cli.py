@@ -31,6 +31,15 @@ BAD_CONFIGS = {
     "range_past_max_level": b"mesh.levels = 2:99999999999\n",
     "nan_nu": b"problem.nu = nan\n",
     "not_utf8": b"seed = 1\xfe\n",
+    # non-finite numbers that once failed late (exit 1 or 3) or not at all (exit 0)
+    "nan_mu": b"stabilization.mu = nan\n",
+    "inf_omega_factor": b"stabilization.omega_factor = inf\n",
+    "nan_c_F": b"problem.c_F = nan\n",
+    "nan_R": b"hamiltonian.R = nan\n",
+    "nan_epsilon": b"hamiltonian.kind = finite\nhamiltonian.epsilon = nan\n",
+    "nan_drift": b"hamiltonian.kind = finite\nhamiltonian.epsilon = 0.1\nhamiltonian.drifts = 1 0; nan 0\n",
+    "inf_cost": b"hamiltonian.kind = finite\nhamiltonian.epsilon = 0.1\nhamiltonian.costs = 0 -inf\n",
+    "nan_tol_outer": b"solver.tol_outer = nan\n",
 }
 
 _VALUE = st.one_of(
@@ -253,6 +262,17 @@ class TestSolve:
 class TestConvergence:
     def test_two_levels_rejected(self, tmp_path):
         path = write_config(tmp_path, "mesh.levels = 2:3\n")
+        assert cli.main(["convergence", path]) == cli.EXIT_INPUT_ERROR
+
+    @pytest.mark.parametrize("offset", [-1, 0])
+    def test_reference_not_finer_rejected(self, tmp_path, offset):
+        # the rough instance has no exact pair: its reference must be finer
+        path = write_config(tmp_path, f"""
+            problem.kind = rough
+            mesh.levels = 2 3 4
+            reference_offset = {offset}
+            output.dir = {tmp_path / "out"}
+        """)
         assert cli.main(["convergence", path]) == cli.EXIT_INPUT_ERROR
 
     def test_level_without_interior_dofs_rejected(self, tmp_path):

@@ -1,5 +1,6 @@
 import math
 import weakref
+from collections import deque
 
 import numpy as np
 import pytest
@@ -10,7 +11,7 @@ from hypothesis import strategies as st
 import mfgfem as mf
 from mfgfem import assembly, solver
 from mfgfem.assembly import DiscreteSystem
-from mfgfem.errors import ConfigurationError, NonConvergenceError
+from mfgfem.errors import ConfigurationError, NonConvergenceError, SolverError
 from mfgfem.problem import scalar_load
 from mfgfem.solver import (
     Gram,
@@ -68,6 +69,23 @@ class TestLinearSolve:
         center = space.dof_of_vertex[
             int(np.argmin(((space.mesh.vertices - 0.5) ** 2).sum(axis=1)))]
         assert abs(u[center] - POISSON_CENTER) < 0.002
+
+    def test_residual_above_tolerance_raises(self, g_one_problem, square_spaces,
+                                             monkeypatch):
+        # no solve leaves a zero residual, so a zero tolerance rejects every one
+        space = square_spaces[3]
+        system = DiscreteSystem(space, g_one_problem, None)
+        monkeypatch.setattr(assembly, "LINEAR_RESIDUAL_TOL", 0.0)
+        with pytest.raises(SolverError, match="above tolerance"):
+            system.solve(space.zero_function(), system.g_load)
+
+    def test_non_finite_solution_raises(self, g_one_problem, square_spaces):
+        space = square_spaces[3]
+        system = DiscreteSystem(space, g_one_problem, None)
+        rhs = system.g_load.copy()
+        rhs[0] = np.nan
+        with pytest.raises(SolverError, match="non-finite"):
+            system.solve(space.zero_function(), rhs)
 
 
 class TestRieszDualNorm:
@@ -173,16 +191,18 @@ class TestKFP:
         assert np.all(m.coeffs == 0.0)
 
     def test_rounding_floor_accepts_without_refactorizing(self, sine_problem,
-                                                          square_hierarchy):
+                                                          square_hierarchy, monkeypatch):
         # with no relative bound to meet, GMRES preconditioned with the LU of K
         # stops at the residual a backward-stable solve leaves, eps |op| |x|,
         # and the drifted KFP operator is solved without a second factorization
         mesh = square_hierarchy[4]
         space = mf.P1Space(mesh)
         system = DiscreteSystem(space, sine_problem, mf.build_xz_tensor(mesh, 1.0))
-        system.solve(space.zero_function(), system.g_load, None, "T", 1e-12, 20)
+        system.solve(space.zero_function(), system.g_load, trans="T")
         u = mf.interpolate(space, sine_problem.exact.u.value)
-        op, x = system.solve(u, system.g_load, None, "T", 0.0, 20)
+        monkeypatch.setattr(assembly, "KRYLOV_RTOL", 0.0)
+        x = system.solve(u, system.g_load, trans="T")
+        op = system.linearize(u)[1].T
         assert system.factorizations == 1
         assert 0 < system.krylov_iters <= 20
         floor = np.finfo(float).eps * scipy.sparse.linalg.norm(op, np.inf)
@@ -291,7 +311,7 @@ class TestMFG:
             return lu
 
         monkeypatch.setattr(scipy.sparse.linalg, "splu", tracking_splu)
-        monkeypatch.setattr(solver, "KRYLOV_MAX", 1)
+        monkeypatch.setattr(assembly, "KRYLOV_MAX", 1)
         sol = solve_mfg(space, sine_problem, tensor)
         fallbacks = sum(h["factorizations"] for h in sol.history) - 1
         assert fallbacks >= 1
@@ -364,17 +384,17 @@ class TestMFG:
         sol = solve_mfg(space, sine_problem, tensor)
         system = DiscreteSystem(space, sine_problem, tensor)
         residual = np.linalg.norm(system.kfp_residual(sol.u, sol.m))
-        assert residual <= solver.KRYLOV_RTOL * np.linalg.norm(system.g_load)
+        assert residual <= assembly.KRYLOV_RTOL * np.linalg.norm(system.g_load)
 
     def test_dependent_differences_restart_mixing(self):
         # parallel residual differences leave the mixing coefficients undetermined
-        mixing = solver._AndersonHistory(3)
+        pairs = deque(maxlen=solver.ANDERSON_DEPTH)
         f = np.array([1.0, 2.0, 3.0])
-        mixing.push(np.ones(3), np.zeros(3), 2.0 * f, f)
-        mixing.push(3.0 * np.ones(3), np.ones(3), 4.0 * f, 2.0 * f)
+        pairs.append((np.ones(3) - np.zeros(3), 2.0 * f - f))
+        pairs.append((3.0 * np.ones(3) - np.ones(3), 4.0 * f - 2.0 * f))
         m = np.array([0.5, 0.25, 0.125])
-        assert np.array_equal(mixing.mix(m, f, 0.5), m + 0.5 * f)
-        assert mixing.size == 0
+        assert np.array_equal(solver._anderson_mix(pairs, m, f, 0.5), m + 0.5 * f)
+        assert len(pairs) == 0
 
     def test_nonconvergence_carries_history(self, sine_problem, square_hierarchy):
         mesh = square_hierarchy[3]

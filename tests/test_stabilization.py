@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import mfgfem as mf
-from mfgfem.errors import ConfigurationError, InvariantViolation
+from mfgfem.errors import ConfigurationError, InvariantViolation, SolverError
 from mfgfem.stabilization import StabilizationTensor, random_disk_drift
 
 SQRT2 = math.sqrt(2.0)
@@ -191,3 +191,11 @@ class TestVerifyH2DMP:
     def test_requires_drift_or_bound(self, square_spaces):
         with pytest.raises(ConfigurationError):
             mf.verify_h2_dmp(square_spaces[2], 1.0, None)
+
+    def test_singular_operator_raises(self, square_spaces):
+        # nu = 0 with no tensor and no drift leaves the zero matrix, outside the
+        # uniformly invertible class: the factorization fails loudly
+        space = square_spaces[2]
+        drift = np.zeros((space.mesh.num_triangles, 2))
+        with pytest.raises(SolverError, match="sparse factorization failed"):
+            mf.verify_h2_dmp(space, 0.0, None, drift=drift)
