@@ -65,25 +65,21 @@ def stabilization_error_term(space, tensor, grads):
 # -- nested injection and reference errors --------------------------------------
 
 def inject_to_descendant(fn, fine_space):
-    """Exact P1 injection of ``fn`` into the space of a refinement descendant.
-
-    Follows the parent chain of the fine mesh back to the coarse one; each
-    refinement step appends edge midpoints, so injected values are the parent
-    values plus edge-midpoint averages.
-    """
-    coarse_mesh = fn.space.mesh
+    """Exact P1 injection of ``fn`` into the space of a refinement descendant:
+    the product of the ``prolongation`` matrices along the parent chain of the
+    fine space back to the coarse mesh."""
     chain = []
-    mesh = fine_space.mesh
-    while mesh is not coarse_mesh:
-        if mesh.parent is None:
+    space = fine_space
+    while space.mesh is not fn.space.mesh:
+        if space.parent is None:
             raise ConfigurationError("meshes are not nested")
-        chain.append(mesh)
-        mesh = mesh.parent
-    values = fn.nodal_values()
-    for refined in reversed(chain):
-        pairs = refined.midpoint_parents
-        values = np.concatenate([values, 0.5 * (values[pairs[:, 0]] + values[pairs[:, 1]])])
-    return fine_space.function_from_nodal(values)
+        chain.append(space)
+        space = space.parent
+    coeffs = fn.coeffs.copy()
+    for space in reversed(chain):
+        P = space.prolongation
+        coeffs = np.zeros(space.ndof) if P is None else P @ coeffs
+    return P1Function(fine_space, coeffs)
 
 
 def error_vs_reference(fn_coarse, fn_fine):

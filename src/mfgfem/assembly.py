@@ -14,14 +14,18 @@ function.
 The discrete KFP operator at u is the transpose of the HJB linearization
 K + B(u) (Achdou & Capuzzo-Dolcetta, SIAM J. Numer. Anal. 48, 2010).  Every
 linearization K + B(u) met in a solve is a drift perturbation, bounded by L_H,
-of the same uniformly elliptic K, so the LU of any one of them preconditions
-all the others.  This module holds the whole linear-solve policy:
-``DiscreteSystem.solve`` runs one cycle of at most KRYLOV_MAX iterations of
-GMRES right-preconditioned with one held LU, accepts an iterate within
-KRYLOV_RTOL or the rounding floor, and factorizes again only when none is;
-every solve, direct ones included, then passes ``checked``, the
-LINEAR_RESIDUAL_TOL residual test.  ``factorize`` is the one place a sparse LU
-is made.
+of the same uniformly elliptic K, so a preconditioner of any one of them
+serves all the others.  That preconditioner is a ``Multigrid`` V-cycle over the
+nested spaces of the red refinements, with Galerkin coarse operators and an LU
+on its coarsest level; a space of at most COARSE_DOFS dofs is its own coarsest
+level, so there the V-cycle is the LU.  This module holds the whole
+linear-solve policy: ``DiscreteSystem.solve`` runs one cycle of at most
+KRYLOV_MAX iterations of GMRES right-preconditioned with one held hierarchy,
+accepts an iterate within KRYLOV_RTOL or the rounding floor, rebuilds the
+hierarchy of the current linearization when none is and retries once, and
+solves directly when that fails too; every solve, direct ones included, then
+passes ``checked``, the LINEAR_RESIDUAL_TOL residual test.  ``factorize`` is
+the one place a sparse LU is made.
 """
 
 from __future__ import annotations
@@ -38,9 +42,16 @@ from .fespace import csr_pattern
 # every linear solve must leave |op x - rhs| <= LINEAR_RESIDUAL_TOL (1 + |rhs|)
 LINEAR_RESIDUAL_TOL = 1e-10
 # GMRES of a linearized solve: bound on the true relative residual, and the
-# iterations of its single cycle before the system factorizes instead
+# iterations of its single cycle before the system rebuilds its hierarchy
 KRYLOV_RTOL = 1e-12
 KRYLOV_MAX = 20
+# the coarsest level of a multigrid hierarchy is the first with at most this
+# many dofs, or the first whose mesh has no parent with an interior dof
+COARSE_DOFS = 1000
+# damped-Jacobi smoothing of the V-cycle: the weight, and the sweeps before and
+# after each coarse correction
+JACOBI_WEIGHT = 0.7
+JACOBI_SWEEPS = 2
 
 def _scatter(space, blocks, full):
     """Sum (nt, 3, 3) local blocks into a CSR matrix."""
@@ -84,13 +95,20 @@ def assemble_hjb_drift(space, drift, full=False, drift_bound=None):
     Its transpose is the divergence-form drift of the KFP equation."""
     drift = np.asarray(drift, dtype=float)
     if drift_bound is not None:
-        worst = np.hypot(drift[:, 0], drift[:, 1]).max(initial=0.0)
-        if worst > drift_bound * (1 + 1e-12):
-            warnings.warn(f"drift magnitude {worst:.3g} exceeds bound {drift_bound:.3g}",
-                          stacklevel=2)
+        drift_excess(drift, drift_bound)
     col = np.einsum("td,tjd->tj", drift, space.elem_grads) * (space.elem_areas / 3.0)[:, None]
     blocks = np.repeat(col[:, None, :], 3, axis=1)  # same for every test function i
     return _scatter(space, blocks, full)
+
+
+def drift_excess(drift, bound):
+    """How far the largest |b_K| of an element-wise drift exceeds ``bound``,
+    with a warning; 0.0 within a relative 1e-12 of it."""
+    worst = np.hypot(drift[:, 0], drift[:, 1]).max(initial=0.0)
+    if worst <= bound * (1 + 1e-12):
+        return 0.0
+    warnings.warn(f"drift magnitude {worst:.3g} exceeds bound {bound:.3g}", stacklevel=3)
+    return float(worst - bound)
 
 
 _MASS_BLOCK = np.array([[2.0, 1.0, 1.0], [1.0, 2.0, 1.0], [1.0, 1.0, 2.0]]) / 12.0
@@ -124,6 +142,51 @@ def checked(op, x, rhs):
     return x
 
 
+class Multigrid:
+    """V-cycle preconditioner of one operator A over the nested spaces of its
+    space, and of A^T with the same hierarchy.
+
+    Level 0 is A.  Each further level is the Galerkin product P^T A P with the
+    ``prolongation`` P of the level above, down to the first space with at
+    most COARSE_DOFS dofs or without a usable parent; that coarsest level is
+    factorized.  Every other level smooths with JACOBI_SWEEPS damped-Jacobi
+    sweeps (weight JACOBI_WEIGHT) before and after its coarse correction.  The
+    cycle is a fixed linear map M^-1, and the cycle of the transposed level
+    operators is M^-T, so one hierarchy preconditions L and L^T.  With one
+    level, M is A and ``exact`` is True.
+    """
+
+    def __init__(self, space, op):
+        # per level above the coarsest: (A, A^T, P, P^T, Jacobi weights)
+        self.levels = []
+        while space.ndof > COARSE_DOFS and space.prolongation is not None:
+            P = space.prolongation
+            R = P.T.tocsr()
+            self.levels.append((op, op.T, P, R, JACOBI_WEIGHT / op.diagonal()))
+            op = (R @ op @ P).tocsr()
+            space = space.parent
+        self.lu = factorize(op)
+        self.exact = not self.levels
+
+    def solve(self, b, trans="N"):
+        """M^-1 b, or M^-T b if trans is "T"."""
+        return self._cycle(0, b, trans)
+
+    def _cycle(self, level, b, trans):
+        if level == len(self.levels):
+            return self.lu.solve(b, trans=trans)
+        A, AT, P, R, w = self.levels[level]
+        if trans == "T":
+            A = AT
+        x = w * b
+        for _ in range(JACOBI_SWEEPS - 1):
+            x += w * (b - A @ x)
+        x += P @ self._cycle(level + 1, R @ (b - A @ x), trans)
+        for _ in range(JACOBI_SWEEPS):
+            x += w * (b - A @ x)
+        return x
+
+
 def grad_p_field(space, hamiltonian, u):
     """Element-wise drift dH/dp(x_K, grad u|_K), shape (nt, 2)."""
     grads = u.element_gradients()
@@ -150,9 +213,11 @@ class DiscreteSystem:
     K = nu I + D, the mass matrix M, the offset load <f0, xi_i> and the source
     load <G, xi_i> -- and evaluates what does: the drift B(u), the coupling
     load <F[m], xi_i> and both residuals.  ``linearize`` caches the latest
-    linearization K + B(u); ``solve`` holds one LU, that of the last
-    linearization it had to factorize, and counts its ``factorizations`` and
-    GMRES iterations (``krylov_iters``).
+    linearization K + B(u) and keeps in ``drift_excess`` the largest excess of
+    a drift over L_H since it was last reset.  ``solve`` holds one
+    ``Multigrid`` hierarchy, that of the last linearization it had to rebuild
+    it for, and counts its sparse LU ``factorizations`` and GMRES iterations
+    (``krylov_iters``).
     """
 
     def __init__(self, space, problem, tensor):
@@ -163,9 +228,10 @@ class DiscreteSystem:
         self.f0_load = problem.coupling.offset_load(space)
         self.g_load = problem.source.load_vector(space)
         self._linearization = None   # (u coefficients, B(u), K + B(u))
-        self._lu = None
+        self._multigrid = None
         self.factorizations = 0
         self.krylov_iters = 0
+        self.drift_excess = 0.0
 
     def linearize(self, u):
         """``(B, L)``: the drift matrix B(u) of the field dH/dp[grad u] and the
@@ -177,8 +243,9 @@ class DiscreteSystem:
         if (self._linearization is None
                 or not np.array_equal(self._linearization[0], u.coeffs)):
             hspec = self.problem.hamiltonian
-            B = assemble_hjb_drift(self.space, grad_p_field(self.space, hspec, u),
-                                   drift_bound=hspec.L_H)
+            drift = grad_p_field(self.space, hspec, u)
+            self.drift_excess = max(self.drift_excess, drift_excess(drift, hspec.L_H))
+            B = assemble_hjb_drift(self.space, drift)
             self._linearization = (u.coeffs.copy(), B, self.K + B)
         return self._linearization[1:]
 
@@ -187,27 +254,33 @@ class DiscreteSystem:
         L = K + B(u); ``checked`` against op.
 
         Runs one cycle of at most KRYLOV_MAX GMRES iterations from x0 (zero
-        if None), right-preconditioned with the held LU, until the true
+        if None), right-preconditioned with the held hierarchy, until the true
         residual meets the bound of ``_gmres``.  When no iterate does, or no
-        LU is held yet, it releases the held LU, factorizes L, solves directly
-        and holds that LU for the next solves, so at most one is alive.
+        hierarchy is held yet, it releases the held one, builds that of L and
+        holds it for the next solves, so at most one is alive, and retries
+        once: by GMRES, or directly if the hierarchy is exact.  When that
+        fails too, it solves directly with an LU of L.
         """
         _, L = self.linearize(u)
         op = L.T if trans == "T" else L
-        x = None if self._lu is None else self._gmres(op, rhs, x0, trans)
+        x = None if self._multigrid is None else self._gmres(op, rhs, x0, trans)
         if x is None:
-            self._lu = None   # release the held LU before the next
-            self._lu = factorize(L)
+            self._multigrid = None   # release the held hierarchy before the next
+            self._multigrid = Multigrid(self.space, L)
             self.factorizations += 1
-            x = self._lu.solve(rhs, trans=trans)
+            x = (self._multigrid.solve(rhs, trans) if self._multigrid.exact
+                 else self._gmres(op, rhs, x0, trans))
+        if x is None:
+            self.factorizations += 1
+            x = factorize(L).solve(rhs, trans=trans)
         return checked(op, x, rhs)
 
     def _gmres(self, op, rhs, x0, trans):
-        """GMRES for op x = rhs, right-preconditioned with the held LU P: the
-        iterates are x_k = x0 + Z y_k, Z = P^-1 V for an orthonormal Krylov
-        basis V of op P^-1, k <= KRYLOV_MAX.  Returns the first x_k whose true
-        residual |rhs - op x_k| is at most KRYLOV_RTOL |rhs| or eps |op| |x_k|;
-        None if no iterate is.
+        """GMRES for op x = rhs, right-preconditioned with the held hierarchy's
+        V-cycle M: the iterates are x_k = x0 + Z y_k, Z = M^-1 V for an
+        orthonormal Krylov basis V of op M^-1, k <= KRYLOV_MAX.  Returns the
+        first x_k whose true residual |rhs - op x_k| is at most
+        KRYLOV_RTOL |rhs| or eps |op| |x_k|; None if no iterate is.
 
         The second bound is the residual a backward-stable solve leaves.  It
         grows like the condition number, h^-2, relative to |rhs|: a direct LU
@@ -230,7 +303,7 @@ class DiscreteSystem:
         H = np.zeros((max_iter + 1, max_iter))
         V[0] = r0 / beta
         for k in range(max_iter):
-            Z[k] = self._lu.solve(V[k], trans=trans)
+            Z[k] = self._multigrid.solve(V[k], trans)
             w = op @ Z[k]
             for j in range(k + 1):   # modified Gram-Schmidt
                 H[j, k] = V[j] @ w

@@ -257,21 +257,29 @@ def discretize(config):
 
 
 def _write_json(payload, path, digest):
-    ordered = {"config_sha256": digest}
-    ordered.update(payload)
     with open(path, "w") as fh:
-        json.dump(ordered, fh, indent=2, default=_json_default)
+        fh.write(_to_json({"config_sha256": digest, **payload}))
         fh.write("\n")
 
 
-def _json_default(value):
-    if isinstance(value, (np.floating, np.integer)):
-        return value.item()
-    if isinstance(value, np.ndarray):
-        return value.tolist()
-    if isinstance(value, float) and math.isinf(value):
-        return "inf"
-    return str(value)
+def _to_json(payload):
+    """Strict JSON text of a report: a non-finite float is written as the
+    string "inf", "-inf" or "nan", which every JSON parser accepts."""
+    return json.dumps(_plain(payload), indent=2, allow_nan=False, default=str)
+
+
+def _plain(value):
+    """``value`` with numpy containers and scalars made Python ones and
+    non-finite floats made strings."""
+    if isinstance(value, dict):
+        return {key: _plain(item) for key, item in value.items()}
+    if isinstance(value, (list, tuple, np.ndarray)):
+        return [_plain(item) for item in value]
+    if isinstance(value, (float, np.floating)):
+        return float(value) if math.isfinite(value) else str(float(value))
+    if isinstance(value, np.integer):
+        return int(value)
+    return value
 
 
 # -- commands -------------------------------------------------------------------
@@ -295,8 +303,7 @@ def cmd_check_mesh(config):
         "stabilization": kind,
         "condition_ok": condition_ok,
     })
-    print(json.dumps({"config_sha256": config_hash(config), **payload},
-                     indent=2, default=_json_default))
+    print(_to_json({"config_sha256": config_hash(config), **payload}))
     return EXIT_OK if condition_ok else EXIT_VERIFY_FAILED
 
 

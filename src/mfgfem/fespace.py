@@ -3,7 +3,10 @@
 Degrees of freedom are the interior vertices only; boundary values are
 identically zero (homogeneous Dirichlet).  Gradients of discrete functions are
 constant on each triangle, which is what makes the Hamiltonian terms of the
-discrete system computable element by element.
+discrete system computable element by element.  The space of a red refinement
+knows the space it refines (``parent``) and the exact nested injection from
+it (``prolongation``), which the multigrid hierarchy and the reference-error
+injection both use.
 """
 
 from __future__ import annotations
@@ -12,6 +15,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
+import scipy.sparse as sp
 
 from .errors import ConfigurationError, NumericError
 
@@ -36,6 +40,34 @@ class P1Space:
     def pattern(self):
         """CSR pattern of the operators on interior dofs (see ``csr_pattern``)."""
         return csr_pattern(self.elem_dofs, self.ndof)
+
+    @cached_property
+    def parent(self):
+        """The space of the mesh this one refines; None for a root mesh."""
+        return None if self.mesh.parent is None else P1Space(self.mesh.parent)
+
+    @cached_property
+    def prolongation(self):
+        """Exact nested P1 injection from the parent space, an (ndof x parent
+        ndof) CSR matrix; None without a parent or when it has no interior dof.
+
+        Red refinement keeps the parent's vertices and appends one midpoint per
+        parent edge (``midpoint_parents``), so a coarse function keeps its
+        values there and takes the average of the two edge ends at each
+        midpoint; boundary values are zero, so their columns are dropped.
+        """
+        parent = self.parent
+        if parent is None or parent.ndof == 0:
+            return None
+        inherited = parent.mesh.num_vertices
+        pairs = self.mesh.midpoint_parents
+        rows = np.concatenate([self.dof_of_vertex[:inherited],
+                               np.repeat(self.dof_of_vertex[inherited:], 2)])
+        cols = parent.dof_of_vertex[np.concatenate([np.arange(inherited), pairs.ravel()])]
+        vals = np.concatenate([np.ones(inherited), np.full(pairs.size, 0.5)])
+        keep = (rows >= 0) & (cols >= 0)
+        return sp.csr_matrix((vals[keep], (rows[keep], cols[keep])),
+                             shape=(self.ndof, parent.ndof))
 
     def zero_function(self):
         return P1Function(self, np.zeros(self.ndof))

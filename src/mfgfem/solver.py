@@ -2,7 +2,9 @@
 density fixed-point map m -> KFP(HJB(m)) around a semismooth-Newton inner solve
 for the HJB equation.  The KFP step solves with the transpose of the HJB
 linearization at the new value function.  Every linear step is one
-``DiscreteSystem.solve``, which owns the linear-solve policy (see ``assembly``).
+``DiscreteSystem.solve``, which owns the linear-solve policy (see ``assembly``):
+GMRES preconditioned with a geometric V-cycle over the nested meshes, which on
+a space of at most ``assembly.COARSE_DOFS`` dofs is one LU.
 
 Convergence is declared on the dual norms of the two discrete residual
 operators (the quantities the stability theory controls), computed exactly via
@@ -195,9 +197,11 @@ def solve_mfg(space, problem, tensor, cfg=None):
     above the last accepted sweep's is rejected: the history is cleared and
     the damped Picard step is taken from the last accepted sweep.  Every sweep,
     a rejected one too, appends an entry to ``history``, with the
-    factorizations and GMRES iterations of its linear solves (the first entry
-    counts the initial KFP solve too).  A NonConvergenceError of the HJB solve
-    is raised again carrying the history of the sweeps before it.
+    factorizations and GMRES iterations of its linear solves and the largest
+    excess of a drift it assembled over L_H, 0.0 when all were within it (the
+    first entry counts the initial KFP solve too).  A NonConvergenceError of
+    the HJB solve is raised again carrying the history of the sweeps before
+    it.
     """
     cfg = cfg or SolverConfig()
     if space.ndof == 0:
@@ -232,8 +236,10 @@ def solve_mfg(space, problem, tensor, cfg=None):
                         "min_m": float(g.coeffs.min()),
                         "step": step, "rejected": rejected,
                         "factorizations": system.factorizations - counted[0],
-                        "krylov_iters": system.krylov_iters - counted[1]})
+                        "krylov_iters": system.krylov_iters - counted[1],
+                        "drift_excess": system.drift_excess})
         counted = (system.factorizations, system.krylov_iters)
+        system.drift_excess = 0.0
 
         if peak <= cfg.tol_outer:
             return DiscreteSolution(u=u, m=g, outer_iters=outer,

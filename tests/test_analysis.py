@@ -103,6 +103,29 @@ class TestInjection:
         semi_f = float(injected.coeffs @ (K_f @ injected.coeffs))
         assert semi_f == pytest.approx(semi_c, rel=1e-13)
 
+    @pytest.mark.parametrize("family", ["xz_square", "acute_rhombus"])
+    def test_matches_midpoint_averages(self, family, square_spaces, rhombus_spaces):
+        # the prolongation chain against the nested injection written out:
+        # inherited vertices keep their values, each new midpoint takes the
+        # average of its edge ends, with zero on the boundary; bit for bit
+        spaces = square_spaces if family == "xz_square" else rhombus_spaces
+        coarse, fine = spaces[2], spaces[5]
+        fn = mf.P1Function(coarse, np.random.default_rng(3).standard_normal(coarse.ndof))
+        values = fn.nodal_values()
+        for refined in (space.mesh for space in spaces[3:6]):
+            pairs = refined.midpoint_parents
+            values = np.concatenate([values, 0.5 * (values[pairs[:, 0]] + values[pairs[:, 1]])])
+        assert np.array_equal(inject_to_descendant(fn, fine).coeffs,
+                              fine.function_from_nodal(values).coeffs)
+        assert np.array_equal(fine.prolongation @ inject_to_descendant(fn, spaces[4]).coeffs,
+                              inject_to_descendant(fn, fine).coeffs)
+
+    def test_same_space_is_a_copy(self, square_spaces):
+        fn = mf.interpolate(square_spaces[3], sine)
+        injected = inject_to_descendant(fn, square_spaces[3])
+        assert np.array_equal(injected.coeffs, fn.coeffs)
+        assert injected.coeffs is not fn.coeffs
+
     def test_unrelated_meshes_rejected(self):
         a = mf.P1Space(mf.generate_structured_square(4))
         b = mf.P1Space(mf.generate_structured_square(8))

@@ -1,4 +1,5 @@
 import json
+import math
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -41,6 +42,47 @@ BAD_CONFIGS = {
     "inf_cost": b"hamiltonian.kind = finite\nhamiltonian.epsilon = 0.1\nhamiltonian.costs = 0 -inf\n",
     "nan_tol_outer": b"solver.tol_outer = nan\n",
 }
+
+
+
+def _mesh_text(vertices, triangles):
+    lines = ["MFGMESH 1", f"vertices {len(vertices)}"]
+    lines += [f"{x!r} {y!r}" for x, y in vertices]
+    lines += [f"triangles {len(triangles)}"] + [f"{a} {b} {c}" for a, b, c in triangles]
+    return "\n".join(lines) + "\n"
+
+
+_COORD = st.floats(-2.0, 2.0)
+
+
+@st.composite
+def odd_meshes(draw):
+    """MFGMESH text of a geometrically odd mesh: a single triangle, a fan of
+    3-8 triangles around one interior vertex, or a strip of triangles with no
+    interior vertex.  Some are degenerate or violate the XZ condition."""
+    kind = draw(st.sampled_from(["single", "fan", "strip"]))
+    if kind == "single":
+        return _mesh_text([(draw(_COORD), draw(_COORD)) for _ in range(3)], [(0, 1, 2)])
+    if kind == "fan":
+        k = draw(st.integers(3, 8))
+        angles = sorted(draw(st.lists(st.floats(0.0, 2 * math.pi), min_size=k, max_size=k)))
+        radii = draw(st.lists(st.floats(0.05, 2.0), min_size=k, max_size=k))
+        rim = [(r * math.cos(a), r * math.sin(a)) for r, a in zip(radii, angles)]
+        return _mesh_text([(0.0, 0.0)] + rim,
+                          [(0, 1 + i, 1 + (i + 1) % k) for i in range(k)])
+    n = draw(st.integers(2, 5))
+    jitter = st.floats(-0.3, 0.3)
+    top = [(i + draw(jitter), 1.0 + draw(jitter)) for i in range(n)]
+    bottom = [(i + draw(jitter), draw(jitter)) for i in range(n)]
+    triangles = []
+    for i in range(n - 1):
+        triangles += [(i, n + i, n + i + 1), (i, n + i + 1, i + 1)]
+    return _mesh_text(top + bottom, triangles)
+
+
+def _reject_constant(token):
+    raise ValueError(f"non-standard JSON constant {token}")
+
 
 _VALUE = st.one_of(
     st.text(max_size=20),
@@ -186,6 +228,31 @@ class TestCheckMesh:
         path = write_config(tmp_path, f"mesh.family = file:{mesh_path}\n")
         assert cli.main(["check-mesh", path]) == cli.EXIT_INPUT_ERROR
         assert capsys.readouterr().err.startswith("error: ")
+
+    @settings(max_examples=60, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(text=odd_meshes(), level=st.integers(0, 1),
+           kind=st.sampled_from(["manufactured", "g_one"]))
+    def test_odd_mesh_check_and_solve_exit_cleanly(self, tmp_path, capsys, text, level,
+                                                   kind):
+        # a mesh that reads may still be degenerate, violate the XZ condition
+        # or have no interior vertex: check-mesh reports its condition (exit 1
+        # when it fails) or rejects it, and solve solves it or rejects it;
+        # neither ends in a traceback
+        mesh_path = tmp_path / "odd.txt"
+        mesh_path.write_text(text)
+        path = write_config(tmp_path, f"mesh.family = file:{mesh_path}\n"
+                            f"mesh.level = {level}\nproblem.kind = {kind}\n"
+                            f"output.dir = {tmp_path / 'out'}\n")
+        capsys.readouterr()
+        code = cli.main(["check-mesh", path])
+        out = capsys.readouterr().out
+        if code == cli.EXIT_INPUT_ERROR:
+            assert out == ""
+        else:
+            payload = json.loads(out, parse_constant=_reject_constant)
+            assert code == (cli.EXIT_OK if payload["condition_ok"] else cli.EXIT_VERIFY_FAILED)
+        assert cli.main(["solve", path]) in (cli.EXIT_OK, cli.EXIT_INPUT_ERROR)
 
     def test_missing_config_exit_2(self):
         assert cli.main(["check-mesh", "/nonexistent/run.cfg"]) == cli.EXIT_INPUT_ERROR
@@ -341,8 +408,11 @@ class TestConvergence:
             output.dir = {out}
         """)
         assert cli.main(["convergence", path]) == cli.EXIT_OK
-        report = json.loads((out / "report.json").read_text())
+        # strict JSON: the open window end and the first level's EOCs are strings
+        report = json.loads((out / "report.json").read_text(), parse_constant=_reject_constant)
         assert set(report["verdicts"]) == {"eoc_u_H1", "eoc_m_L2", "eoc_m_H1_below_u"}
+        assert report["verdicts"]["eoc_m_H1_below_u"]["window"] == [0.2, "inf"]
+        assert report["records"][0]["eoc_u_H1"] == "nan"
         assert report["all_pass"] is True
 
 

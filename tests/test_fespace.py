@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import mfgfem as mf
+from mfgfem import assembly
 from mfgfem.errors import ConfigurationError, NumericError
 from mfgfem.fespace import quadrature, quadrature_points_xy
 
@@ -39,6 +40,34 @@ class TestSpace:
         for s in range(3):
             opp = mesh.edge_lengths[mesh.tri_edges[:, s]]
             assert np.allclose(norms[:, s], opp / (2.0 * mesh.areas), rtol=1e-13)
+
+
+class TestProlongation:
+    @pytest.mark.parametrize("family", ["xz_square", "acute_rhombus"])
+    @pytest.mark.parametrize("level", [2, 3, 5])
+    def test_galerkin_coarse_operators(self, family, level, square_spaces, rhombus_spaces):
+        # nested conforming P1: the coarse basis functions are fine functions,
+        # so P^T A_fine P is the coarse matrix of the same bilinear form
+        spaces = square_spaces if family == "xz_square" else rhombus_spaces
+        fine, coarse = spaces[level], spaces[level - 1]
+        P = fine.prolongation
+        assert P.shape == (fine.ndof, coarse.ndof)
+        for assemble in (lambda s: assembly.assemble_diffusion(s, 1.0), assembly.assemble_mass):
+            want = assemble(coarse).toarray()
+            got = (P.T @ assemble(fine) @ P).toarray()
+            assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+
+    def test_none_without_usable_parent(self, square_hierarchy):
+        # the root has no parent; the level-0 square has no interior vertex
+        assert mf.P1Space(square_hierarchy[0]).prolongation is None
+        assert mf.P1Space(square_hierarchy[1]).prolongation is None
+        assert mf.P1Space(square_hierarchy[2]).prolongation is not None
+
+    def test_parent_space_is_cached(self, square_hierarchy):
+        space = mf.P1Space(square_hierarchy[3])
+        assert space.parent is space.parent
+        assert space.parent.mesh is square_hierarchy[2]
+        assert space.parent.parent.parent.parent is None
 
 
 class TestInterpolation:

@@ -208,6 +208,26 @@ class TestKFP:
         floor = np.finfo(float).eps * scipy.sparse.linalg.norm(op, np.inf)
         assert np.linalg.norm(system.g_load - op @ x) <= floor * np.linalg.norm(x)
 
+    def test_multilevel_rounding_floor_accepts_without_rebuilding(
+            self, sine_problem, square_hierarchy, monkeypatch):
+        # the same with a three-level hierarchy of K (levels 4, 3 and 2): its
+        # V-cycle, built at u = 0, takes GMRES down to the rounding floor of
+        # the drifted KFP operator without a rebuild
+        monkeypatch.setattr(assembly, "COARSE_DOFS", 40)
+        mesh = square_hierarchy[4]
+        space = mf.P1Space(mesh)
+        system = DiscreteSystem(space, sine_problem, mf.build_xz_tensor(mesh, 1.0))
+        system.solve(space.zero_function(), system.g_load, trans="T")
+        assert len(system._multigrid.levels) == 2
+        u = mf.interpolate(space, sine_problem.exact.u.value)
+        monkeypatch.setattr(assembly, "KRYLOV_RTOL", 0.0)
+        x = system.solve(u, system.g_load, trans="T")
+        op = system.linearize(u)[1].T
+        assert system.factorizations == 1
+        assert 0 < system.krylov_iters <= 2 * assembly.KRYLOV_MAX
+        floor = np.finfo(float).eps * scipy.sparse.linalg.norm(op, np.inf)
+        assert np.linalg.norm(system.g_load - op @ x) <= floor * np.linalg.norm(x)
+
     def test_kfp_operator_is_hjb_adjoint(self, g_one_problem, square_spaces):
         # the KFP matrix at u equals the transpose of the HJB linearization
         space = square_spaces[3]
@@ -322,6 +342,73 @@ class TestMFG:
             direct.outer_iters, direct.newton_iters_total)
         assert np.abs(sol.u.coeffs - direct.u.coeffs).max() < 1e-12
         assert np.abs(sol.m.coeffs - direct.m.coeffs).max() < 1e-12
+
+    def test_multilevel_krylov_fallback_solves_directly(self, sine_problem,
+                                                         square_hierarchy, monkeypatch):
+        # one GMRES iteration is too few for a V-cycle, even of the current
+        # linearization: each solve rebuilds the hierarchy (one LU on its
+        # coarsest level), retries, then factorizes L and solves directly, and
+        # the answer is that of a run where every solve factorizes
+        monkeypatch.setattr(assembly, "COARSE_DOFS", 40)
+        mesh = square_hierarchy[4]
+        space = mf.P1Space(mesh)
+        tensor = mf.build_xz_tensor(mesh, 1.0)
+        direct = _all_direct_solve(space, sine_problem, tensor)
+        solves = 1 + direct.newton_iters_total + direct.outer_iters
+
+        splu = scipy.sparse.linalg.splu
+        sizes = []
+
+        def tracking_splu(A, *args, **kwargs):
+            sizes.append(A.shape[0])
+            return splu(A, *args, **kwargs)
+
+        monkeypatch.setattr(scipy.sparse.linalg, "splu", tracking_splu)
+        monkeypatch.setattr(assembly, "KRYLOV_MAX", 1)
+        sol = solve_mfg(space, sine_problem, tensor)
+        assert sum(h["factorizations"] for h in sol.history) == 2 * solves
+        # the Gram matrix, then per solve the level-2 coarsest level and L
+        assert sizes == [space.ndof] + [9, space.ndof] * solves
+        assert (sol.outer_iters, sol.newton_iters_total) == (
+            direct.outer_iters, direct.newton_iters_total)
+        assert np.abs(sol.u.coeffs - direct.u.coeffs).max() < 1e-12
+        assert np.abs(sol.m.coeffs - direct.m.coeffs).max() < 1e-12
+
+    def test_file_mesh_solves_on_one_level(self, sine_problem, tmp_path, monkeypatch):
+        # a mesh read from a file has no parent: however many dofs it has, its
+        # hierarchy is the LU of the linearization, as on a small space
+        monkeypatch.setattr(assembly, "COARSE_DOFS", 40)
+        path = tmp_path / "mesh.txt"
+        mf.write_mesh(mf.mesh_hierarchy("xz_square", 4)[4], path)
+        mesh = mf.read_mesh(path)
+        space = mf.P1Space(mesh)
+        assert space.ndof > assembly.COARSE_DOFS and space.prolongation is None
+        tensor = mf.build_xz_tensor(mesh, 1.0)
+        system = DiscreteSystem(space, sine_problem, tensor)
+        system.solve(space.zero_function(), system.g_load, trans="T")
+        assert system._multigrid.exact and not system._multigrid.levels
+        sol = solve_mfg(space, sine_problem, tensor)
+        assert (sol.outer_iters, sol.newton_iters_total) == (5, 9)
+        assert [h["factorizations"] for h in sol.history] == [1] + [0] * (sol.outer_iters - 1)
+
+    def test_drift_bound_excess_recorded(self, sine_problem, square_hierarchy):
+        # a Hamiltonian that understates its drift bound: every assembly of a
+        # drift beyond it warns, and the sweep's history entry records by how
+        # much
+        import dataclasses
+        ham = sine_problem.hamiltonian
+        problem = dataclasses.replace(
+            sine_problem, hamiltonian=dataclasses.replace(ham, L_H=0.25 * ham.L_H))
+        mesh = square_hierarchy[3]
+        space = mf.P1Space(mesh)
+        with pytest.warns(UserWarning, match="exceeds bound"):
+            sol = solve_mfg(space, problem, mf.build_xz_tensor(mesh, ham.L_H))
+        # |grad u| passes R = L_H somewhere in every sweep, where the Huber
+        # drift saturates at |b| = L_H
+        excess = [h["drift_excess"] for h in sol.history]
+        assert excess == pytest.approx([0.75 * ham.L_H] * sol.outer_iters, rel=1e-12)
+        clean = solve_mfg(space, sine_problem, mf.build_xz_tensor(mesh, ham.L_H))
+        assert [h["drift_excess"] for h in clean.history] == [0.0] * clean.outer_iters
 
     def test_level4_sine_matches_recorded_solve(self, sine_problem, square_hierarchy):
         # two default-tolerance iterates that both pass tol_outer may differ by
@@ -466,6 +553,32 @@ class TestRecycledLUProperty:
         cfg = SolverConfig(tol_outer=1e-12, tol_newton=1e-12, max_outer=400)
         sol = solve_mfg(space, problem, tensor, cfg)
         direct = _all_direct_solve(space, problem, tensor, cfg)
+        assert sol.converged
+        assert max(sol.residual1_dual, sol.residual2_dual) <= cfg.tol_outer
+        assert sol.m.coeffs.min() >= mf.analysis.DMP_TOL
+        assert np.abs(sol.u.coeffs - direct.u.coeffs).max() <= 1e-10
+        assert np.abs(sol.m.coeffs - direct.m.coeffs).max() <= 1e-10
+
+
+class TestMultigridProperty:
+    @settings(max_examples=20, deadline=None)
+    @given(instance=g_one_instances())
+    def test_matches_all_direct_path(self, instance, square_hierarchy):
+        # the sibling of TestRecycledLUProperty on hierarchies of 2 and 3
+        # levels: GMRES preconditioned with the V-cycle must land where
+        # factorizing every linearization does, converged, with the DMP intact
+        level, problem = instance
+        mesh = square_hierarchy[max(level, 3)]
+        space = mf.P1Space(mesh)
+        tensor = mf.build_xz_tensor(mesh, problem.hamiltonian.L_H)
+        cfg = SolverConfig(tol_outer=1e-12, tol_newton=1e-12, max_outer=400)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(assembly, "COARSE_DOFS", 40)
+            system = DiscreteSystem(space, problem, tensor)
+            system.solve(space.zero_function(), system.g_load)
+            assert len(system._multigrid.levels) == space.mesh.level - 2
+            sol = solve_mfg(space, problem, tensor, cfg)
+            direct = _all_direct_solve(space, problem, tensor, cfg)
         assert sol.converged
         assert max(sol.residual1_dual, sol.residual2_dual) <= cfg.tol_outer
         assert sol.m.coeffs.min() >= mf.analysis.DMP_TOL
