@@ -20,14 +20,19 @@ from .mesh import generate_acute_rhombus, generate_structured_square, refine_red
 from .solver import SolverConfig, solve_mfg
 from .stabilization import DMP_TOL, build_acute_tensor, build_xz_tensor, none_tensor
 
+# degree of the quadrature that measures errors against exact fields
+ERROR_QUADRATURE_DEGREE = 4
+# the sampled L2 monotonicity inequality may fail by at most this much
+MONOTONICITY_SLACK = 1e-9
+
 
 # -- norms ---------------------------------------------------------------------
 
-def _error_quadrature(fn, exact_value, exact_grad=None, degree=4):
+def _error_quadrature(fn, exact_value, exact_grad=None):
     """Squared L2 error and squared H1-seminorm error by quadrature."""
     space = fn.space
     mesh = space.mesh
-    rule = quadrature(degree)
+    rule = quadrature(ERROR_QUADRATURE_DEGREE)
     xq = quadrature_points_xy(mesh, rule)
     vals_h = fn.values_at_quadrature(rule)
     vals_e = np.asarray(exact_value(xq[..., 0], xq[..., 1]), dtype=float)
@@ -42,15 +47,15 @@ def _error_quadrature(fn, exact_value, exact_grad=None, degree=4):
     return l2sq, h1sq
 
 
-def error_l2(fn, exact_value, degree=4):
-    """||exact - fn||_{L2} by quadrature of the stated degree."""
-    l2sq, _ = _error_quadrature(fn, exact_value, degree=degree)
+def error_l2(fn, exact_value):
+    """||exact - fn||_{L2} by quadrature of degree ERROR_QUADRATURE_DEGREE."""
+    l2sq, _ = _error_quadrature(fn, exact_value)
     return math.sqrt(l2sq)
 
 
-def error_h1(fn, exact_value, exact_grad, degree=4):
+def error_h1(fn, exact_value, exact_grad):
     """Full H1 norm of the error, sqrt(L2^2 + seminorm^2)."""
-    l2sq, h1sq = _error_quadrature(fn, exact_value, exact_grad, degree=degree)
+    l2sq, h1sq = _error_quadrature(fn, exact_value, exact_grad)
     return math.sqrt(l2sq + h1sq)
 
 
@@ -88,7 +93,7 @@ def error_vs_reference(fn_coarse, fn_fine):
     injected = inject_to_descendant(fn_coarse, fine_space)
     d = injected.coeffs - fn_fine.coeffs
     mass = assembly.assemble_mass(fine_space)
-    gram = assembly.assemble_h1_gram(fine_space)
+    gram = mass + assembly.assemble_diffusion(fine_space, 1.0)
     l2 = math.sqrt(max(float(d @ (mass @ d)), 0.0))
     h1 = math.sqrt(max(float(d @ (gram @ d)), 0.0))
     return l2, h1
@@ -269,22 +274,23 @@ def run_convergence_study(problem, family, levels, stabilization_kind, cfg=None,
     return table
 
 
-def verify_dmp_at_solution(solution, problem, tol=DMP_TOL):
+def verify_dmp_at_solution(solution, problem):
     """Nodal nonnegativity of the computed density; requires a certified source."""
     if not problem.source.nonneg_certified:
         raise ConfigurationError(
             "source is not certified nonnegative; the discrete maximum principle "
             "claim does not apply")
     coeffs = solution.m.coeffs
-    return bool(coeffs.min(initial=0.0) >= tol)
+    return bool(coeffs.min(initial=0.0) >= DMP_TOL)
 
 
 def check_l2_monotonicity_inequality(space, problem, tensor, solution, pairs=50,
-                                     seed=0, slack=1e-9):
+                                     seed=0):
     """Sample the L2 stability inequality of the discrete system:
 
         c_F ||mbar - m_k||^2  <=  <R1(mbar, ubar), mbar - m_k>
-                                   - <R2(mbar, ubar), ubar - u_k>  (+ slack)
+                                   - <R2(mbar, ubar), ubar - u_k>
+                                   (+ MONOTONICITY_SLACK)
 
     over random pairs with mbar nonnegative (nodal |N(0,1)| values) and ubar
     free.  Returns (all_passed, worst_violation); the violation is the left
@@ -304,7 +310,7 @@ def check_l2_monotonicity_inequality(space, problem, tensor, solution, pairs=50,
         lhs = c_F * float(dm @ (system.M @ dm))
         rhs = float(r1 @ dm) - float(r2 @ du)
         worst = max(worst, lhs - rhs)
-    return worst <= slack, worst
+    return worst <= MONOTONICITY_SLACK, worst
 
 
 def quasi_optimality_ratio(solution, problem, space, tensor=None):

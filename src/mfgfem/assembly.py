@@ -1,5 +1,6 @@
 """Element-wise assembly of the discrete operators and load vectors, and the
-discrete system of one solve.
+discrete system of one solve: one ``DiscreteSystem`` per solve holds every
+operator of it, the LU of its H1 Gram matrix included.
 
 All operators act on interior dofs only (matching the space); ``full=True``
 assembles over every vertex for diagnostics such as row-sum checks.  Matrices
@@ -31,6 +32,7 @@ the one place a sparse LU is made.
 from __future__ import annotations
 
 import warnings
+from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
@@ -187,17 +189,15 @@ class Multigrid:
         return x
 
 
-def grad_p_field(space, hamiltonian, u):
-    """Element-wise drift dH/dp(x_K, grad u|_K), shape (nt, 2)."""
-    grads = u.element_gradients()
-    return np.asarray(hamiltonian.grad_p(space.mesh.barycenters, grads), dtype=float)
+def grad_p_field(hamiltonian, u):
+    """Element-wise drift dH/dp(grad u|_K), shape (nt, 2)."""
+    return np.asarray(hamiltonian.grad_p(u.element_gradients()), dtype=float)
 
 
 def hamiltonian_load(space, hamiltonian, u):
     """Load vector of H[grad u] against the nodal basis, exact by the area/3
     rule because H[grad u] is constant per triangle."""
-    hvals = hamiltonian.value(space.mesh.barycenters, u.element_gradients())
-    return element_constant_load(space, hvals)
+    return element_constant_load(space, hamiltonian.value(u.element_gradients()))
 
 
 def element_constant_load(space, values):
@@ -210,9 +210,10 @@ class DiscreteSystem:
     """The discrete MFG system of one (space, problem, tensor).
 
     Holds what does not change during a solve -- the diffusion matrix
-    K = nu I + D, the mass matrix M, the offset load <f0, xi_i> and the source
-    load <G, xi_i> -- and evaluates what does: the drift B(u), the coupling
-    load <F[m], xi_i> and both residuals.  ``linearize`` caches the latest
+    K = nu I + D, the mass matrix M, the offset load <f0, xi_i>, the source
+    load <G, xi_i> and, from its first use, the LU ``gram`` of the H1 Gram
+    matrix -- and evaluates what does: the drift B(u), the coupling load
+    <F[m], xi_i> and both residuals.  ``linearize`` caches the latest
     linearization K + B(u) and keeps in ``drift_excess`` the largest excess of
     a drift over L_H since it was last reset.  ``solve`` holds one
     ``Multigrid`` hierarchy, that of the last linearization it had to rebuild
@@ -233,6 +234,12 @@ class DiscreteSystem:
         self.krylov_iters = 0
         self.drift_excess = 0.0
 
+    @cached_property
+    def gram(self):
+        """LU of the H1 Gram matrix M + unit stiffness, which measures the dual
+        norms of the residuals; built on first use."""
+        return factorize(self.M + assemble_diffusion(self.space, 1.0))
+
     def linearize(self, u):
         """``(B, L)``: the drift matrix B(u) of the field dH/dp[grad u] and the
         HJB linearization L = K + B(u).
@@ -243,7 +250,7 @@ class DiscreteSystem:
         if (self._linearization is None
                 or not np.array_equal(self._linearization[0], u.coeffs)):
             hspec = self.problem.hamiltonian
-            drift = grad_p_field(self.space, hspec, u)
+            drift = grad_p_field(hspec, u)
             self.drift_excess = max(self.drift_excess, drift_excess(drift, hspec.L_H))
             B = assemble_hjb_drift(self.space, drift)
             self._linearization = (u.coeffs.copy(), B, self.K + B)

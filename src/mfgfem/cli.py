@@ -82,11 +82,17 @@ def _parse_bool(text):
 MAX_LEVEL = 14
 
 
-def _parse_level(text):
-    level = int(text)
-    if not 0 <= level <= MAX_LEVEL:
-        raise ConfigurationError(f"mesh level {level} outside 0..{MAX_LEVEL}")
-    return level
+def _int_in(lo, hi=math.inf):
+    """Parser of an integer in lo..hi."""
+    def parse(text):
+        value = int(text)
+        if not lo <= value <= hi:
+            raise ConfigurationError(f"{value} outside {lo}..{hi}")
+        return value
+    return parse
+
+
+_parse_level = _int_in(0, MAX_LEVEL)
 
 
 def _parse_levels(text):
@@ -146,10 +152,10 @@ _KEYS = {
     "solver.max_newton": ("max_newton", int),
     "reference_offset": ("reference_offset", int),
     "output.dir": ("output_dir", str),
-    "seed": ("seed", int),
-    "verify.trials": ("verify_trials", int),
-    "verify.pairs": ("verify_pairs", int),
-    "verify.gradient_samples": ("verify_gradient_samples", int),
+    "seed": ("seed", _int_in(0)),
+    "verify.trials": ("verify_trials", _int_in(1)),
+    "verify.pairs": ("verify_pairs", _int_in(1)),
+    "verify.gradient_samples": ("verify_gradient_samples", _int_in(1)),
 }
 
 

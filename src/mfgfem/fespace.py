@@ -72,13 +72,6 @@ class P1Space:
     def zero_function(self):
         return P1Function(self, np.zeros(self.ndof))
 
-    def function_from_nodal(self, full_values):
-        """Restrict a full per-vertex vector to interior dofs."""
-        full_values = np.asarray(full_values, dtype=float)
-        if full_values.shape != (self.mesh.num_vertices,):
-            raise ConfigurationError("nodal vector has wrong length")
-        return P1Function(self, full_values[self.vertex_of_dof].copy())
-
     def __repr__(self):
         return f"P1Space(ndof={self.ndof}, mesh={self.mesh!r})"
 

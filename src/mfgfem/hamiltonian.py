@@ -1,11 +1,10 @@
-"""Control-set Hamiltonians H(x, p) = sup_a (b(x,a).p - f(x,a)) and the
-constants that the discretization needs from them: the Lipschitz/drift bound
-L_H, the growth constant C_H, and the Lipschitz constant L_Hp of dH/dp.
+"""Control-set Hamiltonians H(p) = sup_a (b_a.p - f_a) and the constants that
+the discretization needs from them: the Lipschitz/drift bound L_H, the growth
+constant C_H, and the Lipschitz constant L_Hp of dH/dp.
 
-Both instances are x-independent; their callables still take the spatial
-argument, as the assembly passes element barycentres.  Callables are
-vectorized: x has shape (..., 2), p has shape (..., 2), values have shape
-(...).
+Both instances are x-independent, so H[grad u] of a P1 function u is constant
+per triangle and the assembly integrates it exactly.  Callables are
+vectorized: p has shape (..., 2), values have shape (...).
 """
 
 from __future__ import annotations
@@ -20,13 +19,20 @@ from scipy.special import logsumexp, softmax
 from . import assembly
 from .errors import ConfigurationError
 from .fespace import P1Function
-from .solver import Gram, riesz_dual_norm
+from .solver import riesz_dual_norm
+
+# central finite-difference step and the standard deviation of the sampled p
+# in ``check_gradient``
+FD_STEP = 1e-6
+P_SCALE = 3.0
+# exponent of the two-dimensional semismooth bound in ``check_semismooth_bound``
+SEMISMOOTH_GAMMA = 1.0 / 9.0
 
 
 @dataclass(frozen=True)
 class HamiltonianSpec:
-    value: Callable      # (x, p) -> H(x, p)
-    grad_p: Callable     # (x, p) -> dH/dp(x, p), shape (..., 2)
+    value: Callable      # p -> H(p)
+    grad_p: Callable     # p -> dH/dp(p), shape (..., 2)
     L_H: float           # Lipschitz constant in p; also the drift bound
     C_H: float           # growth constant: |H| <= C_H (|p| + 1)
     L_Hp: float          # Lipschitz constant of dH/dp in p
@@ -39,12 +45,12 @@ def huber_ball(R):
     if R <= 0:
         raise ConfigurationError("R must be positive")
 
-    def value(x, p):
+    def value(p):
         p = np.asarray(p, dtype=float)
         r = np.linalg.norm(p, axis=-1)
         return np.where(r <= R, 0.5 * r ** 2, R * r - 0.5 * R ** 2)
 
-    def grad_p(x, p):
+    def grad_p(p):
         p = np.asarray(p, dtype=float)
         r = np.linalg.norm(p, axis=-1)
         scale = np.where(r <= R, 1.0, R / np.maximum(r, np.finfo(float).tiny))
@@ -78,11 +84,11 @@ def finite_control(drifts, costs, smoothing=0.0):
 
     if eps == 0.0:
 
-        def value(x, p):
+        def value(p):
             scores = np.asarray(p, dtype=float) @ B.T - f
             return scores.max(axis=-1)
 
-        def grad_p(x, p):
+        def grad_p(p):
             scores = np.asarray(p, dtype=float) @ B.T - f
             best = scores.argmax(axis=-1)  # argmax keeps the lowest index on ties
             return B[best]
@@ -91,11 +97,11 @@ def finite_control(drifts, costs, smoothing=0.0):
                                C_H=float(max(bmax, np.abs(f).max())),
                                L_Hp=math.inf, smooth=False)
 
-    def value(x, p):
+    def value(p):
         scores = (np.asarray(p, dtype=float) @ B.T - f) / eps
         return eps * logsumexp(scores, axis=-1)
 
-    def grad_p(x, p):
+    def grad_p(p):
         scores = (np.asarray(p, dtype=float) @ B.T - f) / eps
         return softmax(scores, axis=-1) @ B
 
@@ -104,41 +110,39 @@ def finite_control(drifts, costs, smoothing=0.0):
                            L_Hp=2.0 * bmax ** 2 / eps, smooth=True)
 
 
-def check_gradient(spec, samples=1000, seed=0, step=1e-6, p_scale=3.0):
-    """Central finite-difference validation of grad_p on random (x, p) samples.
+def check_gradient(spec, samples=1000, seed=0):
+    """Central finite-difference validation of grad_p on random p samples.
 
     Returns the maximum relative discrepancy |fd - grad| / max(1, |grad|).
     """
     if not spec.smooth:
         raise ConfigurationError("gradient check requires a smooth Hamiltonian")
     rng = np.random.default_rng(seed)
-    x = rng.uniform(0.0, 1.0, size=(samples, 2))
-    p = p_scale * rng.standard_normal((samples, 2))
-    grad = np.asarray(spec.grad_p(x, p), dtype=float)
+    p = P_SCALE * rng.standard_normal((samples, 2))
+    grad = np.asarray(spec.grad_p(p), dtype=float)
     fd = np.empty_like(grad)
     for comp in range(2):
         dp = np.zeros(2)
-        dp[comp] = step
-        fd[:, comp] = (spec.value(x, p + dp) - spec.value(x, p - dp)) / (2.0 * step)
+        dp[comp] = FD_STEP
+        fd[:, comp] = (spec.value(p + dp) - spec.value(p - dp)) / (2.0 * FD_STEP)
     err = np.linalg.norm(fd - grad, axis=1)
     scale = np.maximum(1.0, np.linalg.norm(grad, axis=1))
     return float((err / scale).max())
 
 
-def linearization_remainder(spec, space, v, w):
+def linearization_remainder(spec, v, w):
     """Element-wise remainder H[grad v] - H[grad w] - dH/dp[grad w].grad(v - w),
     constant per triangle; nonnegative by convexity."""
-    x = space.mesh.barycenters
     gv = v.element_gradients()
     gw = w.element_gradients()
-    return (np.asarray(spec.value(x, gv), dtype=float)
-            - np.asarray(spec.value(x, gw), dtype=float)
-            - np.einsum("td,td->t", np.asarray(spec.grad_p(x, gw), dtype=float), gv - gw))
+    return (np.asarray(spec.value(gv), dtype=float)
+            - np.asarray(spec.value(gw), dtype=float)
+            - np.einsum("td,td->t", np.asarray(spec.grad_p(gw), dtype=float), gv - gw))
 
 
-def check_semismooth_bound(spec, space, pairs=20, seed=0, gamma=1.0 / 9.0):
+def check_semismooth_bound(spec, space, pairs=20, seed=0):
     """Worst observed ratio ||remainder||_{V*} / ||v - w||_{H1}^{1+gamma} over
-    random P1 pairs; the two-dimensional exponent is gamma = 1/9.
+    random P1 pairs, with the two-dimensional exponent gamma = SEMISMOOTH_GAMMA.
 
     The constant multiplying ||v - w||^{1+gamma} in the bound is existential,
     so callers assert boundedness/stability of this ratio, not a value.
@@ -146,18 +150,19 @@ def check_semismooth_bound(spec, space, pairs=20, seed=0, gamma=1.0 / 9.0):
     if not spec.smooth:
         raise ConfigurationError("semismooth bound check requires a smooth Hamiltonian")
     rng = np.random.default_rng(seed)
-    gram = Gram(space)
+    gram = assembly.assemble_h1_gram(space)
+    gram_lu = assembly.factorize(gram)
     worst = 0.0
     for k in range(pairs):
         scale = 10.0 ** rng.uniform(-2.0, 0.5)
         v = P1Function(space, scale * rng.standard_normal(space.ndof))
         w = P1Function(space, scale * rng.standard_normal(space.ndof))
         diff = v.coeffs - w.coeffs
-        h1 = gram.h1_norm(diff)
+        h1 = math.sqrt(max(float(diff @ (gram @ diff)), 0.0))
         if h1 == 0.0:
             continue
-        remainder = linearization_remainder(spec, space, v, w)
+        remainder = linearization_remainder(spec, v, w)
         load = assembly.element_constant_load(space, remainder)
-        ratio = riesz_dual_norm(gram, load) / h1 ** (1.0 + gamma)
+        ratio = riesz_dual_norm(gram_lu, load) / h1 ** (1.0 + SEMISMOOTH_GAMMA)
         worst = max(worst, ratio)
     return worst

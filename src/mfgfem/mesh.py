@@ -66,12 +66,14 @@ class Mesh2D:
         if triangles.size and (triangles.min() < 0 or triangles.max() >= nv):
             raise GeometryError("triangle vertex index out of range")
 
-        # orient counterclockwise; reject degenerate triangles
+        # orient counterclockwise; reject degenerate triangles by the ratio of
+        # area to squared longest edge, which red refinement leaves unchanged
         p = vertices[triangles]
         signed = 0.5 * _cross2(p[:, 1] - p[:, 0], p[:, 2] - p[:, 0])
-        if np.any(np.abs(signed) <= GEOM_TOL * np.maximum(1.0, np.abs(signed).max(initial=1.0))):
-            bad = int(np.argmin(np.abs(signed)))
-            raise GeometryError(f"triangle {bad} has (near-)zero area")
+        sides = p - p[:, [2, 0, 1]]
+        thin = np.abs(signed) <= GEOM_TOL * (sides ** 2).sum(axis=2).max(axis=1, initial=0.0)
+        if np.any(thin):
+            raise GeometryError(f"triangle {int(np.argmax(thin))} has (near-)zero area")
         flip = signed < 0
         if np.any(flip):
             triangles = triangles.copy()
@@ -307,7 +309,7 @@ def _cotangents(mesh):
     return cots
 
 
-def check_xz(mesh, tol=GEOM_TOL):
+def check_xz(mesh):
     """Check the XZ condition: for every edge shared by two triangles, the sum
     of cotangents of the two opposite angles must be nonnegative (equivalently
     the two opposite angles sum to at most pi).
@@ -322,7 +324,7 @@ def check_xz(mesh, tol=GEOM_TOL):
     if not shared.any():
         return True, XZ_VACUOUS
     worst = float(sums[shared].min())
-    return worst >= -tol, worst
+    return worst >= -GEOM_TOL, worst
 
 
 def check_acute(mesh):
@@ -335,8 +337,8 @@ def check_acute(mesh):
     return max(theta, 0.0)
 
 
-def quality_report(mesh, tol=GEOM_TOL):
-    ok, worst = check_xz(mesh, tol=tol)
+def quality_report(mesh):
+    ok, worst = check_xz(mesh)
     return MeshQualityReport(
         h_max=mesh.h_max,
         shape_regularity=mesh.shape_regularity,

@@ -226,14 +226,12 @@ def make_manufactured(nu, hamiltonian, c_F, domain="xz_square", certify_level=6)
         RHOMBUS_TRANSFORM if domain == "acute_rhombus" else None)
 
     def f0(x, y):
-        xy = np.stack(np.broadcast_arrays(x, y), axis=-1)
         return (-nu * sine.laplacian(x, y)
-                + hamiltonian.value(xy, sine.grad(x, y))
+                + hamiltonian.value(sine.grad(x, y))
                 - c_F * sine.value(x, y))
 
     def g_tilde(x, y):
-        xy = np.stack(np.broadcast_arrays(x, y), axis=-1)
-        drift = hamiltonian.grad_p(xy, sine.grad(x, y))
+        drift = hamiltonian.grad_p(sine.grad(x, y))
         return nu * sine.grad(x, y) + sine.value(x, y)[..., None] * drift
 
     source = SourceG(g0=None, g_tilde=g_tilde, nonneg_certified=False)
@@ -286,8 +284,7 @@ def make_rough_density_problem(nu=1.0, hamiltonian=None, c_F=1.0, jump_x=1.0 / 3
     jump = float(jump_x)
 
     def f0(x, y):
-        xy = np.stack(np.broadcast_arrays(x, y), axis=-1)
-        return -nu * u_rich.laplacian(x, y) + hamiltonian.value(xy, u_rich.grad(x, y))
+        return -nu * u_rich.laplacian(x, y) + hamiltonian.value(u_rich.grad(x, y))
 
     def g_tilde(x, y):
         left = np.where(np.asarray(x) < jump, 1.0, 0.0)
@@ -311,8 +308,7 @@ def make_zero_problem(nu=1.0, hamiltonian=None, c_F=1.0, domain="xz_square"):
         hamiltonian = huber_ball(1.0)
 
     def f0(x, y):
-        xy = np.stack(np.broadcast_arrays(x, y), axis=-1)
-        return hamiltonian.value(xy, np.zeros(xy.shape))
+        return hamiltonian.value(np.zeros(np.broadcast(x, y).shape + (2,)))
 
     source = SourceG(g0=None, g_tilde=None, nonneg_certified=True)
     return MFGProblem(nu=float(nu), hamiltonian=hamiltonian,

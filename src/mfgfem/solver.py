@@ -8,9 +8,10 @@ a space of at most ``assembly.COARSE_DOFS`` dofs is one LU.
 
 Convergence is declared on the dual norms of the two discrete residual
 operators (the quantities the stability theory controls), computed exactly via
-the H1 Gram matrix: ||r||_{V*} = sqrt(r^T Gram^-1 r).  The returned density is
-always a KFP solve, never a mixed iterate, so it obeys the discrete maximum
-principle whenever the scheme does.
+the H1 Gram matrix: ||r||_{V*} = sqrt(r^T Gram^-1 r), with the Gram LU that
+the one ``DiscreteSystem`` of a solve owns.  The returned density is always a
+KFP solve, never a mixed iterate, so it obeys the discrete maximum principle
+whenever the scheme does.
 """
 
 from __future__ import annotations
@@ -59,7 +60,8 @@ class DiscreteSolution:
 
 
 def riesz_dual_norm(gram, r):
-    """Discrete V* norm sqrt(r^T Gram^-1 r) of the functional with load r."""
+    """Discrete V* norm sqrt(r^T Gram^-1 r) of the functional with load r;
+    ``gram`` is a factorization of the Gram matrix."""
     r = np.asarray(r, dtype=float)
     if r.shape[0] == 0:
         return 0.0
@@ -67,23 +69,6 @@ def riesz_dual_norm(gram, r):
     if val < -1e-12 * max(1.0, float(r @ r)):
         raise SolverError("Gram matrix is not positive definite")
     return math.sqrt(max(val, 0.0))
-
-
-class Gram:
-    """H1 Gram matrix of a space with its factorization."""
-
-    def __init__(self, space):
-        self.matrix = assembly.assemble_h1_gram(space)
-        self._lu = assembly.factorize(self.matrix)
-
-    def solve(self, r):
-        return self._lu.solve(r)
-
-    def dual_norm(self, r):
-        return riesz_dual_norm(self, r)
-
-    def h1_norm(self, coeffs):
-        return math.sqrt(max(float(coeffs @ (self.matrix @ coeffs)), 0.0))
 
 
 def _newton_proposal(system, m, u):
@@ -96,9 +81,9 @@ def _newton_proposal(system, m, u):
     return system.solve(fn, rhs, x0=u)
 
 
-def solve_hjb(system, gram, m_fixed, cfg=None, u0=None):
+def solve_hjb(system, m_fixed, cfg=None, u0=None):
     """Semismooth Newton for the HJB equation of ``system`` at a frozen density,
-    with residual dual norms measured by ``gram``.
+    with residual dual norms measured by ``system.gram``.
 
     Each step freezes the drift dH/dp[grad u^n] and solves the resulting member
     of the advection class; the step is damped by halving whenever the residual
@@ -112,7 +97,8 @@ def solve_hjb(system, gram, m_fixed, cfg=None, u0=None):
     u = np.zeros(space.ndof) if u0 is None else np.asarray(u0.coeffs, dtype=float).copy()
 
     def residual_norm(vec):
-        return gram.dual_norm(system.hjb_residual(P1Function(space, vec), m_fixed))
+        r = system.hjb_residual(P1Function(space, vec), m_fixed)
+        return riesz_dual_norm(system.gram, r)
 
     halvings = 0
     res_norm = residual_norm(u)
@@ -155,7 +141,7 @@ def solve_m_k_plus(space, problem, tensor):
         raise ConfigurationError("problem carries no exact solution")
     bary = space.mesh.barycenters
     grads = problem.exact.u.grad(bary[:, 0], bary[:, 1])
-    drift = np.asarray(problem.hamiltonian.grad_p(bary, grads), dtype=float)
+    drift = np.asarray(problem.hamiltonian.grad_p(grads), dtype=float)
     L = (assembly.assemble_diffusion(space, problem.nu, tensor)
          + assembly.assemble_hjb_drift(space, drift, drift_bound=problem.hamiltonian.L_H))
     load = problem.source.load_vector(space)
@@ -207,7 +193,6 @@ def solve_mfg(space, problem, tensor, cfg=None):
     if space.ndof == 0:
         raise ConfigurationError("the mesh has no interior vertex: nothing to solve")
     system = assembly.DiscreteSystem(space, problem, tensor)
-    gram = Gram(space)
     pairs = deque(maxlen=ANDERSON_DEPTH)   # (dm, df) of consecutive accepted sweeps
     history = []
     newton_total = 0
@@ -219,16 +204,15 @@ def solve_mfg(space, problem, tensor, cfg=None):
     counted = (0, 0)   # factorizations and GMRES iterations before this sweep
     for outer in range(1, cfg.max_outer + 1):
         try:
-            u, newton_iters, halvings = solve_hjb(system, gram, P1Function(space, m), cfg,
-                                                  u0=u_acc)
+            u, newton_iters, halvings = solve_hjb(system, P1Function(space, m), cfg, u0=u_acc)
         except NonConvergenceError as exc:
             exc.history = history
             raise
         newton_total += newton_iters
         g = solve_kfp(system, u)
 
-        d1 = gram.dual_norm(system.hjb_residual(u, g))
-        d2 = gram.dual_norm(system.kfp_residual(u, g))
+        d1 = riesz_dual_norm(system.gram, system.hjb_residual(u, g))
+        d2 = riesz_dual_norm(system.gram, system.kfp_residual(u, g))
         peak = max(d1, d2)
         rejected = step == "anderson" and peak > peak_acc * (1.0 + 1e-10)
         history.append({"outer": outer, "residual1_dual": d1, "residual2_dual": d2,

@@ -149,14 +149,13 @@ def random_disk_drift(mesh, L_H, rng):
     return np.column_stack([radius * np.cos(angle), radius * np.sin(angle)])
 
 
-def verify_h2_dmp(space, nu, tensor, L_H=None, drift=None, trials=200, seed=0,
-                  tol=DMP_TOL):
+def verify_h2_dmp(space, nu, tensor, L_H=None, drift=None, trials=200, seed=0):
     """Sample the discrete maximum principle over the advection class.
 
     For each trial, assemble L = diffusion(nu, D) + drift advection (the drift
     either fixed, or freshly drawn from the disk of radius L_H), solve
     L v = b and L^T v = b for a random nonnegative load b, and require
-    v >= tol nodally in both cases.  Returns True iff every trial passes.
+    v >= DMP_TOL nodally in both cases.  Returns True iff every trial passes.
     A singular L, which the uniform invertibility assumption excludes, raises
     SolverError.
     """
@@ -164,13 +163,13 @@ def verify_h2_dmp(space, nu, tensor, L_H=None, drift=None, trials=200, seed=0,
         raise ConfigurationError("provide either a fixed drift field or L_H")
     rng = np.random.default_rng(seed)
     K = assembly.assemble_diffusion(space, nu, tensor)
-    for _ in range(max(int(trials), 1)):
+    for _ in range(trials):
         b_field = drift if drift is not None else random_disk_drift(space.mesh, L_H, rng)
         L = K + assembly.assemble_hjb_drift(space, b_field, drift_bound=L_H)
         lu = assembly.factorize(L)
         load = rng.uniform(0.0, 1.0, size=space.ndof)
-        if assembly.checked(L, lu.solve(load), load).min(initial=0.0) < tol:
+        if assembly.checked(L, lu.solve(load), load).min(initial=0.0) < DMP_TOL:
             return False
-        if assembly.checked(L.T, lu.solve(load, trans="T"), load).min(initial=0.0) < tol:
+        if assembly.checked(L.T, lu.solve(load, trans="T"), load).min(initial=0.0) < DMP_TOL:
             return False
     return True

@@ -116,7 +116,7 @@ class TestInjection:
             pairs = refined.midpoint_parents
             values = np.concatenate([values, 0.5 * (values[pairs[:, 0]] + values[pairs[:, 1]])])
         assert np.array_equal(inject_to_descendant(fn, fine).coeffs,
-                              fine.function_from_nodal(values).coeffs)
+                              values[fine.vertex_of_dof])
         assert np.array_equal(fine.prolongation @ inject_to_descendant(fn, spaces[4]).coeffs,
                               inject_to_descendant(fn, fine).coeffs)
 

@@ -4,9 +4,8 @@ import scipy.linalg
 
 import mfgfem as mf
 from mfgfem import assembly
-from mfgfem.fespace import quadrature, quadrature_points_xy
+from mfgfem.fespace import quadrature
 from mfgfem.problem import scalar_load
-from mfgfem.solver import Gram
 from mfgfem.stabilization import StabilizationTensor
 
 from conftest import kfp_drift_oracle
@@ -142,7 +141,7 @@ class TestMassAndGram:
         assert float(fn.coeffs @ (M @ fn.coeffs)) == pytest.approx(quad, rel=1e-12)
 
     def test_gram_spd(self, square_spaces):
-        G = Gram(square_spaces[2]).matrix.toarray()
+        G = assembly.assemble_h1_gram(square_spaces[2]).toarray()
         eigs = scipy.linalg.eigvalsh(G)
         assert eigs.min() > 0
 
@@ -184,16 +183,15 @@ class TestLoadsAndResiduals:
 
     def test_hamiltonian_load_matches_quadrature(self, square_spaces):
         # H[grad u] is constant per triangle for x-independent H, so degree-2
-        # quadrature of H[grad u] xi_i at the physical points is exact
+        # quadrature of H[grad u] xi_i is exact
         space = square_spaces[2]
         ham = mf.huber_ball(1.0)
         rng = np.random.default_rng(6)
         u = mf.P1Function(space, rng.standard_normal(space.ndof))
         load = assembly.hamiltonian_load(space, ham, u)
         rule = quadrature(2)
-        xq = quadrature_points_xy(space.mesh, rule)                 # (nt, nq, 2)
-        grads = np.broadcast_to(u.element_gradients()[:, None, :], xq.shape)
-        hq = ham.value(xq, grads)                                   # (nt, nq)
+        grads = np.repeat(u.element_gradients()[:, None, :], len(rule.weights), axis=1)
+        hq = ham.value(grads)                                       # (nt, nq)
         expected = np.zeros(space.ndof)
         for t, dofs in enumerate(space.elem_dofs):
             for i, dof in enumerate(dofs):

@@ -2,7 +2,7 @@ import json
 import math
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import mfgfem as mf
@@ -41,6 +41,14 @@ BAD_CONFIGS = {
     "nan_drift": b"hamiltonian.kind = finite\nhamiltonian.epsilon = 0.1\nhamiltonian.drifts = 1 0; nan 0\n",
     "inf_cost": b"hamiltonian.kind = finite\nhamiltonian.epsilon = 0.1\nhamiltonian.costs = 0 -inf\n",
     "nan_tol_outer": b"solver.tol_outer = nan\n",
+    # counts below 1 and negative seeds that once ended in a traceback (exit 1)
+    # or ran a clamped or vacuous check (exit 0)
+    "zero_gradient_samples": b"verify.gradient_samples = 0\n",
+    "negative_gradient_samples": b"verify.gradient_samples = -3\n",
+    "negative_seed": b"seed = -1\n",
+    "zero_trials": b"verify.trials = 0\n",
+    "negative_trials": b"verify.trials = -5\n",
+    "zero_pairs": b"verify.pairs = 0\n",
 }
 
 
@@ -233,6 +241,10 @@ class TestCheckMesh:
               suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(text=odd_meshes(), level=st.integers(0, 1),
            kind=st.sampled_from(["manufactured", "g_one"]))
+    # a triangle that read, with area above 1e-12, and whose red children did not
+    @example(text=_mesh_text([(0.0, 0.0), (1.0, 1.4001795630621356e-12),
+                              (-1.0, 1.4001795630621356e-12)], [(0, 1, 2)]),
+             level=1, kind="manufactured")
     def test_odd_mesh_check_and_solve_exit_cleanly(self, tmp_path, capsys, text, level,
                                                    kind):
         # a mesh that reads may still be degenerate, violate the XZ condition

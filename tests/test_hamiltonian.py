@@ -11,24 +11,22 @@ from mfgfem import assembly
 from mfgfem.errors import ConfigurationError
 from mfgfem.hamiltonian import check_gradient, check_semismooth_bound, linearization_remainder
 
-X0 = np.zeros(2)
-
 
 class TestHuberBall:
     def test_quadratic_branch(self):
         spec = mf.huber_ball(1.0)
-        assert spec.value(X0, [0.5, 0.0]) == pytest.approx(0.125)
-        assert np.allclose(spec.grad_p(X0, [0.5, 0.0]), [0.5, 0.0])
+        assert spec.value([0.5, 0.0]) == pytest.approx(0.125)
+        assert np.allclose(spec.grad_p([0.5, 0.0]), [0.5, 0.0])
 
     def test_linear_branch(self):
         spec = mf.huber_ball(1.0)
-        assert spec.value(X0, [2.0, 0.0]) == pytest.approx(1.5)
-        assert np.allclose(spec.grad_p(X0, [2.0, 0.0]), [1.0, 0.0])
+        assert spec.value([2.0, 0.0]) == pytest.approx(1.5)
+        assert np.allclose(spec.grad_p([2.0, 0.0]), [1.0, 0.0])
 
     def test_branches_match_at_radius(self):
         spec = mf.huber_ball(1.0)
-        assert spec.value(X0, [1.0, 0.0]) == pytest.approx(0.5)
-        assert np.allclose(spec.grad_p(X0, [1.0, 0.0]), [1.0, 0.0])
+        assert spec.value([1.0, 0.0]) == pytest.approx(0.5)
+        assert np.allclose(spec.grad_p([1.0, 0.0]), [1.0, 0.0])
 
     def test_constants(self):
         spec = mf.huber_ball(3.0)
@@ -39,7 +37,7 @@ class TestHuberBall:
 
     def test_gradient_at_origin(self):
         spec = mf.huber_ball(1.0)
-        assert np.allclose(spec.grad_p(X0, [0.0, 0.0]), [0.0, 0.0])
+        assert np.allclose(spec.grad_p([0.0, 0.0]), [0.0, 0.0])
 
     @settings(max_examples=200, deadline=None)
     @given(px=st.floats(-10, 10), py=st.floats(-10, 10),
@@ -49,9 +47,9 @@ class TestHuberBall:
         spec = mf.huber_ball(R)
         p = np.array([px, py])
         q = np.array([qx, qy])
-        mid = spec.value(X0, 0.5 * (p + q))
-        assert mid <= 0.5 * (spec.value(X0, p) + spec.value(X0, q)) + 1e-12
-        assert abs(spec.value(X0, p) - spec.value(X0, q)) <= \
+        mid = spec.value(0.5 * (p + q))
+        assert mid <= 0.5 * (spec.value(p) + spec.value(q)) + 1e-12
+        assert abs(spec.value(p) - spec.value(q)) <= \
             spec.L_H * np.linalg.norm(p - q) + 1e-12
 
     def test_legendre_identity_on_quadratic_branch(self):
@@ -59,8 +57,8 @@ class TestHuberBall:
         spec = mf.huber_ball(2.0)
         rng = np.random.default_rng(0)
         p = rng.uniform(-1.2, 1.2, size=(500, 2))  # |p| < 2
-        g = spec.grad_p(np.zeros_like(p), p)
-        residual = spec.value(np.zeros_like(p), p) - np.einsum("sd,sd->s", p, g) \
+        g = spec.grad_p(p)
+        residual = spec.value(p) - np.einsum("sd,sd->s", p, g) \
             + 0.5 * np.einsum("sd,sd->s", g, g)
         assert np.abs(residual).max() < 1e-12
 
@@ -69,19 +67,19 @@ class TestFiniteControl:
     def test_two_sided_max_is_absolute_value(self):
         spec = mf.finite_control([(1, 0), (-1, 0)], [0.0, 0.0])
         p = np.array([[0.7, 0.3], [-0.2, 1.0], [0.0, 0.0]])
-        assert np.allclose(spec.value(np.zeros_like(p), p), np.abs(p[:, 0]))
+        assert np.allclose(spec.value(p), np.abs(p[:, 0]))
 
     def test_tie_break_lowest_index(self):
         spec = mf.finite_control([(1, 0), (-1, 0)], [0.0, 0.0])
-        grad = spec.grad_p(X0, [0.0, 0.0])
+        grad = spec.grad_p([0.0, 0.0])
         assert np.allclose(grad, [1.0, 0.0])
 
     def test_single_control_exact_for_any_smoothing(self):
         for eps in (0.0, 0.1, 1.0):
             spec = mf.finite_control([(0.3, -0.4)], [0.25], smoothing=eps)
             p = np.array([1.0, 2.0])
-            assert spec.value(X0, p) == pytest.approx(0.3 - 0.8 - 0.25, abs=1e-14)
-            assert np.allclose(spec.grad_p(X0, p), [0.3, -0.4], atol=1e-14)
+            assert spec.value(p) == pytest.approx(0.3 - 0.8 - 0.25, abs=1e-14)
+            assert np.allclose(spec.grad_p(p), [0.3, -0.4], atol=1e-14)
 
     def test_nonsmooth_flagging(self):
         spec = mf.finite_control([(1, 0), (-1, 0)], [0.0, 0.0])
@@ -105,10 +103,25 @@ class TestFiniteControl:
         assert spec.L_H == 3e-163
         space = square_spaces[3]
         u = mf.P1Function(space, np.random.default_rng(7).standard_normal(space.ndof))
-        drift = spec.grad_p(space.mesh.barycenters, u.element_gradients())
+        drift = spec.grad_p(u.element_gradients())
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             assembly.assemble_hjb_drift(space, drift, drift_bound=spec.L_H)
+
+
+@pytest.mark.parametrize("spec", [
+    mf.huber_ball(1.0),
+    mf.finite_control([(1, 0), (0, -1)], [0.0, 0.3]),
+    mf.finite_control([(1, 0), (0, -1)], [0.0, 0.3], smoothing=0.1),
+], ids=["huber", "max", "lse"])
+def test_callables_take_the_gradient_alone(spec):
+    # H(p) and dH/dp(p) of one (..., 2) array, element by element
+    p = np.random.default_rng(4).standard_normal((4, 3, 2))
+    values, grads = spec.value(p), spec.grad_p(p)
+    assert values.shape == (4, 3)
+    assert grads.shape == (4, 3, 2)
+    assert values[1, 2] == pytest.approx(spec.value(p[1, 2]), rel=1e-15)
+    assert np.allclose(grads[1, 2], spec.grad_p(p[1, 2]), rtol=1e-15, atol=0.0)
 
 
 class TestInvariantSamples:
@@ -119,18 +132,17 @@ class TestInvariantSamples:
     ], ids=["huber", "lse"])
     def test_bulk_invariants(self, spec):
         rng = np.random.default_rng(11)
-        x = rng.uniform(0, 1, (10_000, 2))
         p = 3.0 * rng.standard_normal((10_000, 2))
         q = 3.0 * rng.standard_normal((10_000, 2))
-        mid = spec.value(x, 0.5 * (p + q))
-        assert np.all(mid <= 0.5 * (spec.value(x, p) + spec.value(x, q)) + 1e-12)
-        g = spec.grad_p(x, p)
+        mid = spec.value(0.5 * (p + q))
+        assert np.all(mid <= 0.5 * (spec.value(p) + spec.value(q)) + 1e-12)
+        g = spec.grad_p(p)
         assert np.linalg.norm(g, axis=1).max() <= spec.L_H + 1e-12
-        gq = spec.grad_p(x, q)
+        gq = spec.grad_p(q)
         dist = np.linalg.norm(p - q, axis=1)
         ratio = np.linalg.norm(g - gq, axis=1) / np.maximum(dist, 1e-300)
         assert ratio.max() <= spec.L_Hp + 1e-6
-        growth = np.abs(spec.value(x, p)) / (np.linalg.norm(p, axis=1) + 1.0)
+        growth = np.abs(spec.value(p)) / (np.linalg.norm(p, axis=1) + 1.0)
         assert growth.max() <= spec.C_H + 1e-12
 
 
@@ -158,7 +170,7 @@ class TestSemismoothBound:
         space = square_spaces[3]
         rng = np.random.default_rng(1)
         v = mf.P1Function(space, rng.standard_normal(space.ndof))
-        r = linearization_remainder(mf.huber_ball(1.0), space, v, v)
+        r = linearization_remainder(mf.huber_ball(1.0), v, v)
         assert np.abs(r).max() == 0.0
 
     def test_remainder_zero_for_linear_hamiltonian(self, square_spaces):
@@ -167,7 +179,7 @@ class TestSemismoothBound:
         rng = np.random.default_rng(2)
         v = mf.P1Function(space, rng.standard_normal(space.ndof))
         w = mf.P1Function(space, rng.standard_normal(space.ndof))
-        r = linearization_remainder(spec, space, v, w)
+        r = linearization_remainder(spec, v, w)
         assert np.abs(r).max() < 1e-12
 
     def test_remainder_nonnegative_by_convexity(self, square_spaces):
@@ -177,7 +189,7 @@ class TestSemismoothBound:
         for _ in range(5):
             v = mf.P1Function(space, rng.standard_normal(space.ndof))
             w = mf.P1Function(space, rng.standard_normal(space.ndof))
-            assert linearization_remainder(spec, space, v, w).min() >= -1e-14
+            assert linearization_remainder(spec, v, w).min() >= -1e-14
 
     def test_ratio_stable_across_levels(self, square_spaces):
         spec = mf.huber_ball(1.0)

@@ -81,6 +81,14 @@ class TestValidation:
         with pytest.raises(GeometryError):
             mf.Mesh2D([(0, 0), (1, 0), (2, 0)], [(0, 1, 2)])
 
+    def test_thin_triangle_rejected_whatever_its_scale(self):
+        # area 1.4e-12 against squared longest edge 4: rejected, although its
+        # area exceeds 1e-12, because its red children would be rejected
+        with pytest.raises(GeometryError):
+            mf.Mesh2D([(0.0, 0.0), (1.0, 1.4e-12), (-1.0, 1.4e-12)], [(0, 1, 2)])
+        scaled = 1e-8 * np.array([(0.0, 0.0), (1.0, 0.0), (0.0, 1.0)])
+        assert mf.Mesh2D(scaled, [(0, 1, 2)]).areas[0] == pytest.approx(5e-17)
+
     def test_non_conforming_edge(self):
         vertices = [(0, 0), (1, 0), (0, 1), (0, -1), (1, 1)]
         triangles = [(0, 1, 2), (0, 3, 1), (0, 1, 4)]
@@ -193,6 +201,15 @@ class TestRefinement:
                                  (rhombus_hierarchy, 2.0 * math.sqrt(3.0))):
             for mesh in meshes[1:5]:
                 assert mesh.shape_regularity == pytest.approx(expected, rel=1e-12)
+
+    def test_thin_valid_triangle_refines_three_levels(self):
+        # the area of a level-3 child is 5e-11 / 64, below an absolute 1e-12,
+        # while its ratio to the squared longest edge stays that of the root
+        mesh = mf.Mesh2D([(0.0, 0.0), (1.0, 0.0), (0.5, 1e-10)], [(0, 1, 2)])
+        for _ in range(3):
+            mesh = mf.refine_red(mesh)
+        assert mesh.num_triangles == 64
+        assert mesh.areas.sum() == pytest.approx(5e-11, rel=1e-9)
 
     def test_area_preserved(self, rhombus_hierarchy):
         for mesh in rhombus_hierarchy[:5]:

@@ -12,7 +12,7 @@ from mfgfem.problem import (
     sine_product_field,
     source_load,
 )
-from mfgfem.solver import Gram
+from mfgfem.solver import riesz_dual_norm
 
 
 class TestExactFields:
@@ -99,12 +99,11 @@ class TestManufactured:
         norms1, norms2, hs = [], [], []
         for level in (3, 4, 5):
             space = square_spaces[level]
-            gram = Gram(space)
             system = assembly.DiscreteSystem(space, sine_problem, None)
             u_i = mf.interpolate(space, sine_problem.exact.u.value)
             m_i = mf.interpolate(space, sine_problem.exact.m.value)
-            norms1.append(gram.dual_norm(system.hjb_residual(u_i, m_i)))
-            norms2.append(gram.dual_norm(system.kfp_residual(u_i, m_i)))
+            norms1.append(riesz_dual_norm(system.gram, system.hjb_residual(u_i, m_i)))
+            norms2.append(riesz_dual_norm(system.gram, system.kfp_residual(u_i, m_i)))
             hs.append(space.mesh.h_max)
         for norms in (norms1, norms2):
             slope = np.polyfit(np.log(hs), np.log(norms), 1)[0]

@@ -14,7 +14,6 @@ from mfgfem.assembly import DiscreteSystem
 from mfgfem.errors import ConfigurationError, NonConvergenceError, SolverError
 from mfgfem.problem import scalar_load
 from mfgfem.solver import (
-    Gram,
     SolverConfig,
     riesz_dual_norm,
     solve_hjb,
@@ -88,14 +87,20 @@ class TestLinearSolve:
             system.solve(space.zero_function(), rhs)
 
 
+def _h1_gram(space):
+    """The H1 Gram matrix of a space and its LU."""
+    G = assembly.assemble_h1_gram(space)
+    return G, assembly.factorize(G)
+
+
 class TestRieszDualNorm:
     def test_zero(self, square_spaces):
-        gram = Gram(square_spaces[3])
+        _, gram = _h1_gram(square_spaces[3])
         assert riesz_dual_norm(gram, np.zeros(square_spaces[3].ndof)) == 0.0
 
     def test_homogeneity(self, square_spaces):
         space = square_spaces[3]
-        gram = Gram(space)
+        _, gram = _h1_gram(space)
         rng = np.random.default_rng(0)
         r = rng.standard_normal(space.ndof)
         assert riesz_dual_norm(gram, 2.0 * r) == pytest.approx(
@@ -103,24 +108,44 @@ class TestRieszDualNorm:
 
     def test_gram_column_closed_form(self, square_spaces):
         space = square_spaces[2]
-        gram = Gram(space)
-        r = np.asarray(gram.matrix @ np.eye(space.ndof)[0])
-        assert riesz_dual_norm(gram, r) == pytest.approx(
-            math.sqrt(gram.matrix[0, 0]), rel=1e-12)
+        G, gram = _h1_gram(space)
+        r = np.asarray(G @ np.eye(space.ndof)[0])
+        assert riesz_dual_norm(gram, r) == pytest.approx(math.sqrt(G[0, 0]), rel=1e-12)
 
     def test_matches_sup_definition(self, square_spaces):
         # dual norm = sup <r, phi> / ||phi||_H1; check against the maximizer
         # phi = Gram^-1 r and random competitors
         space = square_spaces[2]
-        gram = Gram(space)
+        G, gram = _h1_gram(space)
+
+        def h1_norm(phi):
+            return math.sqrt(float(phi @ (G @ phi)))
+
         rng = np.random.default_rng(1)
         r = rng.standard_normal(space.ndof)
         dual = riesz_dual_norm(gram, r)
         w = gram.solve(r)
-        assert float(r @ w) / gram.h1_norm(w) == pytest.approx(dual, rel=1e-12)
+        assert float(r @ w) / h1_norm(w) == pytest.approx(dual, rel=1e-12)
         for _ in range(20):
             phi = rng.standard_normal(space.ndof)
-            assert float(r @ phi) / gram.h1_norm(phi) <= dual * (1 + 1e-10)
+            assert float(r @ phi) / h1_norm(phi) <= dual * (1 + 1e-10)
+
+    def test_gram_lu_is_built_on_first_use(self, sine_problem, square_spaces, monkeypatch):
+        # a system that only evaluates residuals, as the one-call residual
+        # checks and the monotonicity sampling do, factorizes nothing
+        def no_splu(*args, **kwargs):
+            raise AssertionError("unexpected sparse LU")
+
+        monkeypatch.setattr(scipy.sparse.linalg, "splu", no_splu)
+        space = square_spaces[4]
+        u = mf.interpolate(space, sine_problem.exact.u.value)
+        m = mf.interpolate(space, sine_problem.exact.m.value)
+        system = DiscreteSystem(space, sine_problem, None)
+        system.hjb_residual(u, m)
+        system.kfp_residual(u, m)
+        assembly.assemble_hjb_nonlinear_residual(space, u, m, sine_problem, None)
+        assembly.assemble_kfp_residual(space, u, m, sine_problem, None)
+        assert "gram" not in vars(system)
 
 
 class TestHJB:
@@ -132,15 +157,13 @@ class TestHJB:
             coupling=mf.problem.local_linear_coupling(
                 1.0, offset=lambda x, y: np.sin(3 * x) * y),
             source=mf.SourceG(nonneg_certified=True))
-        u, iters, _ = solve_hjb(DiscreteSystem(space, problem, None), Gram(space),
-                                space.zero_function())
+        u, iters, _ = solve_hjb(DiscreteSystem(space, problem, None), space.zero_function())
         assert iters == 1
 
     def test_zero_fixed_point(self, square_spaces):
         space = square_spaces[3]
         problem = mf.make_zero_problem()
-        u, iters, _ = solve_hjb(DiscreteSystem(space, problem, None), Gram(space),
-                                space.zero_function())
+        u, iters, _ = solve_hjb(DiscreteSystem(space, problem, None), space.zero_function())
         assert np.all(u.coeffs == 0.0)
         assert iters == 0
 
@@ -150,8 +173,8 @@ class TestHJB:
             space = mf.P1Space(mesh)
             tensor = mf.build_xz_tensor(mesh, 1.0)
             m_i = mf.interpolate(space, sine_problem.exact.m.value)
-            u, iters, _ = solve_hjb(DiscreteSystem(space, sine_problem, tensor),
-                                    Gram(space), m_i, SolverConfig(tol_newton=1e-10))
+            u, iters, _ = solve_hjb(DiscreteSystem(space, sine_problem, tensor), m_i,
+                                    SolverConfig(tol_newton=1e-10))
             assert iters <= 8
 
     def test_rejects_nonsmooth(self, square_spaces):
@@ -160,21 +183,20 @@ class TestHJB:
                                 coupling=mf.problem.local_linear_coupling(1.0),
                                 source=mf.SourceG())
         space = square_spaces[2]
-        system, gram = DiscreteSystem(space, problem, None), Gram(space)
         with pytest.raises(ConfigurationError):
-            solve_hjb(system, gram, space.zero_function())
+            solve_hjb(DiscreteSystem(space, problem, None), space.zero_function())
 
     def test_line_search_floor_raises(self, sine_problem, square_spaces, monkeypatch):
         # a proposal that ascends keeps raising the residual down to step 2^-10
         space = square_spaces[3]
-        system, gram = DiscreteSystem(space, sine_problem, None), Gram(space)
+        system = DiscreteSystem(space, sine_problem, None)
         m = mf.interpolate(space, sine_problem.exact.m.value)
         newton = solver._newton_proposal
         monkeypatch.setattr(solver, "_newton_proposal",
                             lambda system, m, u: 2.0 * u - newton(system, m, u))
         with pytest.raises(NonConvergenceError) as err:
-            solve_hjb(system, gram, m)
-        start = gram.dual_norm(system.hjb_residual(space.zero_function(), m))
+            solve_hjb(system, m)
+        start = riesz_dual_norm(system.gram, system.hjb_residual(space.zero_function(), m))
         assert err.value.last_residual == start
 
 
@@ -235,7 +257,7 @@ class TestKFP:
         u = mf.P1Function(space, 0.3 * rng.standard_normal(space.ndof))
         _, L = DiscreteSystem(space, g_one_problem, None).linearize(u)
         op = L.T.toarray()
-        drift = assembly.grad_p_field(space, g_one_problem.hamiltonian, u)
+        drift = assembly.grad_p_field(g_one_problem.hamiltonian, u)
         oracle = (assembly.assemble_diffusion(space, 1.0).toarray()
                   + kfp_drift_oracle(space, drift))
         assert np.abs(op - oracle).max() < 1e-14
@@ -285,8 +307,8 @@ class TestMFG:
 
     def test_kfp_shares_newton_factorization(self, sine_problem, square_hierarchy,
                                              monkeypatch):
-        # one LU for the Gram matrix and one for the first KFP solve; it then
-        # preconditions every Newton step and KFP solve of the run
+        # one LU for the first KFP solve and one for the Gram matrix; the first
+        # then preconditions every Newton step and KFP solve of the run
         mesh = square_hierarchy[3]
         space = mf.P1Space(mesh)
         tensor = mf.build_xz_tensor(mesh, 1.0)
@@ -303,6 +325,28 @@ class TestMFG:
         assert [h["factorizations"] for h in sol.history] == [1] + [0] * (sol.outer_iters - 1)
         # each sweep solves at least one Newton step and one KFP equation by GMRES
         assert all(h["krylov_iters"] >= 2 for h in sol.history[1:])
+
+    def test_one_mass_assembly_and_two_lus_per_solve(self, sine_problem, square_hierarchy,
+                                                      monkeypatch):
+        # the system's mass matrix serves the coupling and the Gram matrix, and
+        # the only LUs are the Gram matrix's and the held hierarchy's coarsest
+        mesh = square_hierarchy[3]
+        space = mf.P1Space(mesh)
+        tensor = mf.build_xz_tensor(mesh, 1.0)
+        calls = {"assemble_mass": 0, "splu": 0}
+
+        def counting(name, fn):
+            def counted(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return counted
+
+        monkeypatch.setattr(assembly, "assemble_mass",
+                            counting("assemble_mass", assembly.assemble_mass))
+        monkeypatch.setattr(scipy.sparse.linalg, "splu",
+                            counting("splu", scipy.sparse.linalg.splu))
+        solve_mfg(space, sine_problem, tensor)
+        assert calls == {"assemble_mass": 1, "splu": 2}
 
     def test_krylov_fallback_refactorizes(self, sine_problem, square_hierarchy,
                                           monkeypatch):
@@ -336,7 +380,8 @@ class TestMFG:
         fallbacks = sum(h["factorizations"] for h in sol.history) - 1
         assert fallbacks >= 1
         assert len(alive_at_factorization) == 2 + fallbacks
-        # only the Gram LU may be alive when a linearization is factorized
+        # at most one other LU is alive when one is made: the held one while
+        # the Gram matrix is factorized, the Gram LU while a linearization is
         assert max(alive_at_factorization) <= 1
         assert (sol.outer_iters, sol.newton_iters_total) == (
             direct.outer_iters, direct.newton_iters_total)
@@ -367,8 +412,9 @@ class TestMFG:
         monkeypatch.setattr(assembly, "KRYLOV_MAX", 1)
         sol = solve_mfg(space, sine_problem, tensor)
         assert sum(h["factorizations"] for h in sol.history) == 2 * solves
-        # the Gram matrix, then per solve the level-2 coarsest level and L
-        assert sizes == [space.ndof] + [9, space.ndof] * solves
+        # per solve the level-2 coarsest level and L, with the Gram matrix
+        # factorized after the first, when the first residual is measured
+        assert sizes == [9, space.ndof, space.ndof] + [9, space.ndof] * (solves - 1)
         assert (sol.outer_iters, sol.newton_iters_total) == (
             direct.outer_iters, direct.newton_iters_total)
         assert np.abs(sol.u.coeffs - direct.u.coeffs).max() < 1e-12
