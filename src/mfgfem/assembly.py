@@ -1,6 +1,6 @@
 """Element-wise assembly of the discrete operators and load vectors, and the
 discrete system of one solve: one ``DiscreteSystem`` per solve holds every
-operator of it, the LU of its H1 Gram matrix included.
+operator of it, the solver of its H1 Gram matrix included.
 
 All operators act on interior dofs only (matching the space); ``full=True``
 assembles over every vertex for diagnostics such as row-sum checks.  Matrices
@@ -25,8 +25,10 @@ KRYLOV_MAX iterations of GMRES right-preconditioned with one held hierarchy,
 accepts an iterate within KRYLOV_RTOL or the rounding floor, rebuilds the
 hierarchy of the current linearization when none is and retries once, and
 solves directly when that fails too; every solve, direct ones included, then
-passes ``checked``, the LINEAR_RESIDUAL_TOL residual test.  ``factorize`` is
-the one place a sparse LU is made.
+passes ``checked``, the LINEAR_RESIDUAL_TOL residual test.  ``H1Gram`` solves
+with the H1 Gram matrix of the residual dual norms by CG preconditioned with
+the V-cycle of its own hierarchy, and with one LU of it when CG falls short.
+``factorize`` is the one place a sparse LU is made.
 """
 
 from __future__ import annotations
@@ -189,6 +191,68 @@ class Multigrid:
         return x
 
 
+class H1Gram:
+    """Solves with the H1 Gram matrix G = M + unit stiffness of a space, the
+    operator of the residual dual norms sqrt(r^T G^-1 r).
+
+    G is symmetric positive definite, and so is the V-cycle of its
+    ``Multigrid`` hierarchy: the smoothing before and after each coarse
+    correction is the same damped Jacobi, and the coarse operators are
+    Galerkin products.  ``solve`` runs CG preconditioned with that cycle and
+    falls back to one LU of G, made once and then kept for every later solve.
+    Where the hierarchy is exact, ``solve`` is its LU.  ``cycles`` counts the
+    V-cycles applied.
+    """
+
+    def __init__(self, space, G):
+        self.G = G
+        self._multigrid = Multigrid(space, G)
+        self._lu = self._multigrid.lu if self._multigrid.exact else None
+        self.cycles = 0
+
+    def solve(self, r):
+        """G^-1 r: by ``_pcg``, or by the LU of G once ``_pcg`` has failed."""
+        if self._lu is None:
+            x = self._pcg(r)
+            if x is not None:
+                return x
+            self._multigrid = None   # release the hierarchy before the LU
+            self._lu = factorize(self.G)
+        return self._lu.solve(r)
+
+    def _pcg(self, r):
+        """Preconditioned CG for G x = r from x = 0.
+
+        The dual norm reads only r^T x_k.  It grows by alpha_k rho_k in
+        iteration k, toward r^T G^-1 r, and falls short of it by the squared
+        energy norm of the error of x_k.  Returns the first x_k whose increment
+        is at most KRYLOV_RTOL times r^T x_k, so no residual of x_k is needed;
+        None after KRYLOV_MAX iterations, or when a curvature is not positive.
+        """
+        x = np.zeros(r.size)
+        if not r.any():
+            return x
+        resid = r.copy()
+        p = None
+        rho = energy = 0.0
+        for _ in range(KRYLOV_MAX):
+            z = self._multigrid.solve(resid)
+            self.cycles += 1
+            rho, rho_prev = resid @ z, rho
+            p = z if p is None else z + (rho / rho_prev) * p
+            q = self.G @ p
+            curvature = p @ q
+            if not (rho > 0.0 and curvature > 0.0):
+                return None
+            alpha = rho / curvature
+            x += alpha * p
+            energy += alpha * rho
+            if alpha * rho <= KRYLOV_RTOL * energy:
+                return x
+            resid -= alpha * q
+        return None
+
+
 def grad_p_field(hamiltonian, u):
     """Element-wise drift dH/dp(grad u|_K), shape (nt, 2)."""
     return np.asarray(hamiltonian.grad_p(u.element_gradients()), dtype=float)
@@ -211,8 +275,8 @@ class DiscreteSystem:
 
     Holds what does not change during a solve -- the diffusion matrix
     K = nu I + D, the mass matrix M, the offset load <f0, xi_i>, the source
-    load <G, xi_i> and, from its first use, the LU ``gram`` of the H1 Gram
-    matrix -- and evaluates what does: the drift B(u), the coupling load
+    load <G, xi_i> and, from its first use, the ``H1Gram`` solver ``gram`` --
+    and evaluates what does: the drift B(u), the coupling load
     <F[m], xi_i> and both residuals.  ``linearize`` caches the latest
     linearization K + B(u) and keeps in ``drift_excess`` the largest excess of
     a drift over L_H since it was last reset.  ``solve`` holds one
@@ -228,7 +292,8 @@ class DiscreteSystem:
         self.M = assemble_mass(space)
         self.f0_load = problem.coupling.offset_load(space)
         self.g_load = problem.source.load_vector(space)
-        self._linearization = None   # (u coefficients, B(u), K + B(u))
+        # (u coefficients, B(u), L = K + B(u), {trans: |op|_inf of L or L^T})
+        self._linearization = None
         self._multigrid = None
         self.factorizations = 0
         self.krylov_iters = 0
@@ -236,9 +301,9 @@ class DiscreteSystem:
 
     @cached_property
     def gram(self):
-        """LU of the H1 Gram matrix M + unit stiffness, which measures the dual
-        norms of the residuals; built on first use."""
-        return factorize(self.M + assemble_diffusion(self.space, 1.0))
+        """``H1Gram`` of M + unit stiffness, which measures the dual norms of
+        the residuals; built on first use."""
+        return H1Gram(self.space, self.M + assemble_diffusion(self.space, 1.0))
 
     def linearize(self, u):
         """``(B, L)``: the drift matrix B(u) of the field dH/dp[grad u] and the
@@ -253,8 +318,8 @@ class DiscreteSystem:
             drift = grad_p_field(hspec, u)
             self.drift_excess = max(self.drift_excess, drift_excess(drift, hspec.L_H))
             B = assemble_hjb_drift(self.space, drift)
-            self._linearization = (u.coeffs.copy(), B, self.K + B)
-        return self._linearization[1:]
+            self._linearization = (u.coeffs.copy(), B, self.K + B, {})
+        return self._linearization[1:3]
 
     def solve(self, u, rhs, x0=None, trans="N"):
         """x with op x = rhs for op = L, or L^T if trans is "T", and
@@ -287,7 +352,9 @@ class DiscreteSystem:
         V-cycle M: the iterates are x_k = x0 + Z y_k, Z = M^-1 V for an
         orthonormal Krylov basis V of op M^-1, k <= KRYLOV_MAX.  Returns the
         first x_k whose true residual |rhs - op x_k| is at most
-        KRYLOV_RTOL |rhs| or eps |op| |x_k|; None if no iterate is.
+        KRYLOV_RTOL |rhs| or eps |op| |x_k|; None if no iterate is.  op is L
+        or L^T of the cached linearization, which keeps |op| in the infinity
+        norm from its first solve in that direction.
 
         The second bound is the residual a backward-stable solve leaves.  It
         grows like the condition number, h^-2, relative to |rhs|: a direct LU
@@ -296,7 +363,10 @@ class DiscreteSystem:
         n, max_iter = rhs.size, KRYLOV_MAX
         x0 = np.zeros(n) if x0 is None else x0
         tol = KRYLOV_RTOL * np.linalg.norm(rhs)
-        floor = np.finfo(float).eps * spla.norm(op, np.inf)
+        op_norms = self._linearization[3]
+        if trans not in op_norms:
+            op_norms[trans] = spla.norm(op, np.inf)
+        floor = np.finfo(float).eps * op_norms[trans]
 
         def accepted(x, r):
             return np.linalg.norm(r) <= max(tol, floor * np.linalg.norm(x))

@@ -7,11 +7,13 @@ GMRES preconditioned with a geometric V-cycle over the nested meshes, which on
 a space of at most ``assembly.COARSE_DOFS`` dofs is one LU.
 
 Convergence is declared on the dual norms of the two discrete residual
-operators (the quantities the stability theory controls), computed exactly via
-the H1 Gram matrix: ||r||_{V*} = sqrt(r^T Gram^-1 r), with the Gram LU that
-the one ``DiscreteSystem`` of a solve owns.  The returned density is always a
-KFP solve, never a mixed iterate, so it obeys the discrete maximum principle
-whenever the scheme does.
+operators (the quantities the stability theory controls), computed via the H1
+Gram matrix: ||r||_{V*} = sqrt(r^T Gram^-1 r), with the ``assembly.H1Gram``
+that the one ``DiscreteSystem`` of a solve owns: CG preconditioned with a
+V-cycle to a relative ``assembly.KRYLOV_RTOL`` in r^T Gram^-1 r, or one LU on
+a space of at most ``assembly.COARSE_DOFS`` dofs.  The returned density is
+always a KFP solve, never a mixed iterate, so it obeys the discrete maximum
+principle whenever the scheme does.
 """
 
 from __future__ import annotations
@@ -61,7 +63,7 @@ class DiscreteSolution:
 
 def riesz_dual_norm(gram, r):
     """Discrete V* norm sqrt(r^T Gram^-1 r) of the functional with load r;
-    ``gram`` is a factorization of the Gram matrix."""
+    ``gram`` solves with the Gram matrix (an ``assembly.H1Gram`` or an LU)."""
     r = np.asarray(r, dtype=float)
     if r.shape[0] == 0:
         return 0.0
@@ -183,11 +185,12 @@ def solve_mfg(space, problem, tensor, cfg=None):
     above the last accepted sweep's is rejected: the history is cleared and
     the damped Picard step is taken from the last accepted sweep.  Every sweep,
     a rejected one too, appends an entry to ``history``, with the
-    factorizations and GMRES iterations of its linear solves and the largest
-    excess of a drift it assembled over L_H, 0.0 when all were within it (the
-    first entry counts the initial KFP solve too).  A NonConvergenceError of
-    the HJB solve is raised again carrying the history of the sweeps before
-    it.
+    factorizations and GMRES iterations of its linear solves, the V-cycles of
+    its dual norms (``gram_cycles``, 0 where the Gram solver is an LU) and the
+    largest excess of a drift it assembled over L_H, 0.0 when all were within
+    it (the first entry counts the initial KFP solve too).  A
+    NonConvergenceError of the HJB solve is raised again carrying the history
+    of the sweeps before it.
     """
     cfg = cfg or SolverConfig()
     if space.ndof == 0:
@@ -201,7 +204,8 @@ def solve_mfg(space, problem, tensor, cfg=None):
     m = solve_kfp(system, u_acc).coeffs
     step = "picard"
     m_acc = f_acc = None
-    counted = (0, 0)   # factorizations and GMRES iterations before this sweep
+    # factorizations, GMRES iterations and Gram V-cycles before this sweep
+    counted = (0, 0, 0)
     for outer in range(1, cfg.max_outer + 1):
         try:
             u, newton_iters, halvings = solve_hjb(system, P1Function(space, m), cfg, u0=u_acc)
@@ -221,8 +225,9 @@ def solve_mfg(space, problem, tensor, cfg=None):
                         "step": step, "rejected": rejected,
                         "factorizations": system.factorizations - counted[0],
                         "krylov_iters": system.krylov_iters - counted[1],
+                        "gram_cycles": system.gram.cycles - counted[2],
                         "drift_excess": system.drift_excess})
-        counted = (system.factorizations, system.krylov_iters)
+        counted = (system.factorizations, system.krylov_iters, system.gram.cycles)
         system.drift_excess = 0.0
 
         if peak <= cfg.tol_outer:

@@ -337,6 +337,23 @@ class TestSolve:
             blobs.append(b"".join((out / name).read_bytes() for name in names))
         assert blobs[0] == blobs[1]
 
+    def test_gram_cycles_recorded_and_rerun_identical(self, tmp_path):
+        # above COARSE_DOFS the dual norms run V-cycles; their per-sweep count
+        # is telemetry and reruns byte-identically
+        out = tmp_path / "out"
+        path = write_config(tmp_path, f"""
+            problem.kind = manufactured
+            mesh.level = 6
+            output.dir = {out}
+        """)
+        blobs = []
+        for _ in range(2):
+            assert cli.main(["solve", path]) == cli.EXIT_OK
+            blobs.append((out / "telemetry.json").read_bytes())
+        assert blobs[0] == blobs[1]
+        history = json.loads(blobs[0])["history"]
+        assert all(entry["gram_cycles"] > 0 for entry in history)
+
 
 class TestConvergence:
     def test_two_levels_rejected(self, tmp_path):

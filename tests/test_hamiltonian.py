@@ -3,6 +3,7 @@ import warnings
 
 import numpy as np
 import pytest
+import scipy.sparse.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -197,3 +198,24 @@ class TestSemismoothBound:
         r4 = check_semismooth_bound(spec, square_spaces[4], pairs=20, seed=0)
         assert r3 > 0 and r4 > 0
         assert max(r3, r4) / min(r3, r4) <= 2.0
+
+    def test_ratio_measured_by_the_solve_gram(self, square_spaces, monkeypatch):
+        # above COARSE_DOFS the dual norms go through the multigrid Gram
+        # solver of a solve, with no LU of the Gram matrix, and agree with the
+        # LU it falls back to when CG is capped at one iteration
+        spec = mf.huber_ball(1.0)
+        space = square_spaces[6]
+        splu = scipy.sparse.linalg.splu
+        sizes = []
+
+        def tracking_splu(A, *args, **kwargs):
+            sizes.append(A.shape[0])
+            return splu(A, *args, **kwargs)
+
+        monkeypatch.setattr(scipy.sparse.linalg, "splu", tracking_splu)
+        ratio = check_semismooth_bound(spec, space, pairs=5, seed=0)
+        assert max(sizes) <= assembly.COARSE_DOFS < space.ndof
+        monkeypatch.setattr(assembly, "KRYLOV_MAX", 1)
+        assert check_semismooth_bound(spec, space, pairs=5, seed=0) == pytest.approx(
+            ratio, rel=1e-12, abs=0.0)
+        assert max(sizes) == space.ndof

@@ -86,6 +86,30 @@ class TestLinearSolve:
         with pytest.raises(SolverError, match="non-finite"):
             system.solve(space.zero_function(), rhs)
 
+    def test_operator_norm_once_per_linearization_and_direction(
+            self, sine_problem, square_spaces, monkeypatch):
+        # GMRES's rounding floor reads |L|_inf and |L^T|_inf from the cached
+        # linearization: the values spla.norm gives, each computed once
+        space = square_spaces[4]
+        system = DiscreteSystem(space, sine_problem, None)
+        norm = scipy.sparse.linalg.norm
+        calls = []
+
+        def counting_norm(op, ord):
+            calls.append(ord)
+            return norm(op, ord)
+
+        monkeypatch.setattr(scipy.sparse.linalg, "norm", counting_norm)
+        exact_u = mf.interpolate(space, sine_problem.exact.u.value).coeffs
+        for scale in (0.0, 1.0):
+            u = mf.P1Function(space, scale * exact_u)
+            for trans in ("N", "T", "N", "T"):
+                system.solve(u, system.g_load, trans=trans)
+            _, L = system.linearize(u)
+            assert system._linearization[3] == {"N": norm(L, np.inf), "T": norm(L.T, np.inf)}
+        # the very first solve builds the held hierarchy and solves directly
+        assert len(calls) == 4
+
 
 def _h1_gram(space):
     """The H1 Gram matrix of a space and its LU."""
@@ -146,6 +170,98 @@ class TestRieszDualNorm:
         assembly.assemble_hjb_nonlinear_residual(space, u, m, sine_problem, None)
         assembly.assemble_kfp_residual(space, u, m, sine_problem, None)
         assert "gram" not in vars(system)
+
+
+def _dual_norm_loads(space, problem, tensor, seed):
+    """Loads whose dual norms a solve measures: random ones over ten decades,
+    both residuals at the interpolated exact pair and at zero, and zero."""
+    rng = np.random.default_rng(seed)
+    system = DiscreteSystem(space, problem, tensor)
+    u = mf.interpolate(space, problem.exact.u.value)
+    m = mf.interpolate(space, problem.exact.m.value)
+    zero = space.zero_function()
+    loads = [10.0 ** rng.uniform(-8, 2) * rng.standard_normal(space.ndof) for _ in range(4)]
+    loads += [system.hjb_residual(u, m), system.kfp_residual(u, m),
+              system.hjb_residual(zero, zero), system.kfp_residual(zero, zero)]
+    return loads + [np.zeros(space.ndof)]
+
+
+class TestH1Gram:
+    @pytest.mark.parametrize("family, level",
+                             [("xz_square", 6), ("xz_square", 7), ("acute_rhombus", 6)])
+    def test_matches_gram_lu(self, family, level, sine_problem, sine_problem_rhombus):
+        # CG preconditioned with the V-cycle measures every dual norm to a
+        # relative 1e-12 of the LU, and a zero load exactly; no LU of G is made
+        mesh = mf.mesh_hierarchy(family, level)[level]
+        space = mf.P1Space(mesh)
+        if family == "xz_square":
+            problem, tensor = sine_problem, mf.build_xz_tensor(mesh, 1.0)
+        else:
+            problem, tensor = sine_problem_rhombus, None
+        G = assembly.assemble_h1_gram(space)
+        oracle = assembly.factorize(G)
+        gram = assembly.H1Gram(space, G)
+        loads = _dual_norm_loads(space, problem, tensor, seed=space.ndof)
+        for r in loads[:-1]:
+            assert riesz_dual_norm(gram, r) == pytest.approx(
+                riesz_dual_norm(oracle, r), rel=1e-12, abs=0.0)
+        assert riesz_dual_norm(gram, loads[-1]) == 0.0
+        assert gram._lu is None
+        assert 0 < gram.cycles <= 8 * (len(loads) - 1)
+
+    def test_exact_hierarchy_is_the_lu(self, square_spaces):
+        # a space of at most COARSE_DOFS dofs solves with the LU of G alone
+        space = square_spaces[5]
+        assert space.ndof <= assembly.COARSE_DOFS
+        G = assembly.assemble_h1_gram(space)
+        gram = assembly.H1Gram(space, G)
+        r = np.random.default_rng(5).standard_normal(space.ndof)
+        assert np.array_equal(gram.solve(r), assembly.factorize(G).solve(r))
+        assert gram.cycles == 0
+
+    def test_cg_cap_falls_back_to_held_lu(self, square_spaces, monkeypatch):
+        # one CG iteration never meets the increment test: the solver
+        # factorizes G once, keeps the LU and measures the same norms with it
+        space = square_spaces[6]
+        G = assembly.assemble_h1_gram(space)
+        oracle = assembly.factorize(G)
+        sizes = []
+        splu = scipy.sparse.linalg.splu
+
+        def tracking_splu(A, *args, **kwargs):
+            sizes.append(A.shape[0])
+            return splu(A, *args, **kwargs)
+
+        monkeypatch.setattr(scipy.sparse.linalg, "splu", tracking_splu)
+        monkeypatch.setattr(assembly, "KRYLOV_MAX", 1)
+        gram = assembly.H1Gram(space, G)
+        assert max(sizes) <= assembly.COARSE_DOFS
+        rng = np.random.default_rng(6)
+        for _ in range(3):
+            r = rng.standard_normal(space.ndof)
+            assert riesz_dual_norm(gram, r) == pytest.approx(
+                riesz_dual_norm(oracle, r), rel=1e-12, abs=0.0)
+        assert sizes[1:] == [space.ndof]
+        assert gram.cycles == 1
+
+    def test_level6_solve_factorizes_coarsest_levels_only(self, sine_problem,
+                                                           square_hierarchy, monkeypatch):
+        # on its normal path a solve makes no LU larger than COARSE_DOFS: the
+        # coarsest levels of the linearization's and the Gram's hierarchies
+        mesh = square_hierarchy[6]
+        space = mf.P1Space(mesh)
+        splu = scipy.sparse.linalg.splu
+        sizes = []
+
+        def tracking_splu(A, *args, **kwargs):
+            sizes.append(A.shape[0])
+            return splu(A, *args, **kwargs)
+
+        monkeypatch.setattr(scipy.sparse.linalg, "splu", tracking_splu)
+        sol = solve_mfg(space, sine_problem, mf.build_xz_tensor(mesh, 1.0))
+        assert len(sizes) == 2 and max(sizes) <= assembly.COARSE_DOFS < space.ndof
+        assert (sol.outer_iters, sol.newton_iters_total) == (5, 9)
+        assert all(h["gram_cycles"] > 0 for h in sol.history)
 
 
 class TestHJB:
@@ -412,9 +528,10 @@ class TestMFG:
         monkeypatch.setattr(assembly, "KRYLOV_MAX", 1)
         sol = solve_mfg(space, sine_problem, tensor)
         assert sum(h["factorizations"] for h in sol.history) == 2 * solves
-        # per solve the level-2 coarsest level and L, with the Gram matrix
-        # factorized after the first, when the first residual is measured
-        assert sizes == [9, space.ndof, space.ndof] + [9, space.ndof] * (solves - 1)
+        # per solve the level-2 coarsest level and L; after the first, when the
+        # first residual is measured, the Gram hierarchy's coarsest level and,
+        # as one CG iteration falls short too, the held LU of the Gram matrix
+        assert sizes == [9, space.ndof, 9, space.ndof] + [9, space.ndof] * (solves - 1)
         assert (sol.outer_iters, sol.newton_iters_total) == (
             direct.outer_iters, direct.newton_iters_total)
         assert np.abs(sol.u.coeffs - direct.u.coeffs).max() < 1e-12
