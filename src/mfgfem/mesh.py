@@ -103,7 +103,15 @@ class Mesh2D:
             pairs[s::3, 0] = tris[:, a]
             pairs[s::3, 1] = tris[:, b]
         pairs.sort(axis=1)
-        edges, inverse = np.unique(pairs, axis=0, return_inverse=True)
+        # one stable sort of the key a * nv + b orders the pairs as edges are
+        # numbered, lexicographically, and each edge's triangles by index
+        key = pairs[:, 0] * len(self.vertices) + pairs[:, 1]
+        order = np.argsort(key, kind="stable")
+        first = np.diff(key[order], prepend=-1) != 0
+        sorted_edges = np.cumsum(first) - 1
+        inverse = np.empty_like(sorted_edges)
+        inverse[order] = sorted_edges
+        edges = pairs[order[first]]
         ne = len(edges)
 
         counts = np.bincount(inverse, minlength=ne)
@@ -112,10 +120,6 @@ class Mesh2D:
 
         edge_tris = -np.ones((ne, 2), dtype=np.int64)
         owner = np.repeat(np.arange(nt), 3)
-        order = np.argsort(inverse, kind="stable")
-        sorted_edges = inverse[order]
-        first = np.ones(len(sorted_edges), dtype=bool)
-        first[1:] = sorted_edges[1:] != sorted_edges[:-1]
         edge_tris[sorted_edges, np.where(first, 0, 1)] = owner[order]
 
         self.edges = edges

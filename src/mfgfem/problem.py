@@ -231,8 +231,8 @@ def make_manufactured(nu, hamiltonian, c_F, domain="xz_square", certify_level=6)
                 - c_F * sine.value(x, y))
 
     def g_tilde(x, y):
-        drift = hamiltonian.grad_p(sine.grad(x, y))
-        return nu * sine.grad(x, y) + sine.value(x, y)[..., None] * drift
+        grad = sine.grad(x, y)
+        return nu * grad + sine.value(x, y)[..., None] * hamiltonian.grad_p(grad)
 
     source = SourceG(g0=None, g_tilde=g_tilde, nonneg_certified=False)
     if certify_level is not None:

@@ -72,6 +72,22 @@ class TestElementOracles:
         row_sums = np.asarray(K.sum(axis=1)).ravel()
         assert np.abs(row_sums).max() < 1e-13
 
+    @pytest.mark.parametrize("family", ["square", "rhombus"])
+    def test_diffusion_blocks_match_loop_reference(self, family, request):
+        # area (A grad xi_j) . grad xi_i per element for a random symmetric
+        # tensor, summed in element order
+        space = request.getfixturevalue(f"{family}_spaces")[2]
+        mesh = space.mesh
+        rng = np.random.default_rng(3)
+        C = rng.standard_normal((mesh.num_triangles, 2, 2))
+        tensor = StabilizationTensor(C @ C.transpose(0, 2, 1), "none", 0.0)
+        A = 0.7 * np.eye(2) + tensor.per_element
+        blocks = np.array([[[area * (Ak @ gj) @ gi for gj in g] for gi in g]
+                           for area, Ak, g in zip(space.elem_areas, A, space.elem_grads)])
+        K = assembly.assemble_diffusion(space, 0.7, tensor, full=True)
+        _, _, data = coo_to_csr_reference(mesh.triangles, mesh.num_vertices, blocks)
+        assert np.abs(K.data - data).max() <= 1e-14 * np.abs(data).max()
+
     def test_linearity_in_tensor(self, square_spaces):
         # D = nu * I doubles the matrix exactly
         space = square_spaces[2]
