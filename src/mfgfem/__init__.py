@@ -75,6 +75,7 @@ from .stabilization import (
     StabilizationTensor,
     build_acute_tensor,
     build_xz_tensor,
+    certify_dmp,
     none_tensor,
     verify_h1,
     verify_h2_dmp,

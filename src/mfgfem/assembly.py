@@ -102,7 +102,13 @@ def assemble_hjb_drift(space, drift, full=False, drift_bound=None):
     if drift_bound is not None:
         drift_excess(drift, drift_bound)
     col = np.einsum("td,tjd->tj", drift, space.elem_grads) * (space.elem_areas / 3.0)[:, None]
-    blocks = np.repeat(col[:, None, :], 3, axis=1)  # same for every test function i
+    return scatter_columns(space, col, full)
+
+
+def scatter_columns(space, col, full=False):
+    """Sum (nt, 3) per-element column values c_Kj, the same for every test
+    function i of K, into a CSR matrix: the scatter of the drift matrices."""
+    blocks = np.repeat(col[:, None, :], 3, axis=1)
     return _scatter(space, blocks, full)
 
 

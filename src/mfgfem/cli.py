@@ -419,6 +419,8 @@ def cmd_convergence(config):
 def cmd_verify(config):
     digest = config_hash(config)
     mesh, space, prob, kind, tensor = discretize(config)
+    if not prob.hamiltonian.smooth:
+        raise ConfigurationError("Newton solver requires a smooth Hamiltonian")
 
     results = {}
     h1_report = stabilization.verify_h1(tensor, mesh)
@@ -426,11 +428,16 @@ def cmd_verify(config):
                             "c_d_observed": h1_report.c_d_observed,
                             "min_eigenvalue": h1_report.min_eigenvalue}
 
+    # a certified class needs only a sampled cross-check; otherwise sampling decides
+    certified, margin = stabilization.certify_dmp(space, prob.nu, tensor,
+                                                  prob.hamiltonian.L_H)
+    trials = (min(config.verify_trials, stabilization.DMP_CROSS_CHECK_TRIALS)
+              if certified else config.verify_trials)
     dmp_ok = stabilization.verify_h2_dmp(space, prob.nu, tensor,
                                          L_H=prob.hamiltonian.L_H,
-                                         trials=config.verify_trials,
-                                         seed=config.seed)
-    results["h2_dmp"] = {"pass": bool(dmp_ok), "trials": config.verify_trials}
+                                         trials=trials, seed=config.seed)
+    results["h2_dmp"] = {"pass": bool(dmp_ok), "certified": certified,
+                         "margin": margin, "trials": trials}
 
     # the L2 monotonicity inequality is sampled around a tightly solved state
     # of the certified-nonnegative instance
@@ -448,22 +455,18 @@ def cmd_verify(config):
         "pass": bool(analysis.verify_dmp_at_solution(sol, g_one)),
         "min_density": float(sol.m.coeffs.min(initial=0.0))}
 
-    if prob.hamiltonian.smooth:
-        grad_err = check_gradient(prob.hamiltonian,
-                                  samples=config.verify_gradient_samples,
-                                  seed=config.seed)
-        results["gradient_check"] = {"pass": bool(grad_err < 1e-5),
-                                     "max_relative_error": grad_err}
-        ratio_here = check_semismooth_bound(prob.hamiltonian, space,
-                                            pairs=20, seed=config.seed)
-        finer = P1Space(refine_red(mesh))
-        ratio_finer = check_semismooth_bound(prob.hamiltonian, finer,
-                                             pairs=20, seed=config.seed)
-        hi = max(ratio_here, ratio_finer)
-        lo = max(min(ratio_here, ratio_finer), 1e-300)
-        results["semismooth_ratio"] = {"pass": bool(hi / lo <= 2.0),
-                                       "ratio_here": ratio_here,
-                                       "ratio_finer": ratio_finer}
+    grad_err = check_gradient(prob.hamiltonian, samples=config.verify_gradient_samples,
+                              seed=config.seed)
+    results["gradient_check"] = {"pass": bool(grad_err < 1e-5),
+                                 "max_relative_error": grad_err}
+    ratio_here = check_semismooth_bound(prob.hamiltonian, space, pairs=20, seed=config.seed)
+    finer = P1Space(refine_red(mesh))
+    ratio_finer = check_semismooth_bound(prob.hamiltonian, finer, pairs=20, seed=config.seed)
+    hi = max(ratio_here, ratio_finer)
+    lo = max(min(ratio_here, ratio_finer), 1e-300)
+    results["semismooth_ratio"] = {"pass": bool(hi / lo <= 2.0),
+                                   "ratio_here": ratio_here,
+                                   "ratio_finer": ratio_finer}
 
     all_pass = all(entry["pass"] for entry in results.values())
     report = {"config": asdict(config), "stabilization": kind,

@@ -15,7 +15,8 @@ Criteria and tolerances are fixed here, not calibrated after the fact:
 2. full quasi-optimality on the acute rhombus family (vanished stabilization,
    H1 EOC in [0.85, 1.15] and L2 EOC in [1.7, 2.3]),
 3. discrete maximum principle on both families plus 200 sampled drift/load
-   trials at level 4,
+   trials at level 4, and the DMP certificate for the whole advection class
+   |b| <= L_H on both families at levels 2-6,
 4. rough-density experiment with reference solutions two levels finer,
 5. the L2 monotonicity inequality over 50 random nonnegative/free pairs,
 6. first-order floor for the auxiliary nonnegative density approximation,
@@ -119,6 +120,23 @@ class TestCriterion3DiscreteMaximumPrinciple:
         record_criterion(
             "criterion 3b: 200 random drift/load DMP trials at level 4", ok,
             f"xz_square: {ok_s}, acute_rhombus: {ok_r}")
+        assert ok
+
+    def test_certificate_levels_2_to_6(self, square_spaces, rhombus_spaces):
+        worst = {}
+        ok = True
+        for family, spaces in (("xz_square", square_spaces),
+                               ("acute_rhombus", rhombus_spaces)):
+            worst[family] = -math.inf
+            for space in spaces[2:7]:
+                tensor = (mf.build_xz_tensor(space.mesh, 1.0) if family == "xz_square"
+                          else mf.build_acute_tensor(space.mesh, 1.0, 1.0))
+                certified, margin = mf.certify_dmp(space, 1.0, tensor, 1.0)
+                ok &= certified
+                worst[family] = max(worst[family], margin)
+        record_criterion(
+            "criterion 3c: DMP certificate for |b| <= L_H, both families, levels 2-6", ok,
+            ", ".join(f"{fam}: worst margin {val:.3g}" for fam, val in worst.items()))
         assert ok
 
 

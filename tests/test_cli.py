@@ -6,7 +6,7 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import mfgfem as mf
-from mfgfem import cli
+from mfgfem import assembly, cli, stabilization
 from mfgfem.errors import ConfigurationError
 
 
@@ -446,7 +446,7 @@ class TestConvergence:
 
 
 class TestVerify:
-    def make_config(self, tmp_path, out, seed=0):
+    def make_config(self, tmp_path, out, seed=0, extra=""):
         return write_config(tmp_path, f"""
             mesh.level = 3
             verify.trials = 40
@@ -454,6 +454,7 @@ class TestVerify:
             verify.gradient_samples = 400
             seed = {seed}
             output.dir = {out}
+            {extra}
         """, name=f"verify_{seed}.cfg")
 
     def test_default_suite_passes(self, tmp_path, capsys):
@@ -473,6 +474,44 @@ class TestVerify:
             assert cli.main(["verify", path]) == cli.EXIT_OK
             outs.append(json.loads((out / "report.json").read_text()))
         assert outs[0]["all_pass"] == outs[1]["all_pass"] is True
+
+    def test_certified_dmp_is_cross_checked(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert cli.main(["verify", self.make_config(tmp_path, out)]) == cli.EXIT_OK
+        entry = json.loads((out / "report.json").read_text())["results"]["h2_dmp"]
+        assert entry["pass"] is True
+        assert entry["certified"] is True
+        assert entry["margin"] < 0.0
+        assert entry["trials"] == min(40, stabilization.DMP_CROSS_CHECK_TRIALS)
+
+    def test_uncertified_dmp_is_sampled_in_full(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        path = self.make_config(tmp_path, out, extra="""
+            stabilization = none
+            allow_unstabilized = true
+        """)
+        cli.main(["verify", path])
+        entry = json.loads((out / "report.json").read_text())["results"]["h2_dmp"]
+        assert entry["pass"] is True
+        assert entry["certified"] is False
+        assert entry["margin"] == pytest.approx(1.0 / 24.0, rel=1e-12)
+        assert entry["trials"] == 40
+
+    def test_nonsmooth_hamiltonian_rejected_before_any_factorization(
+            self, tmp_path, monkeypatch, capsys):
+        factorize = assembly.factorize
+        calls = []
+        monkeypatch.setattr(assembly, "factorize",
+                            lambda op: calls.append(op) or factorize(op))
+        out = tmp_path / "out"
+        path = self.make_config(tmp_path, out, extra="""
+            problem.kind = g_one
+            hamiltonian.kind = finite
+        """)
+        assert cli.main(["verify", path]) == cli.EXIT_INPUT_ERROR
+        assert "smooth Hamiltonian" in capsys.readouterr().err
+        assert calls == []
+        assert not (out / "report.json").exists()
 
     def test_bad_omega_factor_rejected_before_suites(self, tmp_path):
         path = write_config(tmp_path, """

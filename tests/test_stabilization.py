@@ -2,12 +2,20 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import mfgfem as mf
+from mfgfem import assembly
 from mfgfem.errors import ConfigurationError, InvariantViolation, SolverError
 from mfgfem.stabilization import StabilizationTensor, random_disk_drift
 
 SQRT2 = math.sqrt(2.0)
+# certificate margins at levels 2-6 with each family's own tensor, nu = L_H = 1
+CERTIFIED_MARGINS = {
+    "xz_square": [-0.201, -0.101, -0.0503, -0.0252, -0.0126],
+    "acute_rhombus": [-0.494, -0.536, -0.557, -0.567, -0.572],
+}
 
 
 def fan_mesh():
@@ -149,6 +157,114 @@ class TestVerifyH1:
         bad = StabilizationTensor(blocks, "none", 0.0)
         with pytest.raises(InvariantViolation, match="element 3"):
             mf.verify_h1(bad, mesh)
+
+
+def family_tensor(family, mesh, L_H, nu=1.0):
+    if family == "xz_square":
+        return mf.build_xz_tensor(mesh, L_H)
+    return mf.build_acute_tensor(mesh, L_H, nu)
+
+
+def class_bound_oracle(mesh, L_H):
+    """Dense B*[i,j] = sum_K L_H |grad xi_j|_K |K| / 3 over every vertex, one
+    triangle and one entry at a time."""
+    bound = np.zeros((mesh.num_vertices, mesh.num_vertices))
+    for t, verts in enumerate(mesh.triangles):
+        for a, j in enumerate(verts):
+            weight = L_H * np.linalg.norm(mesh.basis_gradients[t, a]) * mesh.areas[t] / 3.0
+            for i in verts:
+                bound[i, j] += weight
+    return bound
+
+
+def interior_edge_entries(mesh):
+    """Mask of the off-diagonal entries (i, j) with i interior and ij a mesh edge."""
+    mask = np.zeros((mesh.num_vertices, mesh.num_vertices), dtype=bool)
+    a, b = mesh.edges.T
+    mask[a, b] = mask[b, a] = True
+    return mask & mesh.interior_vertex_mask[:, None]
+
+
+class TestCertifyDMP:
+    def test_holds_on_both_families(self, square_spaces, rhombus_spaces):
+        for family, spaces in (("xz_square", square_spaces),
+                               ("acute_rhombus", rhombus_spaces)):
+            for level, expected in zip(range(2, 7), CERTIFIED_MARGINS[family]):
+                space = spaces[level]
+                tensor = family_tensor(family, space.mesh, 1.0)
+                certified, margin = mf.certify_dmp(space, 1.0, tensor, 1.0)
+                assert certified, (family, level, margin)
+                assert margin == pytest.approx(expected, rel=5e-3)
+
+    def test_rejects_unstabilized_laplacian_with_drift(self, square_spaces):
+        # the diagonal edges of the square family carry no diffusion at all
+        certified, margin = mf.certify_dmp(square_spaces[3], 1.0, None, 1.0)
+        assert certified is False
+        assert margin == pytest.approx(1.0 / 24.0, rel=1e-12)
+
+    def test_rejects_the_sampled_failing_case(self, square_spaces):
+        # nu = 0.05, no tensor, |b| up to 8 sqrt(2): the case verify_h2_dmp
+        # must report as failing
+        certified, margin = mf.certify_dmp(square_spaces[3], 0.05, None, 8.0 * SQRT2)
+        assert certified is False
+        assert margin == pytest.approx(0.519, rel=1e-3)
+
+    def test_edge_weights_far_below_the_window(self, square_spaces):
+        # the builder refuses omega_factor <= delta/6; scaled by hand, the edge
+        # tensor still certifies at 0.1 delta and fails at 0.09 delta
+        space = square_spaces[3]
+        delta = space.mesh.shape_regularity
+        base = mf.build_xz_tensor(space.mesh, 1.0, omega_factor=delta)
+        for factor, holds in ((0.1, True), (0.09, False)):
+            scaled = StabilizationTensor(factor * base.per_element, "xz_edge", 0.0)
+            certified, margin = mf.certify_dmp(space, 1.0, scaled, 1.0)
+            assert certified is holds
+            assert (margin < 0.0) is holds
+
+    def test_margin_within_rounding_of_zero_is_not_certified(self, square_spaces):
+        # zero tensor and zero drift leave exact zeros on the diagonal edges
+        certified, margin = mf.certify_dmp(square_spaces[3], 1.0, None, 0.0)
+        assert certified is False
+        assert margin == 0.0
+
+    def test_rejects_negative_bound(self, square_spaces):
+        with pytest.raises(ConfigurationError):
+            mf.certify_dmp(square_spaces[2], 1.0, None, -1.0)
+
+    @settings(max_examples=30, deadline=None)
+    @given(family=st.sampled_from(["xz_square", "acute_rhombus"]),
+           level=st.integers(2, 3), L_H=st.floats(0.1, 10.0),
+           seed=st.integers(0, 2 ** 32 - 1), pick=st.integers(0, 10 ** 6))
+    def test_class_bound_dominates_and_is_attained(self, square_spaces, rhombus_spaces,
+                                                   family, level, L_H, seed, pick):
+        space = (square_spaces if family == "xz_square" else rhombus_spaces)[level]
+        mesh = space.mesh
+        tensor = family_tensor(family, mesh, L_H)
+        K = assembly.assemble_diffusion(space, 1.0, tensor, full=True).toarray()
+        bound = K + class_bound_oracle(mesh, L_H)
+        mask = interior_edge_entries(mesh)
+        _, margin = mf.certify_dmp(space, 1.0, tensor, L_H)
+        assert margin == pytest.approx(bound[mask].max(), rel=1e-12, abs=1e-15)
+
+        # every drift of the class stays below the bound entrywise
+        drift = random_disk_drift(mesh, L_H, np.random.default_rng(seed))
+        L = K + assembly.assemble_hjb_drift(space, drift, full=True).toarray()
+        slack = 1e-14 * np.abs(bound).max()
+        assert np.all(L[mask] <= bound[mask] + slack)
+
+        # the drift along grad xi_j on the elements of edge ij attains entry (i, j)
+        touching = np.nonzero(mesh.interior_vertex_mask[mesh.edges].any(axis=1))[0]
+        edge = touching[pick % len(touching)]
+        i, j = mesh.edges[edge]
+        if not mesh.interior_vertex_mask[i]:
+            i, j = j, i
+        for t in mesh.edge_triangles[edge]:
+            if t >= 0:
+                grad_j = mesh.basis_gradients[t, list(mesh.triangles[t]).index(j)]
+                drift[t] = L_H * grad_j / np.linalg.norm(grad_j)
+        B = assembly.assemble_hjb_drift(space, drift, full=True)
+        B_star = bound - K
+        assert B[i, j] == pytest.approx(B_star[i, j], rel=1e-15)
 
 
 class TestVerifyH2DMP:
