@@ -9,6 +9,7 @@ strictly acute with margin theta = pi/6 -- and strict acuteness implies XZ.
 """
 
 import math
+import os
 import tempfile
 
 import mfgfem as mf
@@ -44,11 +45,11 @@ print(f"  XZ satisfied: {ok}, worst cotangent sum = {worst:.5f}")
 
 print()
 print("MFGMESH round trip")
-with tempfile.NamedTemporaryFile("w", suffix=".txt", delete=False) as fh:
-    path = fh.name
 square = mf.generate_structured_square(2)
-mf.write_mesh(square, path)
-back = mf.read_mesh(path)
+with tempfile.TemporaryDirectory() as tmp:
+    path = os.path.join(tmp, "square.txt")
+    mf.write_mesh(square, path)
+    back = mf.read_mesh(path)
 print(f"  wrote and re-read {back.num_vertices} vertices, "
       f"{back.num_triangles} triangles; vertices identical: "
       f"{(back.vertices == square.vertices).all()}")

@@ -22,7 +22,7 @@ from mfgfem.analysis import error_h1, error_l2
 
 LEVEL = 4
 
-problem = mf.make_manufactured(1.0, mf.huber_ball(1.0), 1.0, certify_level=None)
+problem = mf.make_manufactured(1.0, mf.huber_ball(1.0), 1.0)
 mesh = mf.mesh_hierarchy("xz_square", LEVEL)[LEVEL]
 space = mf.P1Space(mesh)
 tensor = mf.build_xz_tensor(mesh, problem.hamiltonian.L_H)

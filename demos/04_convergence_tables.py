@@ -28,13 +28,12 @@ def show(table, title):
     print()
 
 
-problem_square = mf.make_manufactured(1.0, mf.huber_ball(1.0), 1.0,
-                                      certify_level=None)
+problem_square = mf.make_manufactured(1.0, mf.huber_ball(1.0), 1.0)
 table = mf.run_convergence_study(problem_square, "xz_square", range(2, 7), "xz")
 show(table, "XZ square family, edge-tensor stabilization")
 
 problem_rhombus = mf.make_manufactured(1.0, mf.huber_ball(1.0), 1.0,
-                                       domain="acute_rhombus", certify_level=None)
+                                       domain="acute_rhombus")
 table = mf.run_convergence_study(problem_rhombus, "acute_rhombus", range(2, 7),
                                  "acute")
 show(table, "acute rhombus family, artificial diffusion (vanished at these levels)")

@@ -23,7 +23,7 @@ from mfgfem.analysis import check_l2_monotonicity_inequality, error_l2
 from mfgfem.solver import SolverConfig, solve_m_k_plus
 
 print("auxiliary density rate on the sine instance")
-problem = mf.make_manufactured(1.0, mf.huber_ball(1.0), 1.0, certify_level=None)
+problem = mf.make_manufactured(1.0, mf.huber_ball(1.0), 1.0)
 meshes = mf.mesh_hierarchy("xz_square", 6)
 prev = None
 for level in range(3, 7):

@@ -25,10 +25,11 @@ KRYLOV_MAX iterations of GMRES right-preconditioned with one held hierarchy,
 forms one iterate once its least-squares residual is within KRYLOV_RTOL and
 accepts it if its true residual passes LINEAR_RESIDUAL_TOL, rebuilds the
 hierarchy of the current linearization when it does not and retries once, and
-solves directly when that fails too; every solve, direct ones included, then
-passes ``checked``, the LINEAR_RESIDUAL_TOL residual test.  ``H1Gram`` solves
-with the H1 Gram matrix of the residual dual norms by CG preconditioned with
-the V-cycle of its own hierarchy, and with one LU of it when CG falls short.
+solves directly when that fails too.  A direct solution passes ``checked``,
+the same LINEAR_RESIDUAL_TOL test, so every solution passes that test exactly
+once.  ``H1Gram`` solves with the H1 Gram matrix of the residual dual norms by
+CG preconditioned with the V-cycle of its own hierarchy, and with one LU of it
+when CG falls short.
 ``factorize`` is the one place a sparse LU is made.
 """
 
@@ -330,15 +331,16 @@ class DiscreteSystem:
 
     def solve(self, u, rhs, x0=None, trans="N"):
         """x with op x = rhs for op = L, or L^T if trans is "T", and
-        L = K + B(u); ``checked`` against op.
+        L = K + B(u); x has passed the LINEAR_RESIDUAL_TOL test exactly once.
 
         Runs one cycle of at most KRYLOV_MAX GMRES iterations from x0 (zero
         if None), right-preconditioned with the held hierarchy, as ``_gmres``
-        sets out.  When that returns no iterate, or no hierarchy is held yet,
-        it releases the held one, builds that of L and holds it for the next
-        solves, so at most one is alive, and retries once: by GMRES, or
-        directly if the hierarchy is exact.  When that fails too, it solves
-        directly with an LU of L.
+        sets out; an iterate it returns has passed the test.  When it returns
+        none, or no hierarchy is held yet, it releases the held one, builds
+        that of L and holds it for the next solves, so at most one is alive,
+        and retries once: by GMRES, or directly if the hierarchy is exact.
+        When that fails too, it solves directly with an LU of L.  A direct
+        solution passes ``checked``.
         """
         _, L = self.linearize(u)
         op = L.T if trans == "T" else L
@@ -347,12 +349,13 @@ class DiscreteSystem:
             self._multigrid = None   # release the held hierarchy before the next
             self._multigrid = Multigrid(self.space, L)
             self.factorizations += 1
-            x = (self._multigrid.solve(rhs, trans) if self._multigrid.exact
-                 else self._gmres(op, rhs, x0, trans))
+            if self._multigrid.exact:
+                return checked(op, self._multigrid.solve(rhs, trans), rhs)
+            x = self._gmres(op, rhs, x0, trans)
         if x is None:
             self.factorizations += 1
-            x = factorize(L).solve(rhs, trans=trans)
-        return checked(op, x, rhs)
+            return checked(op, factorize(L).solve(rhs, trans=trans), rhs)
+        return x
 
     def _gmres(self, op, rhs, x0, trans):
         """GMRES for op x = rhs, right-preconditioned with the held hierarchy's

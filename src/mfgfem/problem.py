@@ -21,11 +21,8 @@ import numpy as np
 
 from . import assembly
 from .errors import ConfigurationError
-from .fespace import P1Space, quadrature, quadrature_points_xy
+from .fespace import quadrature, quadrature_points_xy
 from .hamiltonian import HamiltonianSpec, huber_ball
-from .mesh import generate_acute_rhombus, generate_structured_square
-
-NONNEG_TOL = -1e-10
 
 
 # -- exact solution fields --------------------------------------------------
@@ -107,15 +104,18 @@ class CouplingF:
         return scalar_load(space, self.offset)
 
 
-def local_linear_coupling(c_F, offset=None):
-    return CouplingF(c_F=float(c_F), offset=offset)
-
-
 # -- source -------------------------------------------------------------------
 
 @dataclass
 class SourceG:
     """G = g0 - div(gtilde) realized through <G, phi> = int g0 phi + gtilde . grad phi.
+
+    ``nonneg_certified`` states that G >= 0 as a functional, <G, phi> >= 0 for
+    every phi >= 0, by construction: ``make_g_one_problem`` and
+    ``make_zero_problem`` set it, ``make_manufactured`` and
+    ``make_rough_density_problem`` do not.  The discrete maximum principle
+    gives a nonnegative density only for a certified source, and
+    ``analysis.verify_dmp_at_solution`` refuses any other.
 
     ``exact_load`` overrides the quadrature path for sources whose pairing has
     a closed form (used for indicator fields, where clipped element areas make
@@ -205,20 +205,17 @@ class MFGProblem:
             raise ConfigurationError("nu must be finite and positive")
 
 
-def _certification_mesh(domain, level):
-    n = 2 ** level
-    if domain == "acute_rhombus":
-        return generate_acute_rhombus(n)
-    return generate_structured_square(n)
-
-
-def make_manufactured(nu, hamiltonian, c_F, domain="xz_square", certify_level=6):
+def make_manufactured(nu, hamiltonian, c_F, domain="xz_square"):
     """Manufactured instance with exact pair u* = m* the mapped sine product
     on the requested domain.
 
-    The source nonnegativity flag is set by sampling the nodal loads <G, xi_i>
-    on the finest experiment mesh of the family; the construction itself does
-    not guarantee a sign.
+    The source claims no sign (``nonneg_certified`` is False), because the
+    construction gives none.  On the square, m* and lap(m*) vanish on the
+    boundary, where G = -div(gtilde) reduces to -grad m* . dH/dp[grad m*].
+    For the Huber family dH/dp[p] is a positive multiple of p, so G < 0
+    wherever grad m* != 0 there, and the loads <G, xi_i> of the first interior
+    vertices turn negative once h is small enough, for every nu (at nu = 5 the
+    minimum load on level 7 is -4.37e-5).
     """
     if not hamiltonian.smooth:
         raise ConfigurationError("manufactured instances require a smooth Hamiltonian")
@@ -235,13 +232,8 @@ def make_manufactured(nu, hamiltonian, c_F, domain="xz_square", certify_level=6)
         return nu * grad + sine.value(x, y)[..., None] * hamiltonian.grad_p(grad)
 
     source = SourceG(g0=None, g_tilde=g_tilde, nonneg_certified=False)
-    if certify_level is not None:
-        space = P1Space(_certification_mesh(domain, certify_level))
-        loads = source_load(space, source)
-        source.nonneg_certified = bool(loads.min(initial=0.0) >= NONNEG_TOL)
-
     return MFGProblem(nu=float(nu), hamiltonian=hamiltonian,
-                      coupling=local_linear_coupling(c_F, offset=f0),
+                      coupling=CouplingF(c_F=float(c_F), offset=f0),
                       source=source, domain=domain,
                       exact=ExactSolution(u=sine, m=sine))
 
@@ -257,7 +249,7 @@ def make_g_one_problem(nu=1.0, hamiltonian=None, c_F=1.0, domain="xz_square"):
 
     source = SourceG(g0=one, g_tilde=None, nonneg_certified=True)
     return MFGProblem(nu=float(nu), hamiltonian=hamiltonian,
-                      coupling=local_linear_coupling(c_F),
+                      coupling=CouplingF(c_F=float(c_F)),
                       source=source, domain=domain, exact=None)
 
 
@@ -298,7 +290,7 @@ def make_rough_density_problem(nu=1.0, hamiltonian=None, c_F=1.0, jump_x=1.0 / 3
     source = SourceG(g0=None, g_tilde=g_tilde, nonneg_certified=False,
                      exact_load=exact_load)
     return MFGProblem(nu=float(nu), hamiltonian=hamiltonian,
-                      coupling=local_linear_coupling(c_F, offset=f0),
+                      coupling=CouplingF(c_F=float(c_F), offset=f0),
                       source=source, domain="xz_square", exact=None)
 
 
@@ -312,6 +304,6 @@ def make_zero_problem(nu=1.0, hamiltonian=None, c_F=1.0, domain="xz_square"):
 
     source = SourceG(g0=None, g_tilde=None, nonneg_certified=True)
     return MFGProblem(nu=float(nu), hamiltonian=hamiltonian,
-                      coupling=local_linear_coupling(c_F, offset=f0),
+                      coupling=CouplingF(c_F=float(c_F), offset=f0),
                       source=source, domain=domain,
                       exact=ExactSolution(u=zero_field(), m=zero_field()))

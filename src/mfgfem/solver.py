@@ -57,7 +57,6 @@ class DiscreteSolution:
     newton_iters_total: int
     residual1_dual: float
     residual2_dual: float
-    converged: bool = True
     history: list = dataclass_field(default_factory=list)
 
 
@@ -234,7 +233,7 @@ def solve_mfg(space, problem, tensor, cfg=None):
             return DiscreteSolution(u=u, m=g, outer_iters=outer,
                                     newton_iters_total=newton_total,
                                     residual1_dual=d1, residual2_dual=d2,
-                                    converged=True, history=history)
+                                    history=history)
 
         if rejected:
             pairs.clear()

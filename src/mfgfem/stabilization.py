@@ -41,27 +41,15 @@ DMP_CROSS_CHECK_TRIALS = 4
 class StabilizationTensor:
     """Symmetric PSD 2x2 matrix per triangle."""
     per_element: np.ndarray  # (nt, 2, 2)
-    kind: str                # none | xz_edge | acute_artificial
-    c_d_observed: float      # max_K |D_K|_F / diam(K)
 
     @property
     def is_zero(self):
         return not np.any(self.per_element)
 
 
-def _frobenius(per_element):
-    return np.sqrt((per_element ** 2).sum(axis=(1, 2)))
-
-
-def _observed_cd(per_element, mesh):
-    if len(per_element) == 0:
-        return 0.0
-    return float((_frobenius(per_element) / mesh.diameters).max())
-
-
 def none_tensor(mesh):
     """Explicit zero tensor (stabilization disabled)."""
-    return StabilizationTensor(np.zeros((mesh.num_triangles, 2, 2)), "none", 0.0)
+    return StabilizationTensor(np.zeros((mesh.num_triangles, 2, 2)))
 
 
 def build_xz_tensor(mesh, L_H, omega_factor=None):
@@ -98,7 +86,7 @@ def build_xz_tensor(mesh, L_H, omega_factor=None):
             adjacent = mesh.edge_triangles[internal, col]
             valid = adjacent >= 0
             np.add.at(per_element, adjacent[valid], rank1[valid])
-    return StabilizationTensor(per_element, "xz_edge", _observed_cd(per_element, mesh))
+    return StabilizationTensor(per_element)
 
 
 def build_acute_tensor(mesh, L_H, nu, mu=1.1):
@@ -118,8 +106,7 @@ def build_acute_tensor(mesh, L_H, nu, mu=1.1):
     sigma_k = float(sigma_K.min())
     coeff = np.maximum(mu * L_H * mesh.diameters / (sigma_k * np.sin(theta)) - nu, 0.0)
     per_element = coeff[:, None, None] * np.eye(2)
-    return StabilizationTensor(per_element, "acute_artificial",
-                               _observed_cd(per_element, mesh))
+    return StabilizationTensor(per_element)
 
 
 @dataclass
@@ -147,7 +134,8 @@ def verify_h1(tensor, mesh):
         raise InvariantViolation(
             f"tensor not positive semi-definite on element {int(np.argmin(lam_min))} "
             f"(eigenvalue {min_eig:.3g})")
-    return H1Report(True, min_eig, _observed_cd(D, mesh))
+    c_d = np.sqrt((D ** 2).sum(axis=(1, 2))) / mesh.diameters
+    return H1Report(True, min_eig, float(c_d.max(initial=0.0)))
 
 
 def random_disk_drift(mesh, L_H, rng):

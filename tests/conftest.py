@@ -62,14 +62,13 @@ def rhombus_spaces(rhombus_hierarchy):
 
 @pytest.fixture(scope="session")
 def sine_problem():
-    """Default manufactured instance; certification sampled once at level 6."""
-    return mf.make_manufactured(1.0, mf.huber_ball(1.0), 1.0, certify_level=6)
+    """Default manufactured instance; its source claims no sign."""
+    return mf.make_manufactured(1.0, mf.huber_ball(1.0), 1.0)
 
 
 @pytest.fixture(scope="session")
 def sine_problem_rhombus():
-    return mf.make_manufactured(1.0, mf.huber_ball(1.0), 1.0,
-                                domain="acute_rhombus", certify_level=6)
+    return mf.make_manufactured(1.0, mf.huber_ball(1.0), 1.0, domain="acute_rhombus")
 
 
 @pytest.fixture(scope="session")

@@ -80,7 +80,7 @@ class TestElementOracles:
         mesh = space.mesh
         rng = np.random.default_rng(3)
         C = rng.standard_normal((mesh.num_triangles, 2, 2))
-        tensor = StabilizationTensor(C @ C.transpose(0, 2, 1), "none", 0.0)
+        tensor = StabilizationTensor(C @ C.transpose(0, 2, 1))
         A = 0.7 * np.eye(2) + tensor.per_element
         blocks = np.array([[[area * (Ak @ gj) @ gi for gj in g] for gi in g]
                            for area, Ak, g in zip(space.elem_areas, A, space.elem_grads)])
@@ -93,8 +93,7 @@ class TestElementOracles:
         space = square_spaces[2]
         nt = space.mesh.num_triangles
         nu = 0.7
-        tensor = StabilizationTensor(np.broadcast_to(nu * np.eye(2), (nt, 2, 2)).copy(),
-                                     "none", 0.0)
+        tensor = StabilizationTensor(np.broadcast_to(nu * np.eye(2), (nt, 2, 2)).copy())
         K1 = assembly.assemble_diffusion(space, nu)
         K2 = assembly.assemble_diffusion(space, nu, tensor)
         assert abs(K2 - 2.0 * K1).max() < 1e-14
@@ -188,7 +187,7 @@ class TestLoadsAndResiduals:
         space = square_spaces[3]
         ham = mf.finite_control([(0.0, 0.0)], [0.0])
         problem = mf.MFGProblem(nu=1.0, hamiltonian=ham,
-                                coupling=mf.problem.local_linear_coupling(1.0),
+                                coupling=mf.CouplingF(c_F=1.0),
                                 source=mf.SourceG(nonneg_certified=True))
         rng = np.random.default_rng(5)
         m = mf.P1Function(space, rng.standard_normal(space.ndof))

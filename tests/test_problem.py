@@ -65,17 +65,48 @@ class TestManufactured:
     def test_g_one_certified(self, g_one_problem):
         assert g_one_problem.source.nonneg_certified is True
 
+    @pytest.mark.parametrize("domain", ["xz_square", "acute_rhombus"])
+    @pytest.mark.parametrize("nu", [1.0, 5.0, 10.0])
+    def test_claims_no_sign_and_assembles_nothing(self, nu, domain, monkeypatch):
+        spaces, loads = [], []
+        space_init, load = mf.P1Space.__init__, mf.problem.source_load
+
+        def counting_init(self, mesh):
+            spaces.append(mesh)
+            space_init(self, mesh)
+
+        def counting_load(*args, **kwargs):
+            loads.append(args)
+            return load(*args, **kwargs)
+
+        monkeypatch.setattr(mf.P1Space, "__init__", counting_init)
+        monkeypatch.setattr(mf.problem, "source_load", counting_load)
+        problem = mf.make_manufactured(nu, mf.huber_ball(1.0), 1.0, domain=domain)
+        assert problem.source.nonneg_certified is False
+        assert spaces == [] and loads == []
+        with pytest.raises(ConfigurationError):
+            mf.analysis.verify_dmp_at_solution(None, problem)
+
+    def test_large_nu_square_source_negative_on_fine_mesh(self):
+        # why no nu earns the sign: the level-6 loads of the nu = 5 square
+        # instance are all positive, but the level-7 ones are not
+        problem = mf.make_manufactured(5.0, mf.huber_ball(1.0), 1.0)
+        mins = [source_load(mf.P1Space(mf.generate_structured_square(2 ** level)),
+                            problem.source).min() for level in (6, 7)]
+        assert mins[0] > 0.0
+        assert mins[1] == pytest.approx(-4.37e-5, rel=1e-3)
+
     @pytest.mark.parametrize("nu", [0.0, -1.0, math.nan, math.inf])
     def test_nu_must_be_finite_and_positive(self, nu):
         with pytest.raises(ConfigurationError):
             mf.MFGProblem(nu=nu, hamiltonian=mf.huber_ball(1.0),
-                          coupling=mf.problem.local_linear_coupling(1.0),
+                          coupling=mf.CouplingF(c_F=1.0),
                           source=mf.SourceG())
 
     def test_requires_smooth_hamiltonian(self):
         nonsmooth = mf.finite_control([(1, 0), (-1, 0)], [0, 0])
         with pytest.raises(ConfigurationError):
-            mf.make_manufactured(1.0, nonsmooth, 1.0, certify_level=None)
+            mf.make_manufactured(1.0, nonsmooth, 1.0)
 
     def test_kfp_pairing_cross_check(self, sine_problem, square_spaces):
         # <G, phi> with phi the interpolant of m* equals the direct degree-6

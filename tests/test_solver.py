@@ -246,8 +246,7 @@ class TestHJB:
         ham = mf.finite_control([(0.3, 0.2)], [0.1], smoothing=0.2)
         problem = mf.MFGProblem(
             nu=1.0, hamiltonian=ham,
-            coupling=mf.problem.local_linear_coupling(
-                1.0, offset=lambda x, y: np.sin(3 * x) * y),
+            coupling=mf.CouplingF(c_F=1.0, offset=lambda x, y: np.sin(3 * x) * y),
             source=mf.SourceG(nonneg_certified=True))
         u, iters, _ = solve_hjb(DiscreteSystem(space, problem, None), space.zero_function())
         assert iters == 1
@@ -272,7 +271,7 @@ class TestHJB:
     def test_rejects_nonsmooth(self, square_spaces):
         ham = mf.finite_control([(1, 0), (-1, 0)], [0, 0])
         problem = mf.MFGProblem(nu=1.0, hamiltonian=ham,
-                                coupling=mf.problem.local_linear_coupling(1.0),
+                                coupling=mf.CouplingF(c_F=1.0),
                                 source=mf.SourceG())
         space = square_spaces[2]
         with pytest.raises(ConfigurationError):
@@ -342,6 +341,31 @@ class TestKFP:
         assert system.factorizations == 1
         assert 0 < system.krylov_iters - iters <= assembly.KRYLOV_MAX
         assert np.linalg.norm(system.g_load - op @ x) <= 1e-13 * np.linalg.norm(system.g_load)
+
+    def test_each_solution_passes_one_residual_test(
+            self, sine_problem, square_hierarchy, monkeypatch):
+        # a GMRES iterate has passed the residual test inside _gmres, so
+        # solve returns it unchecked; an exact hierarchy's LU solve goes
+        # through checked once
+        calls = []
+        check = assembly.checked
+
+        def counting(op, x, rhs):
+            calls.append(x)
+            return check(op, x, rhs)
+
+        monkeypatch.setattr(assembly, "checked", counting)
+        mesh = square_hierarchy[4]
+        space = mf.P1Space(mesh)
+        u = mf.interpolate(space, sine_problem.exact.u.value)
+        for coarse, checks in ((assembly.COARSE_DOFS, 1), (40, 0)):
+            monkeypatch.setattr(assembly, "COARSE_DOFS", coarse)
+            system = DiscreteSystem(space, sine_problem, mf.build_xz_tensor(mesh, 1.0))
+            calls.clear()
+            x = system.solve(u, system.g_load, trans="T")
+            assert system._multigrid.exact is (checks == 1)
+            assert len(calls) == checks
+            assert check(system.linearize(u)[1].T, x, system.g_load) is x
 
     def test_formed_iterate_failing_the_residual_test_rebuilds(
             self, sine_problem, square_hierarchy, monkeypatch):
@@ -416,7 +440,6 @@ class TestMFG:
         space = mf.P1Space(mesh)
         tensor = mf.build_xz_tensor(mesh, 1.0)
         sol = solve_mfg(space, sine_problem, tensor)
-        assert sol.converged
         assert max(sol.residual1_dual, sol.residual2_dual) <= 1e-9
 
     def test_damping_independence(self, sine_problem, square_hierarchy):
@@ -734,7 +757,6 @@ class TestRecycledLUProperty:
         cfg = SolverConfig(tol_outer=1e-12, tol_newton=1e-12, max_outer=400)
         sol = solve_mfg(space, problem, tensor, cfg)
         direct = _all_direct_solve(space, problem, tensor, cfg)
-        assert sol.converged
         assert max(sol.residual1_dual, sol.residual2_dual) <= cfg.tol_outer
         assert sol.m.coeffs.min() >= mf.analysis.DMP_TOL
         assert np.abs(sol.u.coeffs - direct.u.coeffs).max() <= 1e-10
@@ -760,7 +782,6 @@ class TestMultigridProperty:
             assert len(system._multigrid.levels) == space.mesh.level - 2
             sol = solve_mfg(space, problem, tensor, cfg)
             direct = _all_direct_solve(space, problem, tensor, cfg)
-        assert sol.converged
         assert max(sol.residual1_dual, sol.residual2_dual) <= cfg.tol_outer
         assert sol.m.coeffs.min() >= mf.analysis.DMP_TOL
         assert np.abs(sol.u.coeffs - direct.u.coeffs).max() <= 1e-10
@@ -778,7 +799,7 @@ class TestMkPlus:
         zero = mf.problem.zero_field()
         problem = mf.MFGProblem(
             nu=1.0, hamiltonian=mf.huber_ball(1.0),
-            coupling=mf.problem.local_linear_coupling(1.0),
+            coupling=mf.CouplingF(c_F=1.0),
             source=mf.SourceG(g0=one, nonneg_certified=True),
             exact=mf.ExactSolution(u=zero, m=zero))
         mkp = solve_m_k_plus(space, problem, None)

@@ -28,9 +28,10 @@ def fan_mesh():
 
 class TestXZTensor:
     def test_zero_for_zero_lipschitz(self, square_hierarchy):
-        tensor = mf.build_xz_tensor(square_hierarchy[2], 0.0)
+        mesh = square_hierarchy[2]
+        tensor = mf.build_xz_tensor(mesh, 0.0)
         assert tensor.is_zero
-        assert tensor.c_d_observed == 0.0
+        assert mf.verify_h1(tensor, mesh).c_d_observed == 0.0
 
     def test_fan_mesh_hand_assembled(self):
         # each spoke has length sqrt(2)/2 and diagonal direction; with factor c
@@ -154,7 +155,7 @@ class TestVerifyH1:
         mesh = square_hierarchy[2]
         blocks = np.zeros((mesh.num_triangles, 2, 2))
         blocks[3] = np.diag([0.2, -0.1])
-        bad = StabilizationTensor(blocks, "none", 0.0)
+        bad = StabilizationTensor(blocks)
         with pytest.raises(InvariantViolation, match="element 3"):
             mf.verify_h1(bad, mesh)
 
@@ -216,7 +217,7 @@ class TestCertifyDMP:
         delta = space.mesh.shape_regularity
         base = mf.build_xz_tensor(space.mesh, 1.0, omega_factor=delta)
         for factor, holds in ((0.1, True), (0.09, False)):
-            scaled = StabilizationTensor(factor * base.per_element, "xz_edge", 0.0)
+            scaled = StabilizationTensor(factor * base.per_element)
             certified, margin = mf.certify_dmp(space, 1.0, scaled, 1.0)
             assert certified is holds
             assert (margin < 0.0) is holds
