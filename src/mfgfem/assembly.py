@@ -284,9 +284,9 @@ class DiscreteSystem:
     Holds what does not change during a solve -- the diffusion matrix
     K = nu I + D, the mass matrix M, the offset load <f0, xi_i>, the source
     load <G, xi_i> and, from its first use, the ``H1Gram`` solver ``gram`` --
-    and evaluates what does: the drift B(u), the coupling load
+    and evaluates what does: the linearization K + B(u), the coupling load
     <F[m], xi_i> and both residuals.  ``linearize`` caches the latest
-    linearization K + B(u) and keeps in ``drift_excess`` the largest excess of
+    linearization and keeps in ``drift_excess`` the largest excess of
     a drift over L_H since it was last reset.  ``solve`` holds one
     ``Multigrid`` hierarchy, that of the last linearization it had to rebuild
     it for, and counts its sparse LU ``factorizations`` and GMRES iterations
@@ -300,7 +300,7 @@ class DiscreteSystem:
         self.M = assemble_mass(space)
         self.f0_load = problem.coupling.offset_load(space)
         self.g_load = problem.source.load_vector(space)
-        # (u coefficients, B(u), L = K + B(u))
+        # (u coefficients, L = K + B(u))
         self._linearization = None
         self._multigrid = None
         self.factorizations = 0
@@ -314,8 +314,8 @@ class DiscreteSystem:
         return H1Gram(self.space, self.M + assemble_diffusion(self.space, 1.0))
 
     def linearize(self, u):
-        """``(B, L)``: the drift matrix B(u) of the field dH/dp[grad u] and the
-        HJB linearization L = K + B(u).
+        """The HJB linearization L = K + B(u), with B(u) the drift matrix of the
+        field dH/dp[grad u].
 
         The KFP operator at u is L^T.  Reassembles unless u equals the point
         of the previous call.
@@ -325,9 +325,9 @@ class DiscreteSystem:
             hspec = self.problem.hamiltonian
             drift = grad_p_field(hspec, u)
             self.drift_excess = max(self.drift_excess, drift_excess(drift, hspec.L_H))
-            B = assemble_hjb_drift(self.space, drift)
-            self._linearization = (u.coeffs.copy(), B, self.K + B)
-        return self._linearization[1:]
+            self._linearization = (u.coeffs.copy(),
+                                   self.K + assemble_hjb_drift(self.space, drift))
+        return self._linearization[1]
 
     def solve(self, u, rhs, x0=None, trans="N"):
         """x with op x = rhs for op = L, or L^T if trans is "T", and
@@ -342,7 +342,7 @@ class DiscreteSystem:
         When that fails too, it solves directly with an LU of L.  A direct
         solution passes ``checked``.
         """
-        _, L = self.linearize(u)
+        L = self.linearize(u)
         op = L.T if trans == "T" else L
         x = None if self._multigrid is None else self._gmres(op, rhs, x0, trans)
         if x is None:
@@ -412,7 +412,7 @@ class DiscreteSystem:
     def kfp_residual(self, u, m):
         """Residual load of the discrete KFP equation at (m, u):
         <G, xi_i> - int A grad m . grad xi_i + m dH/dp[grad u] . grad xi_i."""
-        return self.g_load - self.linearize(u)[1].T @ m.coeffs
+        return self.g_load - self.linearize(u).T @ m.coeffs
 
 
 def assemble_hjb_nonlinear_residual(space, u, m, problem, tensor):

@@ -52,7 +52,7 @@ class P1Space:
         ndof) CSR matrix; None without a parent or when it has no interior dof.
 
         Red refinement keeps the parent's vertices and appends one midpoint per
-        parent edge (``midpoint_parents``), so a coarse function keeps its
+        parent edge in the parent's edge order, so a coarse function keeps its
         values there and takes the average of the two edge ends at each
         midpoint; boundary values are zero, so their columns are dropped.
         """
@@ -60,7 +60,7 @@ class P1Space:
         if parent is None or parent.ndof == 0:
             return None
         inherited = parent.mesh.num_vertices
-        pairs = self.mesh.midpoint_parents
+        pairs = parent.mesh.edges
         rows = np.concatenate([self.dof_of_vertex[:inherited],
                                np.repeat(self.dof_of_vertex[inherited:], 2)])
         cols = parent.dof_of_vertex[np.concatenate([np.arange(inherited), pairs.ravel()])]

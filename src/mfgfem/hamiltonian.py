@@ -36,7 +36,11 @@ class HamiltonianSpec:
     L_H: float           # Lipschitz constant in p; also the drift bound
     C_H: float           # growth constant: |H| <= C_H (|p| + 1)
     L_Hp: float          # Lipschitz constant of dH/dp in p
-    smooth: bool         # True iff grad_p is globally Lipschitz
+
+    @property
+    def smooth(self):
+        """True iff grad_p is globally Lipschitz: L_Hp is finite."""
+        return math.isfinite(self.L_Hp)
 
 
 def huber_ball(R):
@@ -57,7 +61,7 @@ def huber_ball(R):
         return scale[..., None] * p
 
     return HamiltonianSpec(value=value, grad_p=grad_p, L_H=float(R),
-                           C_H=float(max(R, 0.5 * R * R)), L_Hp=1.0, smooth=True)
+                           C_H=float(max(R, 0.5 * R * R)), L_Hp=1.0)
 
 
 def finite_control(drifts, costs, smoothing=0.0):
@@ -67,7 +71,9 @@ def finite_control(drifts, costs, smoothing=0.0):
     regularization, restoring a Lipschitz derivative (L_Hp = 2 max|b|^2 / eps,
     a safe upper bound).  With epsilon = 0 the instance is exact but only
     piecewise smooth: ties break to the lowest control index and the result is
-    flagged non-smooth, outside what the Newton solver accepts.
+    flagged non-smooth, outside what the Newton solver accepts.  So is an
+    epsilon so small that the bound L_Hp overflows to inf, for which the
+    log-sum-exp itself overflows.
     """
     B = np.atleast_2d(np.asarray(drifts, dtype=float))
     f = np.atleast_1d(np.asarray(costs, dtype=float))
@@ -95,7 +101,7 @@ def finite_control(drifts, costs, smoothing=0.0):
 
         return HamiltonianSpec(value=value, grad_p=grad_p, L_H=bmax,
                                C_H=float(max(bmax, np.abs(f).max())),
-                               L_Hp=math.inf, smooth=False)
+                               L_Hp=math.inf)
 
     def value(p):
         scores = (np.asarray(p, dtype=float) @ B.T - f) / eps
@@ -107,7 +113,7 @@ def finite_control(drifts, costs, smoothing=0.0):
 
     c_h = float(max(bmax, np.abs(f).max()) + eps * math.log(len(f)))
     return HamiltonianSpec(value=value, grad_p=grad_p, L_H=bmax, C_H=c_h,
-                           L_Hp=2.0 * bmax ** 2 / eps, smooth=True)
+                           L_Hp=2.0 * bmax ** 2 / eps)
 
 
 def check_gradient(spec, samples=1000, seed=0):

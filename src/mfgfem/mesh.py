@@ -41,19 +41,14 @@ class Mesh2D:
     vertices : (nv, 2) float array
     triangles : (nt, 3) int array
         Vertex index triples; clockwise triples are silently reoriented.
-    level : int
-        Refinement level; 0 for generated root meshes.
     parent : Mesh2D, optional
-        The coarser mesh this one refines (set by :func:`refine_red`).
-    midpoint_parents : (k, 2) int array, optional
-        For a refined mesh, the parent-vertex pair whose midpoint created each
-        appended vertex, in order of appearance after the inherited vertices.
+        The coarser mesh this one refines (set by :func:`refine_red`); the
+        refinement ``level`` is 0 without one and the parent's plus 1 with one.
 
     The instance is immutable after construction; arrays are write-protected.
     """
 
-    def __init__(self, vertices, triangles, level=0, parent=None,
-                 midpoint_parents=None):
+    def __init__(self, vertices, triangles, parent=None):
         vertices = np.ascontiguousarray(vertices, dtype=float)
         triangles = np.ascontiguousarray(triangles, dtype=np.int64)
         if vertices.ndim != 2 or vertices.shape[1] != 2:
@@ -81,10 +76,8 @@ class Mesh2D:
 
         self.vertices = vertices
         self.triangles = triangles
-        self.level = int(level)
+        self.level = 0 if parent is None else parent.level + 1
         self.parent: Optional[Mesh2D] = parent
-        self.midpoint_parents = (None if midpoint_parents is None
-                                 else np.ascontiguousarray(midpoint_parents, dtype=np.int64))
 
         self._build_edges()
         for arr in (self.vertices, self.triangles, self.edges,
@@ -292,8 +285,7 @@ def refine_red(mesh):
         np.column_stack([v2, m1, m0]),
         np.column_stack([m0, m1, m2]),
     ])
-    return Mesh2D(vertices, children, level=mesh.level + 1, parent=mesh,
-                  midpoint_parents=mesh.edges)
+    return Mesh2D(vertices, children, parent=mesh)
 
 
 # -- angle conditions ------------------------------------------------------

@@ -72,14 +72,11 @@ def riesz_dual_norm(gram, r):
     return math.sqrt(max(val, 0.0))
 
 
-def _newton_proposal(system, m, u):
-    """Solution of the HJB equation linearized at u:
-    (K + B(u)) x = <F[m], xi_i> + B(u) u - H[grad u]."""
+def _newton_proposal(system, r, u):
+    """Solution of the HJB equation linearized at u, whose residual load is r:
+    L(u) x = r + L(u) u, which is <F[m], xi_i> + B(u) u - H[grad u]."""
     fn = P1Function(system.space, u)
-    B, _ = system.linearize(fn)
-    rhs = (system.coupling_load(m) + B @ u
-           - assembly.hamiltonian_load(system.space, system.problem.hamiltonian, fn))
-    return system.solve(fn, rhs, x0=u)
+    return system.solve(fn, r + system.linearize(fn) @ u, x0=u)
 
 
 def solve_hjb(system, m_fixed, cfg=None, u0=None):
@@ -87,7 +84,8 @@ def solve_hjb(system, m_fixed, cfg=None, u0=None):
     with residual dual norms measured by ``system.gram``.
 
     Each step freezes the drift dH/dp[grad u^n] and solves the resulting member
-    of the advection class; the step is damped by halving whenever the residual
+    of the advection class, with the residual load the solve carries from its
+    last accepted iterate; the step is damped by halving whenever the residual
     dual norm fails to decrease.  If it still fails at step 2^-10, the solve
     raises NonConvergenceError.  Returns ``(u, newton_iterations, halvings)``.
     """
@@ -97,20 +95,20 @@ def solve_hjb(system, m_fixed, cfg=None, u0=None):
     space = system.space
     u = np.zeros(space.ndof) if u0 is None else np.asarray(u0.coeffs, dtype=float).copy()
 
-    def residual_norm(vec):
+    def residual(vec):
         r = system.hjb_residual(P1Function(space, vec), m_fixed)
-        return riesz_dual_norm(system.gram, r)
+        return r, riesz_dual_norm(system.gram, r)
 
     halvings = 0
-    res_norm = residual_norm(u)
+    r, res_norm = residual(u)
     for it in range(1, cfg.max_newton + 1):
         if res_norm <= cfg.tol_newton:
             return P1Function(space, u), it - 1, halvings
-        u_prop = _newton_proposal(system, m_fixed, u)
+        u_prop = _newton_proposal(system, r, u)
 
         step = 1.0
         u_new = u_prop
-        norm_new = residual_norm(u_new)
+        r_new, norm_new = residual(u_new)
         while norm_new > res_norm:
             if step <= 2.0 ** -10:
                 raise NonConvergenceError(
@@ -119,8 +117,8 @@ def solve_hjb(system, m_fixed, cfg=None, u0=None):
             step *= 0.5
             halvings += 1
             u_new = u + step * (u_prop - u)
-            norm_new = residual_norm(u_new)
-        u, res_norm = u_new, norm_new
+            r_new, norm_new = residual(u_new)
+        u, r, res_norm = u_new, r_new, norm_new
 
     if res_norm <= cfg.tol_newton:
         return P1Function(space, u), cfg.max_newton, halvings

@@ -113,7 +113,7 @@ class TestInjection:
         fn = mf.P1Function(coarse, np.random.default_rng(3).standard_normal(coarse.ndof))
         values = fn.nodal_values()
         for refined in (space.mesh for space in spaces[3:6]):
-            pairs = refined.midpoint_parents
+            pairs = refined.parent.edges
             values = np.concatenate([values, 0.5 * (values[pairs[:, 0]] + values[pairs[:, 1]])])
         assert np.array_equal(inject_to_descendant(fn, fine).coeffs,
                               values[fine.vertex_of_dof])

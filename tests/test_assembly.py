@@ -219,7 +219,7 @@ class TestLoadsAndResiduals:
 class TestMultigrid:
     def linearization(self, problem, space):
         system = assembly.DiscreteSystem(space, problem, mf.build_xz_tensor(space.mesh, 1.0))
-        return system.linearize(mf.interpolate(space, problem.exact.u.value))[1]
+        return system.linearize(mf.interpolate(space, problem.exact.u.value))
 
     def test_coarsest_level_is_first_within_coarse_dofs(self, sine_problem, square_spaces):
         # level 6 (3969 dofs) coarsens once, to level 5 (961 <= COARSE_DOFS);

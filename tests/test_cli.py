@@ -288,6 +288,18 @@ class TestSolve:
         assert telemetry["converged"] is True
         assert telemetry["outer_iters"] == 1
 
+    def test_overflowing_smoothing_rejected(self, tmp_path, capsys):
+        # epsilon so small that L_Hp is inf: non-smooth, so Newton refuses it
+        path = write_config(tmp_path, f"""
+            problem.kind = g_one
+            mesh.level = 3
+            hamiltonian.kind = finite
+            hamiltonian.epsilon = 1e-310
+            output.dir = {tmp_path / "out"}
+        """)
+        assert cli.main(["solve", path]) == cli.EXIT_INPUT_ERROR
+        assert "smooth Hamiltonian" in capsys.readouterr().err
+
     def test_sine_level3_converges(self, tmp_path):
         out = tmp_path / "out"
         path = write_config(tmp_path, f"""

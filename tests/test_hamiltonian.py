@@ -87,6 +87,12 @@ class TestFiniteControl:
         assert not spec.smooth
         assert spec.L_Hp == math.inf
 
+    def test_overflowing_smoothing_is_not_smooth(self):
+        # L_Hp = 2 max|b|^2 / eps overflows, and so does the log-sum-exp
+        spec = mf.finite_control([(1, 0), (-1, 0)], [0.0, 0.0], smoothing=1e-310)
+        assert spec.L_Hp == math.inf
+        assert spec.smooth is False
+
     def test_smoothed_constants(self):
         spec = mf.finite_control([(1, 0), (0, 2)], [0.0, 0.5], smoothing=0.2)
         assert spec.smooth

@@ -284,11 +284,49 @@ class TestHJB:
         m = mf.interpolate(space, sine_problem.exact.m.value)
         newton = solver._newton_proposal
         monkeypatch.setattr(solver, "_newton_proposal",
-                            lambda system, m, u: 2.0 * u - newton(system, m, u))
+                            lambda system, r, u: 2.0 * u - newton(system, r, u))
         with pytest.raises(NonConvergenceError) as err:
             solve_hjb(system, m)
         start = riesz_dual_norm(system.gram, system.hjb_residual(space.zero_function(), m))
         assert err.value.last_residual == start
+
+    def test_newton_rhs_is_residual_plus_linearization(self, sine_problem, square_hierarchy):
+        # r + L(u) u is the linearized right-hand side <F[m], xi_i> + B(u) u - H[grad u],
+        # with B(u) and the H load assembled on their own
+        mesh = square_hierarchy[3]
+        space = mf.P1Space(mesh)
+        system = DiscreteSystem(space, sine_problem, mf.build_xz_tensor(mesh, 1.0))
+        rng = np.random.default_rng(7)
+        u = mf.P1Function(space, rng.standard_normal(space.ndof))
+        m = mf.P1Function(space, rng.uniform(0.0, 2.0, space.ndof))
+        r = system.hjb_residual(u, m)
+        ham = sine_problem.hamiltonian
+        oracle = (system.coupling_load(m)
+                  + assembly.assemble_hjb_drift(space, assembly.grad_p_field(ham, u))
+                  @ u.coeffs
+                  - assembly.hamiltonian_load(space, ham, u))
+        got = r + system.linearize(u) @ u.coeffs
+        assert np.linalg.norm(got - oracle) <= 1e-13 * np.linalg.norm(oracle)
+
+    @pytest.mark.parametrize("overshoot", [1.0, 4.0])
+    def test_one_hamiltonian_load_per_residual(self, overshoot, sine_problem,
+                                               square_hierarchy, monkeypatch):
+        # the Newton step reuses the residual load of the accepted iterate: H is
+        # loaded for the initial residual, each proposal and each halving only;
+        # an overshooting proposal makes the line search halve
+        mesh = square_hierarchy[3]
+        space = mf.P1Space(mesh)
+        system = DiscreteSystem(space, sine_problem, mf.build_xz_tensor(mesh, 1.0))
+        load = assembly.hamiltonian_load
+        calls = []
+        monkeypatch.setattr(assembly, "hamiltonian_load",
+                            lambda *args: calls.append(None) or load(*args))
+        newton = solver._newton_proposal
+        monkeypatch.setattr(solver, "_newton_proposal",
+                            lambda system, r, u: u + overshoot * (newton(system, r, u) - u))
+        _, iters, halvings = solve_hjb(system, mf.interpolate(space, sine_problem.exact.m.value))
+        assert iters > 0 and (halvings > 0) is (overshoot > 1.0)
+        assert len(calls) == 1 + iters + halvings
 
 
 class TestKFP:
@@ -317,7 +355,7 @@ class TestKFP:
         u = mf.interpolate(space, sine_problem.exact.u.value)
         monkeypatch.setattr(assembly, "KRYLOV_RTOL", 1e-16)
         x = system.solve(u, system.g_load, trans="T")
-        op = system.linearize(u)[1].T
+        op = system.linearize(u).T
         assert system.factorizations == 1
         assert 0 < system.krylov_iters <= assembly.KRYLOV_MAX
         assert np.linalg.norm(system.g_load - op @ x) <= 1e-13 * np.linalg.norm(system.g_load)
@@ -337,7 +375,7 @@ class TestKFP:
         u = mf.interpolate(space, sine_problem.exact.u.value)
         monkeypatch.setattr(assembly, "KRYLOV_RTOL", 1e-16)
         x = system.solve(u, system.g_load, trans="T")
-        op = system.linearize(u)[1].T
+        op = system.linearize(u).T
         assert system.factorizations == 1
         assert 0 < system.krylov_iters - iters <= assembly.KRYLOV_MAX
         assert np.linalg.norm(system.g_load - op @ x) <= 1e-13 * np.linalg.norm(system.g_load)
@@ -365,7 +403,7 @@ class TestKFP:
             x = system.solve(u, system.g_load, trans="T")
             assert system._multigrid.exact is (checks == 1)
             assert len(calls) == checks
-            assert check(system.linearize(u)[1].T, x, system.g_load) is x
+            assert check(system.linearize(u).T, x, system.g_load) is x
 
     def test_formed_iterate_failing_the_residual_test_rebuilds(
             self, sine_problem, square_hierarchy, monkeypatch):
@@ -378,7 +416,7 @@ class TestKFP:
         system = DiscreteSystem(space, sine_problem, mf.build_xz_tensor(mesh, 1.0))
         system.solve(space.zero_function(), system.g_load, trans="T")
         u = mf.interpolate(space, sine_problem.exact.u.value)
-        op = system.linearize(u)[1].T
+        op = system.linearize(u).T
         held = system._multigrid
         vcycle = held.solve
         cycles = []
@@ -413,7 +451,7 @@ class TestKFP:
         space = square_spaces[3]
         rng = np.random.default_rng(2)
         u = mf.P1Function(space, 0.3 * rng.standard_normal(space.ndof))
-        _, L = DiscreteSystem(space, g_one_problem, None).linearize(u)
+        L = DiscreteSystem(space, g_one_problem, None).linearize(u)
         op = L.T.toarray()
         drift = assembly.grad_p_field(g_one_problem.hamiltonian, u)
         oracle = (assembly.assemble_diffusion(space, 1.0).toarray()
@@ -630,6 +668,37 @@ class TestMFG:
         assert abs(mf.error_h1(tight.u, ex.u.value, ex.u.grad) - 0.3730181080584706) <= 1e-12
         assert abs(mf.error_h1(tight.m, ex.m.value, ex.m.grad) - 0.36447419170370454) <= 1e-12
 
+    @pytest.mark.parametrize("family, make_problem, path", [
+        ("xz_square", lambda: mf.make_manufactured(1.0, mf.huber_ball(1.0), 1.0),
+         (5, 9, 91, 1)),
+        ("acute_rhombus", lambda: mf.make_manufactured(1.0, mf.huber_ball(1.0), 1.0,
+                                                       domain="acute_rhombus"),
+         (6, 10, 103, 1)),
+        ("xz_square", lambda: mf.make_g_one_problem(1.0, mf.huber_ball(1.0), 1.0),
+         (3, 4, 22, 1)),
+        ("xz_square", lambda: mf.make_g_one_problem(0.1, mf.huber_ball(2.0), 5.0),
+         (10, 20, 247, 1)),
+        ("xz_square", lambda: mf.make_rough_density_problem(1.0, mf.huber_ball(1.0), 1.0),
+         (4, 8, 74, 1)),
+    ], ids=["sine", "sine_acute", "g_one", "hard_g_one", "rough"])
+    def test_level5_solver_path(self, family, make_problem, path, square_hierarchy,
+                                rhombus_hierarchy):
+        # the default solve's sweeps, Newton steps, GMRES iterations and
+        # factorizations, pinned so that a change meant to keep the path shows
+        # here when it does not
+        problem = make_problem()
+        L_H = problem.hamiltonian.L_H
+        if family == "xz_square":
+            mesh = square_hierarchy[5]
+            tensor = mf.build_xz_tensor(mesh, L_H)
+        else:
+            mesh = rhombus_hierarchy[5]
+            tensor = mf.build_acute_tensor(mesh, L_H, problem.nu)
+        sol = solve_mfg(mf.P1Space(mesh), problem, tensor)
+        assert (sol.outer_iters, sol.newton_iters_total,
+                sum(h["krylov_iters"] for h in sol.history),
+                sum(h["factorizations"] for h in sol.history)) == path
+
     def test_rejected_mixed_step_falls_back_to_picard(self, square_hierarchy):
         # on this instance one mixed step raises the residual: it is recorded as
         # rejected, and the loop goes on from the last accepted sweep
@@ -705,9 +774,9 @@ class TestMFG:
         newton = solver._newton_proposal
         calls = []
 
-        def proposal(system, m, u):
+        def proposal(system, r, u):
             calls.append(None)
-            x = newton(system, m, u)
+            x = newton(system, r, u)
             return x if len(calls) < 6 else 2.0 * u - x
 
         monkeypatch.setattr(solver, "_newton_proposal", proposal)

@@ -148,7 +148,7 @@ class TestAcuteTensor:
 class TestVerifyH1:
     def test_zero_tensor(self, square_hierarchy):
         report = mf.verify_h1(mf.none_tensor(square_hierarchy[2]), square_hierarchy[2])
-        assert report.psd_ok
+        assert report.min_eigenvalue == 0.0
         assert report.c_d_observed == 0.0
 
     def test_negative_eigenvalue_detected(self, square_hierarchy):
