@@ -15,7 +15,7 @@ import math
 import os
 import sys
 import time
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
@@ -50,11 +50,11 @@ class RunConfig:
     hamiltonian_epsilon: float = 0.0
     hamiltonian_drifts: tuple = ((1.0, 0.0), (-1.0, 0.0))
     hamiltonian_costs: tuple = (0.0, 0.0)
-    tol_outer: float = 1e-9
-    max_outer: int = 200
-    damping: float = 0.5
-    tol_newton: float = 1e-10
-    max_newton: int = 30
+    tol_outer: float = SolverConfig.tol_outer
+    max_outer: int = SolverConfig.max_outer
+    damping: float = SolverConfig.damping
+    tol_newton: float = SolverConfig.tol_newton
+    max_newton: int = SolverConfig.max_newton
     reference_offset: int = 2
     output_dir: str = "."
     seed: int = 0
@@ -63,9 +63,7 @@ class RunConfig:
     verify_gradient_samples: int = 1000
 
     def solver_config(self):
-        return SolverConfig(tol_outer=self.tol_outer, max_outer=self.max_outer,
-                            damping=self.damping, tol_newton=self.tol_newton,
-                            max_newton=self.max_newton)
+        return SolverConfig(**{f.name: getattr(self, f.name) for f in fields(SolverConfig)})
 
 
 def _parse_bool(text):
@@ -459,9 +457,9 @@ def cmd_verify(config):
                               seed=config.seed)
     results["gradient_check"] = {"pass": bool(grad_err < 1e-5),
                                  "max_relative_error": grad_err}
-    ratio_here = check_semismooth_bound(prob.hamiltonian, space, pairs=20, seed=config.seed)
+    ratio_here = check_semismooth_bound(prob.hamiltonian, space, seed=config.seed)
     finer = P1Space(refine_red(mesh))
-    ratio_finer = check_semismooth_bound(prob.hamiltonian, finer, pairs=20, seed=config.seed)
+    ratio_finer = check_semismooth_bound(prob.hamiltonian, finer, seed=config.seed)
     hi = max(ratio_here, ratio_finer)
     lo = max(min(ratio_here, ratio_finer), 1e-300)
     results["semismooth_ratio"] = {"pass": bool(hi / lo <= 2.0),

@@ -27,6 +27,8 @@ FD_STEP = 1e-6
 P_SCALE = 3.0
 # exponent of the two-dimensional semismooth bound in ``check_semismooth_bound``
 SEMISMOOTH_GAMMA = 1.0 / 9.0
+# random pairs that ``check_semismooth_bound`` samples
+SEMISMOOTH_PAIRS = 20
 
 
 @dataclass(frozen=True)
@@ -57,7 +59,7 @@ def huber_ball(R):
     def grad_p(p):
         p = np.asarray(p, dtype=float)
         r = np.linalg.norm(p, axis=-1)
-        scale = np.where(r <= R, 1.0, R / np.maximum(r, np.finfo(float).tiny))
+        scale = R / np.maximum(r, R)   # 1 on the disk, R / |p| outside it
         return scale[..., None] * p
 
     return HamiltonianSpec(value=value, grad_p=grad_p, L_H=float(R),
@@ -146,9 +148,10 @@ def linearization_remainder(spec, v, w):
             - np.einsum("td,td->t", np.asarray(spec.grad_p(gw), dtype=float), gv - gw))
 
 
-def check_semismooth_bound(spec, space, pairs=20, seed=0):
+def check_semismooth_bound(spec, space, seed=0):
     """Worst observed ratio ||remainder||_{V*} / ||v - w||_{H1}^{1+gamma} over
-    random P1 pairs, with the two-dimensional exponent gamma = SEMISMOOTH_GAMMA.
+    SEMISMOOTH_PAIRS random P1 pairs, with the two-dimensional exponent
+    gamma = SEMISMOOTH_GAMMA.
     Dual norms go through ``assembly.H1Gram``, as in a solve.
 
     The constant multiplying ||v - w||^{1+gamma} in the bound is existential,
@@ -160,7 +163,7 @@ def check_semismooth_bound(spec, space, pairs=20, seed=0):
     gram = assembly.assemble_h1_gram(space)
     gram_solver = assembly.H1Gram(space, gram)
     worst = 0.0
-    for k in range(pairs):
+    for _ in range(SEMISMOOTH_PAIRS):
         scale = 10.0 ** rng.uniform(-2.0, 0.5)
         v = P1Function(space, scale * rng.standard_normal(space.ndof))
         w = P1Function(space, scale * rng.standard_normal(space.ndof))

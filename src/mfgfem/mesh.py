@@ -45,7 +45,11 @@ class Mesh2D:
         The coarser mesh this one refines (set by :func:`refine_red`); the
         refinement ``level`` is 0 without one and the parent's plus 1 with one.
 
-    The instance is immutable after construction; arrays are write-protected.
+    Each relation is stored once: ``edges`` (ne, 2) and ``tri_edges`` (nt, 3),
+    the edge opposite each local vertex; the triangles of an edge are the rows
+    of ``tri_edges`` that name it.  ``areas`` are the absolute signed areas of
+    the orientation pass.  The instance is immutable after construction;
+    arrays are write-protected.
     """
 
     def __init__(self, vertices, triangles, parent=None):
@@ -61,12 +65,14 @@ class Mesh2D:
         if triangles.size and (triangles.min() < 0 or triangles.max() >= nv):
             raise GeometryError("triangle vertex index out of range")
 
-        # orient counterclockwise; reject degenerate triangles by the ratio of
-        # area to squared longest edge, which red refinement leaves unchanged
+        # orient counterclockwise, which negates a signed area exactly, so the
+        # areas are the absolute signed areas; reject degenerate triangles by the
+        # ratio of area to squared longest edge, which red refinement leaves unchanged
         p = vertices[triangles]
         signed = 0.5 * _cross2(p[:, 1] - p[:, 0], p[:, 2] - p[:, 0])
+        areas = np.abs(signed)
         sides = p - p[:, [2, 0, 1]]
-        thin = np.abs(signed) <= GEOM_TOL * (sides ** 2).sum(axis=2).max(axis=1, initial=0.0)
+        thin = areas <= GEOM_TOL * (sides ** 2).sum(axis=2).max(axis=1, initial=0.0)
         if np.any(thin):
             raise GeometryError(f"triangle {int(np.argmax(thin))} has (near-)zero area")
         flip = signed < 0
@@ -76,12 +82,12 @@ class Mesh2D:
 
         self.vertices = vertices
         self.triangles = triangles
+        self.areas = areas
         self.level = 0 if parent is None else parent.level + 1
         self.parent: Optional[Mesh2D] = parent
 
         self._build_edges()
-        for arr in (self.vertices, self.triangles, self.edges,
-                    self.edge_triangles, self.tri_edges):
+        for arr in (self.vertices, self.triangles, self.areas, self.edges, self.tri_edges):
             arr.setflags(write=False)
 
     # -- connectivity -----------------------------------------------------
@@ -96,27 +102,21 @@ class Mesh2D:
             pairs[s::3, 0] = tris[:, a]
             pairs[s::3, 1] = tris[:, b]
         pairs.sort(axis=1)
-        # one stable sort of the key a * nv + b orders the pairs as edges are
-        # numbered, lexicographically, and each edge's triangles by index
+        # one sort of the key a * nv + b orders the pairs as edges are numbered,
+        # lexicographically
         key = pairs[:, 0] * len(self.vertices) + pairs[:, 1]
-        order = np.argsort(key, kind="stable")
+        order = np.argsort(key)
         first = np.diff(key[order], prepend=-1) != 0
         sorted_edges = np.cumsum(first) - 1
         inverse = np.empty_like(sorted_edges)
         inverse[order] = sorted_edges
         edges = pairs[order[first]]
-        ne = len(edges)
 
-        counts = np.bincount(inverse, minlength=ne)
+        counts = np.bincount(inverse, minlength=len(edges))
         if np.any(counts > 2):
             raise GeometryError("non-conforming mesh: an edge is shared by more than two triangles")
 
-        edge_tris = -np.ones((ne, 2), dtype=np.int64)
-        owner = np.repeat(np.arange(nt), 3)
-        edge_tris[sorted_edges, np.where(first, 0, 1)] = owner[order]
-
         self.edges = edges
-        self.edge_triangles = edge_tris
         self.tri_edges = inverse.reshape(nt, 3)
 
         boundary_edges = counts == 1
@@ -152,11 +152,6 @@ class Mesh2D:
         return self.interior_vertex_mask[self.edges].any(axis=1)
 
     # -- geometry ---------------------------------------------------------
-
-    @cached_property
-    def areas(self):
-        p = self.vertices[self.triangles]
-        return 0.5 * _cross2(p[:, 1] - p[:, 0], p[:, 2] - p[:, 0])
 
     @cached_property
     def edge_lengths(self):
@@ -314,8 +309,8 @@ def check_xz(mesh):
     no two-triangle edges (vacuous condition).
     """
     cots = _cotangents(mesh)
-    sums = np.zeros(mesh.num_edges)
-    np.add.at(sums, mesh.tri_edges.ravel(), cots.ravel())
+    sums = np.bincount(mesh.tri_edges.ravel(), weights=cots.ravel(),
+                       minlength=mesh.num_edges)
     shared = ~mesh.boundary_edge_flags
     if not shared.any():
         return True, XZ_VACUOUS

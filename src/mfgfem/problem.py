@@ -153,14 +153,14 @@ def vector_load(space, gt, degree=4):
     return assembly._scatter_load(space, loads)
 
 
-def source_load(space, source, degree=4, force_quadrature=False):
-    if source.exact_load is not None and not force_quadrature:
+def source_load(space, source):
+    if source.exact_load is not None:
         return source.exact_load(space)
     out = np.zeros(space.ndof)
     if source.g0 is not None:
-        out += scalar_load(space, source.g0, degree=degree)
+        out += scalar_load(space, source.g0)
     if source.g_tilde is not None:
-        out += vector_load(space, source.g_tilde, degree=degree)
+        out += vector_load(space, source.g_tilde)
     return out
 
 

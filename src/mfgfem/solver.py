@@ -64,8 +64,6 @@ def riesz_dual_norm(gram, r):
     """Discrete V* norm sqrt(r^T Gram^-1 r) of the functional with load r;
     ``gram`` solves with the Gram matrix (an ``assembly.H1Gram`` or an LU)."""
     r = np.asarray(r, dtype=float)
-    if r.shape[0] == 0:
-        return 0.0
     val = float(r @ gram.solve(r))
     if val < -1e-12 * max(1.0, float(r @ r)):
         raise SolverError("Gram matrix is not positive definite")

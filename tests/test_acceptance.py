@@ -228,8 +228,8 @@ class TestCriterion8HamiltonianCalculus:
             grad_norms = np.linalg.norm(spec.grad_p(p), axis=1)
             bound_ok &= bool(grad_norms.max() <= spec.L_H + 1e-12)
 
-        r3 = check_semismooth_bound(huber, square_spaces[3], pairs=20, seed=0)
-        r4 = check_semismooth_bound(huber, square_spaces[4], pairs=20, seed=0)
+        r3 = check_semismooth_bound(huber, square_spaces[3], seed=0)
+        r4 = check_semismooth_bound(huber, square_spaces[4], seed=0)
         ratio_ok = max(r3, r4) / min(r3, r4) <= 2.0
 
         ok = (fd_huber < 1e-5 and fd_lse < 1e-5 and convex_ok and bound_ok

@@ -390,6 +390,17 @@ class TestConvergence:
         """)
         assert cli.main(["convergence", path]) == cli.EXIT_INPUT_ERROR
 
+    def test_nonconvergence_exit_3_without_report(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        path = write_config(tmp_path, f"""
+            mesh.levels = 2:4
+            solver.max_outer = 1
+            output.dir = {out}
+        """)
+        assert cli.main(["convergence", path]) == cli.EXIT_NONCONVERGENCE
+        assert "solver did not converge" in capsys.readouterr().err
+        assert not (out / "report.json").exists()
+
     def test_acute_family_all_verdicts_pass(self, tmp_path):
         out = tmp_path / "out"
         path = write_config(tmp_path, f"""
@@ -524,6 +535,12 @@ class TestVerify:
         assert "smooth Hamiltonian" in capsys.readouterr().err
         assert calls == []
         assert not (out / "report.json").exists()
+
+    def test_newton_nonconvergence_exit_3(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        path = self.make_config(tmp_path, out, extra="solver.max_newton = 1")
+        assert cli.main(["verify", path]) == cli.EXIT_NONCONVERGENCE
+        assert "solver did not converge" in capsys.readouterr().err
 
     def test_bad_omega_factor_rejected_before_suites(self, tmp_path):
         path = write_config(tmp_path, """

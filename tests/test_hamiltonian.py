@@ -40,6 +40,13 @@ class TestHuberBall:
         spec = mf.huber_ball(1.0)
         assert np.allclose(spec.grad_p([0.0, 0.0]), [0.0, 0.0])
 
+    def test_zero_gradient_does_not_overflow_for_large_radius(self):
+        # every element's gradient is zero at u = 0, the first iterate of a solve
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            grads = mf.huber_ball(4.0).grad_p(np.zeros((3, 2)))
+        assert np.array_equal(grads, np.zeros((3, 2)))
+
     @settings(max_examples=200, deadline=None)
     @given(px=st.floats(-10, 10), py=st.floats(-10, 10),
            qx=st.floats(-10, 10), qy=st.floats(-10, 10),
@@ -200,8 +207,8 @@ class TestSemismoothBound:
 
     def test_ratio_stable_across_levels(self, square_spaces):
         spec = mf.huber_ball(1.0)
-        r3 = check_semismooth_bound(spec, square_spaces[3], pairs=20, seed=0)
-        r4 = check_semismooth_bound(spec, square_spaces[4], pairs=20, seed=0)
+        r3 = check_semismooth_bound(spec, square_spaces[3], seed=0)
+        r4 = check_semismooth_bound(spec, square_spaces[4], seed=0)
         assert r3 > 0 and r4 > 0
         assert max(r3, r4) / min(r3, r4) <= 2.0
 
@@ -219,9 +226,9 @@ class TestSemismoothBound:
             return splu(A, *args, **kwargs)
 
         monkeypatch.setattr(scipy.sparse.linalg, "splu", tracking_splu)
-        ratio = check_semismooth_bound(spec, space, pairs=5, seed=0)
+        ratio = check_semismooth_bound(spec, space, seed=0)
         assert max(sizes) <= assembly.COARSE_DOFS < space.ndof
         monkeypatch.setattr(assembly, "KRYLOV_MAX", 1)
-        assert check_semismooth_bound(spec, space, pairs=5, seed=0) == pytest.approx(
+        assert check_semismooth_bound(spec, space, seed=0) == pytest.approx(
             ratio, rel=1e-12, abs=0.0)
         assert max(sizes) == space.ndof

@@ -114,7 +114,7 @@ class TestValidation:
     ])
     def test_edge_adjacency_counts(self, mesh, n_boundary):
         # every edge touches one triangle (boundary) or exactly two (interior)
-        counts = (mesh.edge_triangles >= 0).sum(axis=1)
+        counts = np.bincount(mesh.tri_edges.ravel(), minlength=mesh.num_edges)
         assert set(counts.tolist()) <= {1, 2}
         assert np.array_equal(counts == 1, mesh.boundary_edge_flags)
         assert mesh.boundary_edge_flags.sum() == n_boundary
@@ -123,19 +123,14 @@ class TestValidation:
     @pytest.mark.parametrize("family", ["square", "rhombus"])
     def test_edge_numbering_matches_loop_reference(self, family, request):
         # edges numbered in lexicographic order of their sorted vertex pairs,
-        # local edge s opposite local vertex s, each edge's triangles by index
+        # local edge s opposite local vertex s
         mesh = request.getfixturevalue(f"{family}_hierarchy")[3]
         pairs = [tuple(sorted((tri[(s + 1) % 3], tri[(s + 2) % 3])))
                  for tri in mesh.triangles.tolist() for s in range(3)]
         edges = sorted(set(pairs))
         number = {edge: e for e, edge in enumerate(edges)}
-        edge_triangles = [[-1, -1] for _ in edges]
-        for k, pair in enumerate(pairs):
-            adjacent = edge_triangles[number[pair]]
-            adjacent[0 if adjacent[0] < 0 else 1] = k // 3
         assert np.array_equal(mesh.edges, edges)
         assert np.array_equal(mesh.tri_edges.ravel(), [number[pair] for pair in pairs])
-        assert np.array_equal(mesh.edge_triangles, edge_triangles)
 
 
 class TestXZCondition:

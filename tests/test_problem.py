@@ -11,6 +11,7 @@ from mfgfem.problem import (
     halfplane_clipped_areas,
     sine_product_field,
     source_load,
+    vector_load,
 )
 from mfgfem.solver import riesz_dual_norm
 
@@ -114,8 +115,7 @@ class TestManufactured:
         space = square_spaces[3]
         ex = sine_problem.exact
         phi = mf.interpolate(space, ex.m.value)
-        lhs = float(source_load(space, sine_problem.source, degree=6,
-                                force_quadrature=True) @ phi.coeffs)
+        lhs = float(vector_load(space, sine_problem.source.g_tilde, degree=6) @ phi.coeffs)
         rule = quadrature(6)
         xq = quadrature_points_xy(space.mesh, rule)
         gt = sine_problem.source.g_tilde(xq[..., 0], xq[..., 1])
@@ -180,7 +180,7 @@ class TestRoughInstance:
         space = square_spaces[4]
         prob = mf.make_rough_density_problem(jump_x=0.5)
         exact = prob.source.load_vector(space)
-        quad = source_load(space, prob.source, degree=6, force_quadrature=True)
+        quad = vector_load(space, prob.source.g_tilde, degree=6)
         scale = np.abs(exact).max()
         assert np.abs(exact - quad).max() <= 1e-10 * scale
 

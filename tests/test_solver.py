@@ -97,6 +97,10 @@ class TestRieszDualNorm:
     def test_zero(self, square_spaces):
         _, gram = _h1_gram(square_spaces[3])
         assert riesz_dual_norm(gram, np.zeros(square_spaces[3].ndof)) == 0.0
+        # level 0 has no interior dof, so its load is empty
+        empty = square_spaces[0]
+        gram = assembly.H1Gram(empty, assembly.assemble_h1_gram(empty))
+        assert riesz_dual_norm(gram, np.zeros(0)) == 0.0
 
     def test_homogeneity(self, square_spaces):
         space = square_spaces[3]
@@ -267,6 +271,20 @@ class TestHJB:
             u, iters, _ = solve_hjb(DiscreteSystem(space, sine_problem, tensor), m_i,
                                     SolverConfig(tol_newton=1e-10))
             assert iters <= 8
+
+    def test_newton_budget(self, sine_problem, square_hierarchy):
+        # from u = 0 at a zero density the solve needs exactly 3 Newton steps
+        mesh = square_hierarchy[3]
+        space = mf.P1Space(mesh)
+        system = DiscreteSystem(space, sine_problem, mf.build_xz_tensor(mesh, 1.0))
+        with pytest.raises(NonConvergenceError, match="in 1 iterations") as err:
+            solve_hjb(system, space.zero_function(), SolverConfig(max_newton=1))
+        assert err.value.last_residual == pytest.approx(0.194, rel=1e-2)
+        cfg = SolverConfig(max_newton=3)
+        u, iters, halvings = solve_hjb(system, space.zero_function(), cfg)
+        assert (iters, halvings) == (3, 0)
+        r = system.hjb_residual(u, space.zero_function())
+        assert riesz_dual_norm(system.gram, r) <= cfg.tol_newton
 
     def test_rejects_nonsmooth(self, square_spaces):
         ham = mf.finite_control([(1, 0), (-1, 0)], [0, 0])

@@ -103,6 +103,31 @@ class TestXZTensor:
             assert report.c_d_observed <= 3.0 * (mesh.shape_regularity / 3.0) + 1e-12
         assert np.allclose(values, values[0], rtol=1e-12)
 
+    def test_matches_element_loop_on_jittered_mesh(self, rhombus_hierarchy):
+        # interior vertices moved by 1e-2 h keep the mesh acute, hence XZ, and
+        # give every edge its own length and direction
+        base = rhombus_hierarchy[3]
+        jitter = np.random.default_rng(11).uniform(-1.0, 1.0, size=base.vertices.shape)
+        vertices = base.vertices + 1e-2 * base.h_max * jitter * base.interior_vertex_mask[:, None]
+        mesh = mf.Mesh2D(vertices, base.triangles)
+        assert mf.check_acute(mesh) > 0.0
+        L_H = 1.3
+        tensor = mf.build_xz_tensor(mesh, L_H)
+
+        sides = [tuple(sorted((tri[(s + 1) % 3], tri[(s + 2) % 3])))
+                 for tri in mesh.triangles.tolist() for s in range(3)]
+        boundary = {v for side in sides if sides.count(side) == 1 for v in side}
+        factor = mesh.shape_regularity / 3.0
+        expected = np.zeros((mesh.num_triangles, 2, 2))
+        for k, (a, b) in enumerate(sides):
+            if a in boundary and b in boundary:
+                continue
+            d = vertices[b] - vertices[a]
+            length = math.hypot(d[0], d[1])
+            expected[k // 3] += factor * L_H * length * np.outer(d, d) / length ** 2
+        scale = np.abs(expected).max()
+        assert np.abs(tensor.per_element - expected).max() <= 1e-14 * scale
+
 
 class TestAcuteTensor:
     def test_clamped_to_zero_for_large_nu(self, rhombus_hierarchy):
@@ -259,10 +284,9 @@ class TestCertifyDMP:
         i, j = mesh.edges[edge]
         if not mesh.interior_vertex_mask[i]:
             i, j = j, i
-        for t in mesh.edge_triangles[edge]:
-            if t >= 0:
-                grad_j = mesh.basis_gradients[t, list(mesh.triangles[t]).index(j)]
-                drift[t] = L_H * grad_j / np.linalg.norm(grad_j)
+        for t in np.nonzero((mesh.tri_edges == edge).any(axis=1))[0]:
+            grad_j = mesh.basis_gradients[t, list(mesh.triangles[t]).index(j)]
+            drift[t] = L_H * grad_j / np.linalg.norm(grad_j)
         B = assembly.assemble_hjb_drift(space, drift, full=True)
         B_star = bound - K
         assert B[i, j] == pytest.approx(B_star[i, j], rel=1e-15)
