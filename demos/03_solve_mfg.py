@@ -3,16 +3,19 @@ the solver telemetry.
 
 The exact pair is u* = m* = sin(pi x) sin(pi y) with nu = 1, the Huber
 Hamiltonian of the unit control disk, and the local coupling F[m] = m + f0.
-Each outer sweep solves HJB by semismooth Newton at a frozen density, then
-the KFP equation once; the next density mixes the last five sweeps (Anderson
-mixing with weight damping), and falls back to the damped Picard step when a
-mixed density raises the residual.  Every linear solve is GMRES preconditioned
-with one held LU, which is factorized again only when GMRES falls short; each
-sweep reports its factorizations and GMRES iterations.  Convergence is
-declared on the dual norms of the two discrete residuals, measured with the H1
-Gram matrix: on a mesh of more than 1000 dofs by CG preconditioned with a
-V-cycle, whose cycles each sweep reports too (none here, where the Gram
-solver is one LU).  The density returned is the last KFP solve.
+The solver runs damped semismooth Newton on the HJB and KFP equations at once,
+from u = 0 and the KFP solve at it: each step solves the coupled Jacobian
+system by GMRES, preconditioned with the block triangle of the HJB
+linearization L, its transpose and the mass matrix, and halves the step while
+the larger residual dual norm rises.  The V-cycles of L come from one held
+hierarchy, which on this small mesh is one LU, factorized again only when
+GMRES falls short; each step reports its factorizations and GMRES iterations.
+Convergence is declared on the dual norms of the two discrete residuals,
+measured with the H1 Gram matrix: on a mesh of more than 1000 dofs by CG
+preconditioned with a V-cycle, whose cycles each step reports too (none here,
+where the Gram solver is one LU).  Once they pass, the density is replaced by
+the KFP solve at the current u and the test is made again there, so the
+density returned is a KFP solve.
 """
 
 import numpy as np
@@ -30,21 +33,20 @@ tensor = mf.build_xz_tensor(mesh, problem.hamiltonian.L_H)
 solution = mf.solve_mfg(space, problem, tensor)
 
 print(f"level {LEVEL}: {space.ndof} interior dofs")
-print(f"converged in {solution.outer_iters} outer sweeps, "
-      f"{solution.newton_iters_total} Newton steps total")
+print(f"converged in {solution.newton_iters_total} Newton steps, "
+      f"{solution.outer_iters} stop tests")
 print(f"residual dual norms: HJB {solution.residual1_dual:.2e}, "
       f"KFP {solution.residual2_dual:.2e}")
 
 print()
-print("outer iteration history (max residual dual norm):")
-for entry in solution.history[:6]:
+print("Newton history (max residual dual norm):")
+for entry in solution.history:
     peak = max(entry["residual1_dual"], entry["residual2_dual"])
-    print(f"  sweep {entry['outer']:2d}: {peak:.3e} "
-          f"({entry['step']}, {entry['newton_iters']} Newton steps, "
-          f"{entry['factorizations']} LU, {entry['krylov_iters']} GMRES iterations, "
-          f"{entry['gram_cycles']} Gram V-cycles, min m {entry['min_m']:.3e})")
-if len(solution.history) > 6:
-    print(f"  ... {len(solution.history) - 6} more sweeps")
+    print(f"  step {entry['newton']:2d}: {peak:.3e} "
+          f"(length {entry['step']:g}, {entry['factorizations']} LU, "
+          f"{entry['krylov_iters']} GMRES iterations, "
+          f"{entry['gram_cycles']} Gram V-cycles, min m {entry['min_m']:.3e}"
+          f"{', stop test' if entry['stop_test'] else ''})")
 
 exact = problem.exact
 print()
@@ -58,7 +60,7 @@ ratio = mf.quasi_optimality_ratio(solution, problem, space, tensor)
 print(f"quasi-optimality ratio (error / interpolation proxy + stab terms): {ratio:.3f}")
 
 print()
-print("cross-check: damping 1.0 and 0.5 land on the same discrete solution")
-alt = mf.solve_mfg(space, problem, tensor, mf.SolverConfig(damping=1.0))
+print("cross-check: a solve to tol_outer = 1e-12 lands on the same discrete solution")
+alt = mf.solve_mfg(space, problem, tensor, mf.SolverConfig(tol_outer=1e-12))
 print(f"  max coefficient difference: "
       f"{np.abs(alt.m.coeffs - solution.m.coeffs).max():.2e}")

@@ -41,9 +41,7 @@ g_one = mf.make_g_one_problem()
 mesh = meshes[4]
 space = mf.P1Space(mesh)
 tensor = mf.build_xz_tensor(mesh, 1.0)
-solution = mf.solve_mfg(space, g_one, tensor,
-                        SolverConfig(tol_outer=1e-12, max_outer=400,
-                                     tol_newton=1e-12))
+solution = mf.solve_mfg(space, g_one, tensor, SolverConfig(tol_outer=1e-12))
 print(f"  solved to residual {max(solution.residual1_dual, solution.residual2_dual):.1e}; "
       f"min nodal density {solution.m.coeffs.min():.2e}")
 ok, worst = check_l2_monotonicity_inequality(space, g_one, tensor, solution,

@@ -66,7 +66,6 @@ from .solver import (
     DiscreteSolution,
     SolverConfig,
     riesz_dual_norm,
-    solve_hjb,
     solve_kfp,
     solve_m_k_plus,
     solve_mfg,

@@ -13,21 +13,25 @@ and drift terms are integrated exactly with the single weight area/3 per basis
 function.
 
 The discrete KFP operator at u is the transpose of the HJB linearization
-K + B(u) (Achdou & Capuzzo-Dolcetta, SIAM J. Numer. Anal. 48, 2010).  Every
-linearization K + B(u) met in a solve is a drift perturbation, bounded by L_H,
-of the same uniformly elliptic K, so a preconditioner of any one of them
-serves all the others.  That preconditioner is a ``Multigrid`` V-cycle over the
+L = K + B(u) (Achdou & Capuzzo-Dolcetta, SIAM J. Numer. Anal. 48, 2010), so
+the Jacobian of the two residuals at (u, m) is -[[L, -c_F M], [C, L^T]], with
+C the stiffness matrix of the element tensors mbar_K D^2H(grad u|_K).  Every
+linearization L met in a solve is a drift perturbation, bounded by L_H, of
+the same uniformly elliptic K, so a preconditioner of any one of them serves
+all the others.  That preconditioner is a ``Multigrid`` V-cycle over the
 nested spaces of the red refinements, with Galerkin coarse operators and an LU
 on its coarsest level; a space of at most COARSE_DOFS dofs is its own coarsest
 level, so there the V-cycle is the LU.  This module holds the whole
-linear-solve policy: ``DiscreteSystem.solve`` runs one cycle of at most
-KRYLOV_MAX iterations of GMRES right-preconditioned with one held hierarchy,
-forms one iterate once its least-squares residual is within KRYLOV_RTOL and
-accepts it if its true residual passes LINEAR_RESIDUAL_TOL, rebuilds the
-hierarchy of the current linearization when it does not and retries once, and
-solves directly when that fails too.  A direct solution passes ``checked``,
-the same LINEAR_RESIDUAL_TOL test, so every solution passes that test exactly
-once.  ``H1Gram`` solves with the H1 Gram matrix of the residual dual norms by
+linear-solve policy, the same for a KFP solve with L^T and for a Newton
+system with the 2n Jacobian: one cycle of at most KRYLOV_MAX iterations of
+GMRES right-preconditioned with V-cycles of one held hierarchy (for the
+Jacobian, its block upper triangle), which forms one iterate once its
+least-squares residual is within KRYLOV_RTOL and accepts it if its true
+residual passes LINEAR_RESIDUAL_TOL; the hierarchy of the current
+linearization is rebuilt when it does not, GMRES retried once, and the
+system solved directly when that fails too.  A direct solution passes
+``checked``, the same LINEAR_RESIDUAL_TOL test, so every solution passes that
+test exactly once.  ``H1Gram`` solves with the H1 Gram matrix of the residual dual norms by
 CG preconditioned with the V-cycle of its own hierarchy, and with one LU of it
 when CG falls short.
 ``factorize`` is the one place a sparse LU is made.
@@ -88,7 +92,12 @@ def _diffusion_tensors(space, nu, tensor):
 
 def assemble_diffusion(space, nu, tensor=None, full=False):
     """Stiffness of the diffusion tensor nu*I + D: sum_K area (A grad xi_j).grad xi_i."""
-    A = _diffusion_tensors(space, nu, tensor)
+    return assemble_stiffness(space, _diffusion_tensors(space, nu, tensor), full)
+
+
+def assemble_stiffness(space, A, full=False):
+    """Stiffness of an element-wise tensor A, shape (nt, 2, 2):
+    sum_K area (A_K grad xi_j).grad xi_i."""
     g = space.elem_grads
     blocks = g @ A @ g.transpose(0, 2, 1)
     blocks *= space.elem_areas[:, None, None]   # in place: one (nt, 3, 3) temporary fewer
@@ -278,18 +287,37 @@ def element_constant_load(space, values):
     return _scatter_load(space, loads)
 
 
+class CoupledJacobian:
+    """The 2n x 2n matrix [[L, -cM], [C, L^T]] held as its blocks, acting on
+    vectors stacked in (u, m) block order."""
+
+    def __init__(self, L, cM, C):
+        self.L, self.LT, self.cM, self.C = L, L.T, cM, C
+
+    def __matmul__(self, x):
+        n = self.L.shape[0]
+        out = np.empty_like(x)
+        out[:n] = self.L @ x[:n] - self.cM @ x[n:]
+        out[n:] = self.C @ x[:n] + self.LT @ x[n:]
+        return out
+
+    def tocsc(self):
+        return sp.bmat([[self.L, -self.cM], [self.C, self.LT]], format="csc")
+
+
 class DiscreteSystem:
     """The discrete MFG system of one (space, problem, tensor).
 
     Holds what does not change during a solve -- the diffusion matrix
     K = nu I + D, the mass matrix M, the offset load <f0, xi_i>, the source
     load <G, xi_i> and, from its first use, the ``H1Gram`` solver ``gram`` --
-    and evaluates what does: the linearization K + B(u), the coupling load
-    <F[m], xi_i> and both residuals.  ``linearize`` caches the latest
-    linearization and keeps in ``drift_excess`` the largest excess of
-    a drift over L_H since it was last reset.  ``solve`` holds one
-    ``Multigrid`` hierarchy, that of the last linearization it had to rebuild
-    it for, and counts its sparse LU ``factorizations`` and GMRES iterations
+    and evaluates what does: the linearization K + B(u), the coupling block
+    C(u, m) of the Newton Jacobian, the coupling load <F[m], xi_i> and both
+    residuals.  ``linearize`` caches the latest linearization and keeps in
+    ``drift_excess`` the largest excess of a drift over L_H since it was last
+    reset.  ``solve`` and ``newton_step`` hold one ``Multigrid`` hierarchy,
+    that of the last linearization they had to rebuild it for, and count
+    their sparse LU ``factorizations`` and GMRES iterations
     (``krylov_iters``).
     """
 
@@ -333,37 +361,65 @@ class DiscreteSystem:
         """x with op x = rhs for op = L, or L^T if trans is "T", and
         L = K + B(u); x has passed the LINEAR_RESIDUAL_TOL test exactly once.
 
-        Runs one cycle of at most KRYLOV_MAX GMRES iterations from x0 (zero
-        if None), right-preconditioned with the held hierarchy, as ``_gmres``
-        sets out; an iterate it returns has passed the test.  When it returns
-        none, or no hierarchy is held yet, it releases the held one, builds
-        that of L and holds it for the next solves, so at most one is alive,
-        and retries once: by GMRES, or directly if the hierarchy is exact.
-        When that fails too, it solves directly with an LU of L.  A direct
-        solution passes ``checked``.
+        GMRES is preconditioned with one V-cycle of the held hierarchy, in
+        the policy of ``_solve``.
         """
         L = self.linearize(u)
         op = L.T if trans == "T" else L
-        x = None if self._multigrid is None else self._gmres(op, rhs, x0, trans)
+        return self._solve(L, op, lambda b: self._multigrid.solve(b, trans), rhs, x0,
+                           cycle_inverts=True)
+
+    def newton_step(self, u, m, rhs):
+        """delta with J delta = rhs for the ``jacobian`` J at (u, m), in the
+        (u, m) block order of ``rhs``; delta has passed the
+        LINEAR_RESIDUAL_TOL test exactly once.
+
+        GMRES is preconditioned on the right with the block upper triangle
+        [[L, -c_F M], [0, L^T]] of J: one L^T V-cycle of the held hierarchy,
+        one M matvec and one L V-cycle, in the policy of ``_solve``.
+        """
+        n = self.space.ndof
+        J = self.jacobian(u, m)
+
+        def precondition(b):
+            z = np.empty_like(b)
+            z[n:] = self._multigrid.solve(b[n:], "T")
+            z[:n] = self._multigrid.solve(b[:n] + J.cM @ z[n:], "N")
+            return z
+
+        return self._solve(J.L, J, precondition, rhs, None, cycle_inverts=False)
+
+    def _solve(self, L, op, precondition, rhs, x0, cycle_inverts):
+        """x with op x = rhs by GMRES from x0 (zero if None), preconditioned
+        with ``precondition``, which applies the held hierarchy, as
+        ``_gmres`` sets out; an iterate it returns has passed the
+        LINEAR_RESIDUAL_TOL test.  When it returns none, or no hierarchy is
+        held yet, the held one is released and that of L built and held for
+        the next solves, so at most one is alive, and the solve retried once:
+        by GMRES, or directly if the hierarchy is exact and ``cycle_inverts``,
+        that is, its V-cycle is op^-1.  When that fails too, an LU of op
+        solves directly.  A direct solution passes ``checked``.
+        """
+        x = None if self._multigrid is None else self._gmres(op, precondition, rhs, x0)
         if x is None:
             self._multigrid = None   # release the held hierarchy before the next
             self._multigrid = Multigrid(self.space, L)
             self.factorizations += 1
-            if self._multigrid.exact:
-                return checked(op, self._multigrid.solve(rhs, trans), rhs)
-            x = self._gmres(op, rhs, x0, trans)
+            if cycle_inverts and self._multigrid.exact:
+                return checked(op, precondition(rhs), rhs)
+            x = self._gmres(op, precondition, rhs, x0)
         if x is None:
             self.factorizations += 1
-            return checked(op, factorize(L).solve(rhs, trans=trans), rhs)
+            return checked(op, factorize(op).solve(rhs), rhs)
         return x
 
-    def _gmres(self, op, rhs, x0, trans):
-        """GMRES for op x = rhs, right-preconditioned with the held hierarchy's
-        V-cycle M: x_k = x0 + M^-1 V y_k for an orthonormal Krylov basis V of
-        op M^-1, k <= KRYLOV_MAX.  Iteration k reads the residual that y_k
-        minimizes from the QR of its Hessenberg matrix and forms x_k once, when
-        that residual is at most KRYLOV_RTOL |rhs| or the Krylov space is
-        invariant.  Returns x_k if its true residual passes the
+    def _gmres(self, op, precondition, rhs, x0):
+        """GMRES for op x = rhs, right-preconditioned with the linear map
+        ``precondition`` = M^-1: x_k = x0 + M^-1 V y_k for an orthonormal Krylov
+        basis V of op M^-1, k <= KRYLOV_MAX.  Iteration k reads the residual
+        that y_k minimizes from the QR of its Hessenberg matrix and forms x_k
+        once, when that residual is at most KRYLOV_RTOL |rhs| or the Krylov
+        space is invariant.  Returns x_k if its true residual passes the
         LINEAR_RESIDUAL_TOL test of ``checked``; None if it does not, or if no
         iterate is formed.
 
@@ -380,11 +436,12 @@ class DiscreteSystem:
         beta = np.linalg.norm(r0)
         if beta <= tol:
             return x0
-        V = np.empty((max_iter + 1, n))
+        V = np.empty((max_iter + 1, n))   # each iteration fills its next row
         H = np.zeros((max_iter + 1, max_iter))
         V[0] = r0 / beta
         for k in range(max_iter):
-            w = op @ self._multigrid.solve(V[k], trans)
+            w = V[k + 1]
+            w[:] = op @ precondition(V[k])
             for j in range(k + 1):   # modified Gram-Schmidt
                 H[j, k] = V[j] @ w
                 w -= H[j, k] * V[j]
@@ -393,11 +450,21 @@ class DiscreteSystem:
             q, R = np.linalg.qr(H[:k + 2, :k + 1], mode="complete")
             if beta * abs(q[0, k + 1]) <= tol or H[k + 1, k] == 0.0:
                 y = np.linalg.solve(R[:k + 1], beta * q[0, :k + 1])
-                x = x0 + self._multigrid.solve(y @ V[:k + 1], trans)
+                x = x0 + precondition(y @ V[:k + 1])
                 resid = np.linalg.norm(rhs - op @ x)
                 return x if resid <= LINEAR_RESIDUAL_TOL * (1.0 + np.linalg.norm(rhs)) else None
-            V[k + 1] = w / H[k + 1, k]
+            w /= H[k + 1, k]
         return None
+
+    def jacobian(self, u, m):
+        """J = [[L, -c_F M], [C, L^T]], minus the Jacobian of the two residuals
+        at (u, m): L = K + B(u), and C = sum_K mbar_K G_K^T D^2H(grad u|_K) G_K,
+        the derivative in u of B(u)^T m, with G_K the basis gradients on K and
+        mbar_K = |K|/3 sum_{i in K} m_i, a stiffness matrix on the pattern of K."""
+        hess = self.problem.hamiltonian.hess_p(u.element_gradients())
+        mean = m.nodal_values()[self.space.mesh.triangles].mean(axis=1)
+        return CoupledJacobian(self.linearize(u), self.problem.coupling.c_F * self.M,
+                               assemble_stiffness(self.space, mean[:, None, None] * hess))
 
     def coupling_load(self, m):
         """<F[m], xi_i> for a P1 density m."""

@@ -51,9 +51,6 @@ class RunConfig:
     hamiltonian_drifts: tuple = ((1.0, 0.0), (-1.0, 0.0))
     hamiltonian_costs: tuple = (0.0, 0.0)
     tol_outer: float = SolverConfig.tol_outer
-    max_outer: int = SolverConfig.max_outer
-    damping: float = SolverConfig.damping
-    tol_newton: float = SolverConfig.tol_newton
     max_newton: int = SolverConfig.max_newton
     reference_offset: int = 2
     output_dir: str = "."
@@ -144,9 +141,6 @@ _KEYS = {
     "hamiltonian.drifts": ("hamiltonian_drifts", _parse_vectors),
     "hamiltonian.costs": ("hamiltonian_costs", _parse_scalars),
     "solver.tol_outer": ("tol_outer", _parse_float),
-    "solver.max_outer": ("max_outer", int),
-    "solver.damping": ("damping", _parse_float),
-    "solver.tol_newton": ("tol_newton", _parse_float),
     "solver.max_newton": ("max_newton", int),
     "reference_offset": ("reference_offset", int),
     "output.dir": ("output_dir", str),
@@ -349,7 +343,7 @@ def cmd_solve(config):
                     header_comment=f"config {digest}")
     _write_json(telemetry, os.path.join(config.output_dir, "telemetry.json"), digest)
     print(f"solved level {config.mesh_level} ({space.ndof} dofs) in {elapsed:.2f}s: "
-          f"{sol.outer_iters} outer sweeps, residuals "
+          f"{sol.newton_iters_total} Newton steps, residuals "
           f"({sol.residual1_dual:.2e}, {sol.residual2_dual:.2e})")
     return EXIT_OK
 
@@ -441,9 +435,7 @@ def cmd_verify(config):
     # of the certified-nonnegative instance
     g_one = problem_mod.make_g_one_problem(config.nu, prob.hamiltonian, config.c_F,
                                            domain=prob.domain)
-    tight = SolverConfig(tol_outer=1e-12, max_outer=max(config.max_outer, 400),
-                         damping=config.damping, tol_newton=1e-12,
-                         max_newton=config.max_newton)
+    tight = SolverConfig(tol_outer=1e-12, max_newton=config.max_newton)
     sol = solve_mfg(space, g_one, tensor, tight)
     mono_ok, worst = analysis.check_l2_monotonicity_inequality(
         space, g_one, tensor, sol, pairs=config.verify_pairs, seed=config.seed)

@@ -1,10 +1,12 @@
-"""Control-set Hamiltonians H(p) = sup_a (b_a.p - f_a) and the constants that
-the discretization needs from them: the Lipschitz/drift bound L_H, the growth
-constant C_H, and the Lipschitz constant L_Hp of dH/dp.
+"""Control-set Hamiltonians H(p) = sup_a (b_a.p - f_a), their first and
+second derivatives in p, and the constants that the discretization needs from
+them: the Lipschitz/drift bound L_H, the growth constant C_H, and the
+Lipschitz constant L_Hp of dH/dp.
 
 Both instances are x-independent, so H[grad u] of a P1 function u is constant
 per triangle and the assembly integrates it exactly.  Callables are
-vectorized: p has shape (..., 2), values have shape (...).
+vectorized: p has shape (..., 2), values have shape (...), gradients (..., 2)
+and Hessians (..., 2, 2).
 """
 
 from __future__ import annotations
@@ -35,6 +37,7 @@ SEMISMOOTH_PAIRS = 20
 class HamiltonianSpec:
     value: Callable      # p -> H(p)
     grad_p: Callable     # p -> dH/dp(p), shape (..., 2)
+    hess_p: Callable     # p -> D^2H(p), a generalized Hessian where grad_p kinks
     L_H: float           # Lipschitz constant in p; also the drift bound
     C_H: float           # growth constant: |H| <= C_H (|p| + 1)
     L_Hp: float          # Lipschitz constant of dH/dp in p
@@ -62,7 +65,15 @@ def huber_ball(R):
         scale = R / np.maximum(r, R)   # 1 on the disk, R / |p| outside it
         return scale[..., None] * p
 
-    return HamiltonianSpec(value=value, grad_p=grad_p, L_H=float(R),
+    def hess_p(p):
+        # I on the disk, (R / |p|)(I - q q^T) with q = p / |p| outside it
+        p = np.asarray(p, dtype=float)
+        r = np.linalg.norm(p, axis=-1)
+        scale = R / np.maximum(r, R)
+        q = (r > R)[..., None] * p / np.maximum(r, R)[..., None]
+        return scale[..., None, None] * (np.eye(2) - q[..., :, None] * q[..., None, :])
+
+    return HamiltonianSpec(value=value, grad_p=grad_p, hess_p=hess_p, L_H=float(R),
                            C_H=float(max(R, 0.5 * R * R)), L_Hp=1.0)
 
 
@@ -101,7 +112,11 @@ def finite_control(drifts, costs, smoothing=0.0):
             best = scores.argmax(axis=-1)  # argmax keeps the lowest index on ties
             return B[best]
 
-        return HamiltonianSpec(value=value, grad_p=grad_p, L_H=bmax,
+        def hess_p(p):
+            # zero off the ties, where the max is affine
+            return np.zeros(np.shape(p) + (2,))
+
+        return HamiltonianSpec(value=value, grad_p=grad_p, hess_p=hess_p, L_H=bmax,
                                C_H=float(max(bmax, np.abs(f).max())),
                                L_Hp=math.inf)
 
@@ -113,8 +128,15 @@ def finite_control(drifts, costs, smoothing=0.0):
         scores = (np.asarray(p, dtype=float) @ B.T - f) / eps
         return softmax(scores, axis=-1) @ B
 
+    def hess_p(p):
+        # (B^T diag(s) B - (B^T s)(B^T s)^T) / eps with s the softmax weights
+        s = softmax((np.asarray(p, dtype=float) @ B.T - f) / eps, axis=-1)
+        g = s @ B
+        return (np.einsum("...a,ai,aj->...ij", s, B, B)
+                - g[..., :, None] * g[..., None, :]) / eps
+
     c_h = float(max(bmax, np.abs(f).max()) + eps * math.log(len(f)))
-    return HamiltonianSpec(value=value, grad_p=grad_p, L_H=bmax, C_H=c_h,
+    return HamiltonianSpec(value=value, grad_p=grad_p, hess_p=hess_p, L_H=bmax, C_H=c_h,
                            L_Hp=2.0 * bmax ** 2 / eps)
 
 

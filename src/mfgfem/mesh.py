@@ -300,15 +300,16 @@ def _cotangents(mesh):
     return cots
 
 
-def check_xz(mesh):
+def check_xz(mesh, cots=None):
     """Check the XZ condition: for every edge shared by two triangles, the sum
     of cotangents of the two opposite angles must be nonnegative (equivalently
-    the two opposite angles sum to at most pi).
+    the two opposite angles sum to at most pi).  ``cots`` are the mesh's
+    ``_cotangents``, computed here if None.
 
     Returns ``(satisfied, worst_sum)``; ``worst_sum`` is +inf when the mesh has
     no two-triangle edges (vacuous condition).
     """
-    cots = _cotangents(mesh)
+    cots = _cotangents(mesh) if cots is None else cots
     sums = np.bincount(mesh.tri_edges.ravel(), weights=cots.ravel(),
                        minlength=mesh.num_edges)
     shared = ~mesh.boundary_edge_flags
@@ -318,10 +319,11 @@ def check_xz(mesh):
     return worst >= -GEOM_TOL, worst
 
 
-def check_acute(mesh):
+def check_acute(mesh, cots=None):
     """Largest theta >= 0 such that every triangle's largest angle is at most
-    pi/2 - theta; 0 when the mesh is not strictly acute."""
-    cots = _cotangents(mesh)
+    pi/2 - theta; 0 when the mesh is not strictly acute.  ``cots`` as in
+    ``check_xz``."""
+    cots = _cotangents(mesh) if cots is None else cots
     # angle in (0, pi) from its cotangent
     angles = np.arctan2(1.0, cots)
     theta = math.pi / 2.0 - float(angles.max())
@@ -329,13 +331,14 @@ def check_acute(mesh):
 
 
 def quality_report(mesh):
-    ok, worst = check_xz(mesh)
+    cots = _cotangents(mesh)   # one pass serves both angle conditions
+    ok, worst = check_xz(mesh, cots)
     return MeshQualityReport(
         h_max=mesh.h_max,
         shape_regularity=mesh.shape_regularity,
         xz_satisfied=ok,
         xz_worst_edge_sum=worst,
-        acute_theta=check_acute(mesh),
+        acute_theta=check_acute(mesh, cots),
     )
 
 

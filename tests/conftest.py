@@ -131,6 +131,6 @@ def g_one_tight_level4(g_one_problem, square_hierarchy, square_spaces):
     """Criterion 5 state: tightly solved G = 1 instance at level 4."""
     mesh = square_hierarchy[4]
     tensor = mf.build_xz_tensor(mesh, 1.0)
-    cfg = SolverConfig(tol_outer=1e-12, max_outer=400, tol_newton=1e-12)
+    cfg = SolverConfig(tol_outer=1e-12)
     solution = mf.solve_mfg(square_spaces[4], g_one_problem, tensor, cfg)
     return square_spaces[4], tensor, solution

@@ -116,7 +116,7 @@ class TestConfigParsing:
             mesh.family = acute_rhombus
             mesh.level = 3
             mesh.levels = 2:4
-            solver.damping = 0.25
+            solver.max_newton = 12
             hamiltonian.R = 2.0
             seed = 7
         """)
@@ -124,7 +124,7 @@ class TestConfigParsing:
         assert config.mesh_family == "acute_rhombus"
         assert config.mesh_level == 3
         assert config.mesh_levels == (2, 3, 4)
-        assert config.damping == 0.25
+        assert config.max_newton == 12
         assert config.hamiltonian_R == 2.0
         assert config.seed == 7
         assert config.nu == 1.0  # untouched default
@@ -146,6 +146,15 @@ class TestConfigParsing:
         path = write_config(tmp_path, "mesh.resolution = 4\n")
         with pytest.raises(ConfigurationError):
             cli.parse_config(path)
+
+    @pytest.mark.parametrize("key", ["solver.damping", "solver.tol_newton",
+                                     "solver.max_outer"])
+    def test_removed_solver_key_exits_2(self, tmp_path, capsys, key):
+        # keys of the fixed-point iteration the coupled Newton solve replaced
+        # are unknown, not silently ignored
+        path = write_config(tmp_path, f"{key} = 1\n")
+        assert cli.main(["solve", path]) == cli.EXIT_INPUT_ERROR
+        assert f"unknown key '{key}'" in capsys.readouterr().err
 
     def test_bad_value(self, tmp_path):
         path = write_config(tmp_path, "mesh.level = four\n")
@@ -317,7 +326,7 @@ class TestSolve:
         path = write_config(tmp_path, f"""
             problem.kind = manufactured
             mesh.level = 3
-            solver.max_outer = 1
+            solver.max_newton = 1
             output.dir = {out}
         """)
         assert cli.main(["solve", path]) == cli.EXIT_NONCONVERGENCE
@@ -350,7 +359,7 @@ class TestSolve:
         assert blobs[0] == blobs[1]
 
     def test_gram_cycles_recorded_and_rerun_identical(self, tmp_path):
-        # above COARSE_DOFS the dual norms run V-cycles; their per-sweep count
+        # above COARSE_DOFS the dual norms run V-cycles; their per-step count
         # is telemetry and reruns byte-identically
         out = tmp_path / "out"
         path = write_config(tmp_path, f"""
@@ -394,7 +403,7 @@ class TestConvergence:
         out = tmp_path / "out"
         path = write_config(tmp_path, f"""
             mesh.levels = 2:4
-            solver.max_outer = 1
+            solver.max_newton = 1
             output.dir = {out}
         """)
         assert cli.main(["convergence", path]) == cli.EXIT_NONCONVERGENCE

@@ -179,6 +179,54 @@ class TestGradientCheck:
             check_gradient(mf.finite_control([(1, 0), (-1, 0)], [0, 0]))
 
 
+def _hessian_fd(spec, p, step=1e-6):
+    """Central differences of grad_p at the rows of p, shape (n, 2, 2): column
+    j is the derivative in p_j."""
+    fd = np.empty(p.shape + (2,))
+    for j in range(2):
+        dp = np.zeros(2)
+        dp[j] = step
+        fd[:, :, j] = (spec.grad_p(p + dp) - spec.grad_p(p - dp)) / (2.0 * step)
+    return fd
+
+
+class TestHessian:
+    def test_huber_on_and_off_the_disk(self):
+        # I inside the disk and (R/|p|)(I - phat phat^T) outside it, against
+        # central differences of grad_p at points kept away from the kink |p| = R
+        R = 1.5
+        spec = mf.huber_ball(R)
+        rng = np.random.default_rng(3)
+        p = rng.uniform(-3.0 * R, 3.0 * R, (400, 2))
+        r = np.linalg.norm(p, axis=1)
+        p = p[np.abs(r - R) > 1e-3]
+        inside = np.linalg.norm(p, axis=1) < R
+        assert inside.any() and not inside.all()
+        hess = spec.hess_p(p)
+        assert np.array_equal(hess[inside], np.broadcast_to(np.eye(2), hess[inside].shape))
+        assert np.abs(hess - _hessian_fd(spec, p)).max() < 1e-7
+
+    def test_huber_outside_closed_form(self):
+        spec = mf.huber_ball(1.0)
+        assert np.allclose(spec.hess_p([0.0, 2.0]), [[0.5, 0.0], [0.0, 0.0]])
+        assert np.array_equal(spec.hess_p(np.zeros(2)), np.eye(2))
+
+    def test_smoothed_log_sum_exp(self):
+        spec = mf.finite_control([(1, 0), (-1, 0), (0, 1)], [0.0, 0.1, 0.2],
+                                 smoothing=0.1)
+        p = 3.0 * np.random.default_rng(4).standard_normal((400, 2))
+        hess = spec.hess_p(p)
+        assert np.abs(hess - _hessian_fd(spec, p)).max() < 1e-6
+        # symmetric positive semidefinite, as the Hessian of a convex function
+        assert np.array_equal(hess, hess.transpose(0, 2, 1))
+        assert np.linalg.eigvalsh(hess).min() >= -1e-12
+
+    def test_affine_hamiltonian_has_zero_hessian(self):
+        spec = mf.finite_control([(0.4, -0.2)], [0.3], smoothing=0.5)
+        p = np.random.default_rng(5).standard_normal((50, 2))
+        assert np.abs(spec.hess_p(p)).max() < 1e-12
+
+
 class TestSemismoothBound:
     def test_remainder_zero_at_identity(self, square_spaces):
         space = square_spaces[3]

@@ -249,6 +249,22 @@ class TestQualityReport:
         # strict acuteness implies the XZ condition
         assert report.acute_theta > 0 and report.xz_satisfied
 
+    @pytest.mark.parametrize("mesh", [mf.generate_structured_square(3),
+                                      mf.generate_acute_rhombus(3)],
+                             ids=["square", "rhombus"])
+    def test_one_cotangent_pass(self, mesh, monkeypatch):
+        # both angle conditions read one array of cotangents, and report what
+        # each check computes on its own
+        from mfgfem import mesh as mesh_mod
+        expected = (mf.check_xz(mesh), mf.check_acute(mesh))
+        cotangents = mesh_mod._cotangents
+        calls = []
+        monkeypatch.setattr(mesh_mod, "_cotangents",
+                            lambda m: calls.append(None) or cotangents(m))
+        report = mf.quality_report(mesh)
+        assert len(calls) == 1
+        assert ((report.xz_satisfied, report.xz_worst_edge_sum), report.acute_theta) == expected
+
 
 class TestMeshIO:
     def test_roundtrip(self, tmp_path):

@@ -1,6 +1,6 @@
+import dataclasses
 import math
 import weakref
-from collections import deque
 
 import numpy as np
 import pytest
@@ -9,14 +9,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import mfgfem as mf
-from mfgfem import assembly, solver
+from mfgfem import assembly
 from mfgfem.assembly import DiscreteSystem
 from mfgfem.errors import ConfigurationError, NonConvergenceError, SolverError
 from mfgfem.problem import scalar_load
 from mfgfem.solver import (
     SolverConfig,
     riesz_dual_norm,
-    solve_hjb,
     solve_kfp,
     solve_m_k_plus,
     solve_mfg,
@@ -240,73 +239,79 @@ class TestH1Gram:
         monkeypatch.setattr(scipy.sparse.linalg, "splu", tracking_splu)
         sol = solve_mfg(space, sine_problem, mf.build_xz_tensor(mesh, 1.0))
         assert len(sizes) == 2 and max(sizes) <= assembly.COARSE_DOFS < space.ndof
-        assert (sol.outer_iters, sol.newton_iters_total) == (5, 9)
+        assert (sol.outer_iters, sol.newton_iters_total) == (2, 4)
         assert all(h["gram_cycles"] > 0 for h in sol.history)
 
 
+def _sine_system(level, square_hierarchy):
+    mesh = square_hierarchy[level]
+    return mf.P1Space(mesh), mf.build_xz_tensor(mesh, 1.0)
+
+
 class TestHJB:
+    """The semismooth Newton iteration, which solves the HJB equation together
+    with the KFP equation."""
+
     def test_linear_hamiltonian_one_iteration(self, square_spaces):
+        # with H affine in p the coupled system is linear: one step solves it
         space = square_spaces[3]
         ham = mf.finite_control([(0.3, 0.2)], [0.1], smoothing=0.2)
         problem = mf.MFGProblem(
             nu=1.0, hamiltonian=ham,
             coupling=mf.CouplingF(c_F=1.0, offset=lambda x, y: np.sin(3 * x) * y),
             source=mf.SourceG(nonneg_certified=True))
-        u, iters, _ = solve_hjb(DiscreteSystem(space, problem, None), space.zero_function())
-        assert iters == 1
+        sol = solve_mfg(space, problem, None)
+        assert sol.newton_iters_total == 1
 
     def test_zero_fixed_point(self, square_spaces):
         space = square_spaces[3]
-        problem = mf.make_zero_problem()
-        u, iters, _ = solve_hjb(DiscreteSystem(space, problem, None), space.zero_function())
-        assert np.all(u.coeffs == 0.0)
-        assert iters == 0
+        sol = solve_mfg(space, mf.make_zero_problem(), None)
+        assert np.all(sol.u.coeffs == 0.0)
+        assert sol.newton_iters_total == 0
 
     def test_sine_newton_count(self, sine_problem, square_hierarchy):
         for level in (3, 4, 5):
-            mesh = square_hierarchy[level]
-            space = mf.P1Space(mesh)
-            tensor = mf.build_xz_tensor(mesh, 1.0)
-            m_i = mf.interpolate(space, sine_problem.exact.m.value)
-            u, iters, _ = solve_hjb(DiscreteSystem(space, sine_problem, tensor), m_i,
-                                    SolverConfig(tol_newton=1e-10))
-            assert iters <= 8
+            space, tensor = _sine_system(level, square_hierarchy)
+            assert solve_mfg(space, sine_problem, tensor).newton_iters_total <= 4
 
     def test_newton_budget(self, sine_problem, square_hierarchy):
-        # from u = 0 at a zero density the solve needs exactly 3 Newton steps
-        mesh = square_hierarchy[3]
-        space = mf.P1Space(mesh)
-        system = DiscreteSystem(space, sine_problem, mf.build_xz_tensor(mesh, 1.0))
-        with pytest.raises(NonConvergenceError, match="in 1 iterations") as err:
-            solve_hjb(system, space.zero_function(), SolverConfig(max_newton=1))
-        assert err.value.last_residual == pytest.approx(0.194, rel=1e-2)
+        # from the start (0, KFP(0)) the solve needs exactly 3 Newton steps
+        space, tensor = _sine_system(3, square_hierarchy)
+        with pytest.raises(NonConvergenceError, match="in 1 steps") as err:
+            solve_mfg(space, sine_problem, tensor, SolverConfig(max_newton=1))
+        assert err.value.last_residual == pytest.approx(0.303, rel=1e-2)
+        assert len(err.value.history) == 1
         cfg = SolverConfig(max_newton=3)
-        u, iters, halvings = solve_hjb(system, space.zero_function(), cfg)
-        assert (iters, halvings) == (3, 0)
-        r = system.hjb_residual(u, space.zero_function())
-        assert riesz_dual_norm(system.gram, r) <= cfg.tol_newton
+        sol = solve_mfg(space, sine_problem, tensor, cfg)
+        assert sol.newton_iters_total == 3
+        assert all(h["linesearch_halvings"] == 0 for h in sol.history)
+        system = DiscreteSystem(space, sine_problem, tensor)
+        for r in (system.hjb_residual(sol.u, sol.m), system.kfp_residual(sol.u, sol.m)):
+            assert riesz_dual_norm(system.gram, r) <= cfg.tol_outer
 
     def test_rejects_nonsmooth(self, square_spaces):
         ham = mf.finite_control([(1, 0), (-1, 0)], [0, 0])
         problem = mf.MFGProblem(nu=1.0, hamiltonian=ham,
                                 coupling=mf.CouplingF(c_F=1.0),
                                 source=mf.SourceG())
-        space = square_spaces[2]
-        with pytest.raises(ConfigurationError):
-            solve_hjb(DiscreteSystem(space, problem, None), space.zero_function())
+        with pytest.raises(ConfigurationError, match="smooth Hamiltonian"):
+            solve_mfg(square_spaces[2], problem, None)
 
     def test_line_search_floor_raises(self, sine_problem, square_spaces, monkeypatch):
-        # a proposal that ascends keeps raising the residual down to step 2^-10
+        # a step that ascends keeps raising the residual down to length 2^-10
         space = square_spaces[3]
+        newton = DiscreteSystem.newton_step
+        monkeypatch.setattr(DiscreteSystem, "newton_step",
+                            lambda self, u, m, rhs: -newton(self, u, m, rhs))
+        with pytest.raises(NonConvergenceError, match="2\\^-10") as err:
+            solve_mfg(space, sine_problem, None)
         system = DiscreteSystem(space, sine_problem, None)
-        m = mf.interpolate(space, sine_problem.exact.m.value)
-        newton = solver._newton_proposal
-        monkeypatch.setattr(solver, "_newton_proposal",
-                            lambda system, r, u: 2.0 * u - newton(system, r, u))
-        with pytest.raises(NonConvergenceError) as err:
-            solve_hjb(system, m)
-        start = riesz_dual_norm(system.gram, system.hjb_residual(space.zero_function(), m))
+        zero = space.zero_function()
+        m0 = solve_kfp(system, zero)
+        start = max(riesz_dual_norm(system.gram, system.hjb_residual(zero, m0)),
+                    riesz_dual_norm(system.gram, system.kfp_residual(zero, m0)))
         assert err.value.last_residual == start
+        assert err.value.history == []
 
     def test_newton_rhs_is_residual_plus_linearization(self, sine_problem, square_hierarchy):
         # r + L(u) u is the linearized right-hand side <F[m], xi_i> + B(u) u - H[grad u],
@@ -329,22 +334,22 @@ class TestHJB:
     @pytest.mark.parametrize("overshoot", [1.0, 4.0])
     def test_one_hamiltonian_load_per_residual(self, overshoot, sine_problem,
                                                square_hierarchy, monkeypatch):
-        # the Newton step reuses the residual load of the accepted iterate: H is
-        # loaded for the initial residual, each proposal and each halving only;
-        # an overshooting proposal makes the line search halve
-        mesh = square_hierarchy[3]
-        space = mf.P1Space(mesh)
-        system = DiscreteSystem(space, sine_problem, mf.build_xz_tensor(mesh, 1.0))
+        # H is loaded once per pair whose residuals are measured: the start,
+        # each step, each halving and each stop test after the start; the
+        # Jacobian needs no load, and an overshooting step makes the line
+        # search halve
+        space, tensor = _sine_system(3, square_hierarchy)
         load = assembly.hamiltonian_load
         calls = []
         monkeypatch.setattr(assembly, "hamiltonian_load",
                             lambda *args: calls.append(None) or load(*args))
-        newton = solver._newton_proposal
-        monkeypatch.setattr(solver, "_newton_proposal",
-                            lambda system, r, u: u + overshoot * (newton(system, r, u) - u))
-        _, iters, halvings = solve_hjb(system, mf.interpolate(space, sine_problem.exact.m.value))
-        assert iters > 0 and (halvings > 0) is (overshoot > 1.0)
-        assert len(calls) == 1 + iters + halvings
+        newton = DiscreteSystem.newton_step
+        monkeypatch.setattr(DiscreteSystem, "newton_step",
+                            lambda self, u, m, rhs: overshoot * newton(self, u, m, rhs))
+        sol = solve_mfg(space, sine_problem, tensor)
+        halvings = sum(h["linesearch_halvings"] for h in sol.history)
+        assert sol.newton_iters_total > 0 and (halvings > 0) is (overshoot > 1.0)
+        assert len(calls) == sol.newton_iters_total + halvings + sol.outer_iters
 
 
 class TestKFP:
@@ -443,9 +448,12 @@ class TestKFP:
             cycles.append(trans)
             return vcycle(b, trans)
 
+        def precondition(b):
+            return held.solve(b, "T")
+
         monkeypatch.setattr(held, "solve", counting)
         iters = system.krylov_iters
-        assert system._gmres(op, system.g_load, None, "T") is not None
+        assert system._gmres(op, precondition, system.g_load, None) is not None
         # one V-cycle per iteration, and one that forms the iterate
         assert len(cycles) == system.krylov_iters - iters + 1 <= assembly.KRYLOV_MAX + 1
         forming = len(cycles)
@@ -457,7 +465,7 @@ class TestKFP:
 
         monkeypatch.setattr(held, "solve", perturbed)
         cycles.clear()
-        assert system._gmres(op, system.g_load, None, "T") is None
+        assert system._gmres(op, precondition, system.g_load, None) is None
         cycles.clear()
         x = system.solve(u, system.g_load, trans="T")
         assert system.factorizations == 2
@@ -498,15 +506,14 @@ class TestMFG:
         sol = solve_mfg(space, sine_problem, tensor)
         assert max(sol.residual1_dual, sol.residual2_dual) <= 1e-9
 
-    def test_damping_independence(self, sine_problem, square_hierarchy):
-        # uniqueness of the discrete solution: different damping, same answer
-        mesh = square_hierarchy[4]
-        space = mf.P1Space(mesh)
-        tensor = mf.build_xz_tensor(mesh, 1.0)
-        s_full = solve_mfg(space, sine_problem, tensor, SolverConfig(damping=1.0))
-        s_half = solve_mfg(space, sine_problem, tensor, SolverConfig(damping=0.5))
-        assert np.abs(s_full.u.coeffs - s_half.u.coeffs).max() < 1e-8
-        assert np.abs(s_full.m.coeffs - s_half.m.coeffs).max() < 1e-8
+    def test_agrees_with_tight_solve(self, sine_problem, square_hierarchy):
+        # uniqueness of the discrete solution: the default stop test lands
+        # where a solve to tol_outer = 1e-12 does
+        space, tensor = _sine_system(4, square_hierarchy)
+        sol = solve_mfg(space, sine_problem, tensor)
+        tight = solve_mfg(space, sine_problem, tensor, SolverConfig(tol_outer=1e-12))
+        assert np.abs(sol.u.coeffs - tight.u.coeffs).max() < 1e-8
+        assert np.abs(sol.m.coeffs - tight.m.coeffs).max() < 1e-8
 
     def test_residual_history_monotone_after_first(self, sine_problem,
                                                    square_hierarchy):
@@ -535,9 +542,10 @@ class TestMFG:
         monkeypatch.setattr(scipy.sparse.linalg, "splu", counting_splu)
         sol = solve_mfg(space, sine_problem, tensor)
         assert len(calls) == 2
-        assert [h["factorizations"] for h in sol.history] == [1] + [0] * (sol.outer_iters - 1)
-        # each sweep solves at least one Newton step and one KFP equation by GMRES
-        assert all(h["krylov_iters"] >= 2 for h in sol.history[1:])
+        assert [h["factorizations"] for h in sol.history] == (
+            [1] + [0] * (sol.newton_iters_total - 1))
+        # each step solves its Newton system by GMRES
+        assert all(h["krylov_iters"] >= 1 for h in sol.history[1:])
 
     def test_one_mass_assembly_and_two_lus_per_solve(self, sine_problem, square_hierarchy,
                                                       monkeypatch):
@@ -564,14 +572,16 @@ class TestMFG:
     def test_krylov_fallback_refactorizes(self, sine_problem, square_hierarchy,
                                           monkeypatch):
         # one GMRES iteration is too few away from the held LU's own point: the
-        # system releases it, factorizes the current linearization and solves
-        # directly, and the answer is that of a run where every solve factorizes
+        # system releases it and factorizes the current linearization, which
+        # solves a KFP equation directly and preconditions a Newton system,
+        # whose GMRES falls short again, so the Newton system is factorized
+        # too; the answer is that of a run where every solve factorizes
         mesh = square_hierarchy[3]
         space = mf.P1Space(mesh)
         tensor = mf.build_xz_tensor(mesh, 1.0)
         direct = _all_direct_solve(space, sine_problem, tensor)
         assert sum(h["factorizations"] for h in direct.history) == (
-            1 + direct.newton_iters_total + direct.outer_iters)
+            2 * direct.newton_iters_total + direct.outer_iters)
 
         splu = scipy.sparse.linalg.splu
         live = weakref.WeakSet()
@@ -593,9 +603,10 @@ class TestMFG:
         fallbacks = sum(h["factorizations"] for h in sol.history) - 1
         assert fallbacks >= 1
         assert len(alive_at_factorization) == 2 + fallbacks
-        # at most one other LU is alive when one is made: the held one while
-        # the Gram matrix is factorized, the Gram LU while a linearization is
-        assert max(alive_at_factorization) <= 1
+        # at most two other LUs are alive when one is made: the held one while
+        # the Gram matrix is factorized, the Gram LU while a linearization is,
+        # and both while a Newton system is
+        assert max(alive_at_factorization) <= 2
         assert (sol.outer_iters, sol.newton_iters_total) == (
             direct.outer_iters, direct.newton_iters_total)
         assert np.abs(sol.u.coeffs - direct.u.coeffs).max() < 1e-12
@@ -612,7 +623,7 @@ class TestMFG:
         space = mf.P1Space(mesh)
         tensor = mf.build_xz_tensor(mesh, 1.0)
         direct = _all_direct_solve(space, sine_problem, tensor)
-        solves = 1 + direct.newton_iters_total + direct.outer_iters
+        solves = direct.newton_iters_total + direct.outer_iters
 
         splu = scipy.sparse.linalg.splu
         sizes = []
@@ -625,10 +636,13 @@ class TestMFG:
         monkeypatch.setattr(assembly, "KRYLOV_MAX", 1)
         sol = solve_mfg(space, sine_problem, tensor)
         assert sum(h["factorizations"] for h in sol.history) == 2 * solves
-        # per solve the level-2 coarsest level and L; after the first, when the
-        # first residual is measured, the Gram hierarchy's coarsest level and,
-        # as one CG iteration falls short too, the held LU of the Gram matrix
-        assert sizes == [9, space.ndof, 9, space.ndof] + [9, space.ndof] * (solves - 1)
+        # per solve the level-2 coarsest level and L, or the 2n Jacobian for a
+        # Newton step; after the first, when the first residual is measured,
+        # the Gram hierarchy's coarsest level and, as one CG iteration falls
+        # short too, the held LU of the Gram matrix
+        n = space.ndof
+        steps = [[9, 2 * n] + [9, n] * h["stop_test"] for h in sol.history]
+        assert sizes == [9, n, 9, n] + sum(steps, [])
         assert (sol.outer_iters, sol.newton_iters_total) == (
             direct.outer_iters, direct.newton_iters_total)
         assert np.abs(sol.u.coeffs - direct.u.coeffs).max() < 1e-12
@@ -648,14 +662,14 @@ class TestMFG:
         system.solve(space.zero_function(), system.g_load, trans="T")
         assert system._multigrid.exact and not system._multigrid.levels
         sol = solve_mfg(space, sine_problem, tensor)
-        assert (sol.outer_iters, sol.newton_iters_total) == (5, 9)
-        assert [h["factorizations"] for h in sol.history] == [1] + [0] * (sol.outer_iters - 1)
+        assert (sol.outer_iters, sol.newton_iters_total) == (2, 3)
+        assert [h["factorizations"] for h in sol.history] == (
+            [1] + [0] * (sol.newton_iters_total - 1))
 
     def test_drift_bound_excess_recorded(self, sine_problem, square_hierarchy):
         # a Hamiltonian that understates its drift bound: every assembly of a
-        # drift beyond it warns, and the sweep's history entry records by how
+        # drift beyond it warns, and the step's history entry records by how
         # much
-        import dataclasses
         ham = sine_problem.hamiltonian
         problem = dataclasses.replace(
             sine_problem, hamiltonian=dataclasses.replace(ham, L_H=0.25 * ham.L_H))
@@ -663,45 +677,42 @@ class TestMFG:
         space = mf.P1Space(mesh)
         with pytest.warns(UserWarning, match="exceeds bound"):
             sol = solve_mfg(space, problem, mf.build_xz_tensor(mesh, ham.L_H))
-        # |grad u| passes R = L_H somewhere in every sweep, where the Huber
+        # |grad u| passes R = L_H somewhere in every step, where the Huber
         # drift saturates at |b| = L_H
         excess = [h["drift_excess"] for h in sol.history]
-        assert excess == pytest.approx([0.75 * ham.L_H] * sol.outer_iters, rel=1e-12)
+        assert excess == pytest.approx([0.75 * ham.L_H] * sol.newton_iters_total, rel=1e-12)
         clean = solve_mfg(space, sine_problem, mf.build_xz_tensor(mesh, ham.L_H))
-        assert [h["drift_excess"] for h in clean.history] == [0.0] * clean.outer_iters
+        assert [h["drift_excess"] for h in clean.history] == [0.0] * clean.newton_iters_total
 
     def test_level4_sine_matches_recorded_solve(self, sine_problem, square_hierarchy):
         # two default-tolerance iterates that both pass tol_outer may differ by
         # ~1e-10, so the answer is pinned where any correct solver must agree: a
         # tight solve, against H1 errors recorded from a damped Picard solve
         # (39 sweeps, 47 Newton steps); the default solve pins the path
-        mesh = square_hierarchy[4]
-        space = mf.P1Space(mesh)
-        tensor = mf.build_xz_tensor(mesh, 1.0)
+        space, tensor = _sine_system(4, square_hierarchy)
         sol = solve_mfg(space, sine_problem, tensor)
-        assert (sol.outer_iters, sol.newton_iters_total) == (5, 9)
-        tight = solve_mfg(space, sine_problem, tensor,
-                          SolverConfig(tol_outer=1e-12, tol_newton=1e-12, max_outer=400))
+        assert (sol.outer_iters, sol.newton_iters_total) == (2, 3)
+        tight = solve_mfg(space, sine_problem, tensor, SolverConfig(tol_outer=1e-12))
         ex = sine_problem.exact
         assert abs(mf.error_h1(tight.u, ex.u.value, ex.u.grad) - 0.3730181080584706) <= 1e-12
         assert abs(mf.error_h1(tight.m, ex.m.value, ex.m.grad) - 0.36447419170370454) <= 1e-12
 
     @pytest.mark.parametrize("family, make_problem, path", [
         ("xz_square", lambda: mf.make_manufactured(1.0, mf.huber_ball(1.0), 1.0),
-         (5, 9, 91, 1)),
+         (2, 3, 26, 1)),
         ("acute_rhombus", lambda: mf.make_manufactured(1.0, mf.huber_ball(1.0), 1.0,
                                                        domain="acute_rhombus"),
-         (6, 10, 103, 1)),
+         (2, 4, 33, 1)),
         ("xz_square", lambda: mf.make_g_one_problem(1.0, mf.huber_ball(1.0), 1.0),
-         (3, 4, 22, 1)),
+         (2, 2, 9, 1)),
         ("xz_square", lambda: mf.make_g_one_problem(0.1, mf.huber_ball(2.0), 5.0),
-         (10, 20, 247, 1)),
+         (2, 4, 42, 1)),
         ("xz_square", lambda: mf.make_rough_density_problem(1.0, mf.huber_ball(1.0), 1.0),
-         (4, 8, 74, 1)),
+         (2, 3, 25, 1)),
     ], ids=["sine", "sine_acute", "g_one", "hard_g_one", "rough"])
     def test_level5_solver_path(self, family, make_problem, path, square_hierarchy,
                                 rhombus_hierarchy):
-        # the default solve's sweeps, Newton steps, GMRES iterations and
+        # the default solve's stop tests, Newton steps, GMRES iterations and
         # factorizations, pinned so that a change meant to keep the path shows
         # here when it does not
         problem = make_problem()
@@ -717,43 +728,36 @@ class TestMFG:
                 sum(h["krylov_iters"] for h in sol.history),
                 sum(h["factorizations"] for h in sol.history)) == path
 
-    def test_rejected_mixed_step_falls_back_to_picard(self, square_hierarchy):
-        # on this instance one mixed step raises the residual: it is recorded as
-        # rejected, and the loop goes on from the last accepted sweep
+    def test_hard_instance_descends_to_tolerance(self, square_hierarchy):
+        # the hard g_one instance: every step lowers the larger dual norm, and
+        # the returned pair passes the stop test with the DMP intact, where a
+        # solve to tol_outer = 1e-12 lands
         mesh = square_hierarchy[5]
         space = mf.P1Space(mesh)
         problem = mf.make_g_one_problem(0.1, mf.huber_ball(2.0), 5.0)
         tensor = mf.build_xz_tensor(mesh, problem.hamiltonian.L_H)
         sol = solve_mfg(space, problem, tensor)
-        rejected = [i for i, h in enumerate(sol.history) if h["rejected"]]
-        assert rejected
-        for i in rejected:
-            assert sol.history[i]["step"] == "anderson"
-            assert sol.history[i + 1]["step"] == "picard"
-        peaks = [max(h["residual1_dual"], h["residual2_dual"])
-                 for h in sol.history if not h["rejected"]]
-        for prev, cur in zip(peaks[1:], peaks[2:]):
-            assert cur <= prev * (1 + 1e-10)
+        peaks = [max(h["residual1_dual"], h["residual2_dual"]) for h in sol.history]
+        for prev, cur in zip(peaks, peaks[1:]):
+            assert cur <= prev
         assert max(sol.residual1_dual, sol.residual2_dual) <= SolverConfig().tol_outer
         assert sol.m.coeffs.min() >= mf.analysis.DMP_TOL
-        full = solve_mfg(space, problem, tensor, SolverConfig(damping=1.0))
-        assert np.abs(full.u.coeffs - sol.u.coeffs).max() < 1e-8
-        assert np.abs(full.m.coeffs - sol.m.coeffs).max() < 1e-8
+        tight = solve_mfg(space, problem, tensor, SolverConfig(tol_outer=1e-12))
+        assert np.abs(tight.u.coeffs - sol.u.coeffs).max() < 1e-8
+        assert np.abs(tight.m.coeffs - sol.m.coeffs).max() < 1e-8
 
     def test_history_records_step_and_dmp_margin(self, sine_problem, square_hierarchy):
-        # the first iterate and the one after it have no mixing history
-        mesh = square_hierarchy[3]
-        space = mf.P1Space(mesh)
-        sol = solve_mfg(space, sine_problem, mf.build_xz_tensor(mesh, 1.0))
-        steps = [h["step"] for h in sol.history]
-        assert steps[:2] == ["picard", "picard"]
-        assert set(steps[2:]) == {"anderson"}
-        assert not any(h["rejected"] for h in sol.history)
-        assert all(h["linesearch_halvings"] == 0 for h in sol.history)
+        # one entry per Newton step, each a full step on this instance; the
+        # last made the stop test, whose pair is the one returned
+        space, tensor = _sine_system(3, square_hierarchy)
+        sol = solve_mfg(space, sine_problem, tensor)
+        assert [h["newton"] for h in sol.history] == list(range(1, sol.newton_iters_total + 1))
+        assert all(h["step"] == 1.0 and h["linesearch_halvings"] == 0 for h in sol.history)
+        assert [h["stop_test"] for h in sol.history] == [False, False, True]
         assert sol.history[-1]["min_m"] == sol.m.coeffs.min()
 
     def test_returned_density_is_a_kfp_solve(self, sine_problem, square_hierarchy):
-        # the mixed iterate is never returned: m solves the KFP equation at u
+        # the Newton iterate is never returned: m solves the KFP equation at u
         # to the tolerance of its linear solve (a direct LU at this level, whose
         # residual lies far below KRYLOV_RTOL |G|)
         mesh = square_hierarchy[3]
@@ -764,54 +768,104 @@ class TestMFG:
         residual = np.linalg.norm(system.kfp_residual(sol.u, sol.m))
         assert residual <= assembly.KRYLOV_RTOL * np.linalg.norm(system.g_load)
 
-    def test_dependent_differences_restart_mixing(self):
-        # parallel residual differences leave the mixing coefficients undetermined
-        pairs = deque(maxlen=solver.ANDERSON_DEPTH)
-        f = np.array([1.0, 2.0, 3.0])
-        pairs.append((np.ones(3) - np.zeros(3), 2.0 * f - f))
-        pairs.append((3.0 * np.ones(3) - np.ones(3), 4.0 * f - 2.0 * f))
-        m = np.array([0.5, 0.25, 0.125])
-        assert np.array_equal(solver._anderson_mix(pairs, m, f, 0.5), m + 0.5 * f)
-        assert len(pairs) == 0
-
     def test_nonconvergence_carries_history(self, sine_problem, square_hierarchy):
         mesh = square_hierarchy[3]
         space = mf.P1Space(mesh)
         tensor = mf.build_xz_tensor(mesh, 1.0)
         with pytest.raises(NonConvergenceError) as err:
-            solve_mfg(space, sine_problem, tensor, SolverConfig(max_outer=1))
+            solve_mfg(space, sine_problem, tensor, SolverConfig(max_newton=1))
         assert len(err.value.history) == 1
 
     def test_newton_failure_carries_outer_history(self, sine_problem, square_hierarchy,
                                                   monkeypatch):
-        # the 6th Newton proposal ascends, so the line search fails in a later
-        # sweep; the error lists the sweeps completed before it
-        mesh = square_hierarchy[3]
-        space = mf.P1Space(mesh)
-        tensor = mf.build_xz_tensor(mesh, 1.0)
-        newton = solver._newton_proposal
+        # the 3rd Newton step ascends, so its line search fails; the error
+        # lists the steps completed before it
+        space, tensor = _sine_system(3, square_hierarchy)
+        newton = DiscreteSystem.newton_step
         calls = []
 
-        def proposal(system, r, u):
+        def step(self, u, m, rhs):
             calls.append(None)
-            x = newton(system, r, u)
-            return x if len(calls) < 6 else 2.0 * u - x
+            delta = newton(self, u, m, rhs)
+            return delta if len(calls) < 3 else -delta
 
-        monkeypatch.setattr(solver, "_newton_proposal", proposal)
-        with pytest.raises(NonConvergenceError) as err:
+        monkeypatch.setattr(DiscreteSystem, "newton_step", step)
+        with pytest.raises(NonConvergenceError, match="2\\^-10") as err:
             solve_mfg(space, sine_problem, tensor)
         history = err.value.history
-        assert [h["outer"] for h in history] == [1, 2]
-        assert sum(h["newton_iters"] for h in history) == 5
-        assert err.value.last_residual is not None
+        assert [h["newton"] for h in history] == [1, 2]
+        assert err.value.last_residual == max(history[-1]["residual1_dual"],
+                                              history[-1]["residual2_dual"])
 
     def test_telemetry_fields(self, sine_problem, square_hierarchy):
         mesh = square_hierarchy[2]
         space = mf.P1Space(mesh)
         tensor = mf.build_xz_tensor(mesh, 1.0)
         sol = solve_mfg(space, sine_problem, tensor)
-        assert sol.newton_iters_total >= sol.outer_iters
+        assert sol.newton_iters_total == len(sol.history)
         assert sol.history[-1]["residual1_dual"] == sol.residual1_dual
+
+
+class TestCoupledNewton:
+    @pytest.mark.parametrize("ham", [mf.huber_ball(1.0),
+                                     mf.finite_control([(1, 0), (-1, 0), (0, 1)],
+                                                       [0.0, 0.1, 0.2], smoothing=0.1)],
+                             ids=["huber", "log_sum_exp"])
+    def test_jacobian_matches_central_differences(self, ham, square_spaces):
+        # J = [[L, -c_F M], [C, L^T]] is minus the derivative of (r1, r2): at a
+        # random (u, m > 0) whose gradients stay away from the Huber kink, J v
+        # matches central differences of the residuals along random v
+        space = square_spaces[3]
+        n = space.ndof
+        problem = mf.make_g_one_problem(0.5, ham, 2.0)
+        system = DiscreteSystem(space, problem, None)
+        rng = np.random.default_rng(11)
+        u = mf.P1Function(space, 0.08 * rng.standard_normal(n))
+        m = mf.P1Function(space, rng.uniform(0.5, 2.0, n))
+        radius = np.linalg.norm(u.element_gradients(), axis=1)
+        assert (radius < 1.0).any() and (radius > 1.0).any()
+        assert np.abs(radius - 1.0).min() > 1e-3
+        J = system.jacobian(u, m)
+        dense = J.tocsc().toarray()
+
+        def residuals(x):
+            fu, fm = mf.P1Function(space, x[:n]), mf.P1Function(space, x[n:])
+            return np.concatenate([system.hjb_residual(fu, fm), system.kfp_residual(fu, fm)])
+
+        x = np.concatenate([u.coeffs, m.coeffs])
+        step = 1e-7
+        for _ in range(3):
+            v = rng.standard_normal(2 * n)
+            fd = -(residuals(x + step * v) - residuals(x - step * v)) / (2.0 * step)
+            assert np.allclose(dense @ v, J @ v, rtol=0, atol=1e-12)
+            assert np.abs(J @ v - fd).max() <= 1e-7 * np.abs(fd).max()
+
+    @pytest.mark.parametrize("problem, direct", [
+        (mf.make_g_one_problem(0.02, mf.huber_ball(2.0), 5.0), False),
+        (mf.make_g_one_problem(0.1, mf.finite_control([(1, 0), (-1, 0), (0, 1)],
+                                                      [0.0, 0.1, 0.2], smoothing=0.05), 5.0),
+         True),
+    ], ids=["g_one_nu_0.02", "log_sum_exp_eps_0.05"])
+    def test_hardest_probes_converge(self, problem, direct, square_hierarchy, monkeypatch):
+        # small nu with a strong coupling, and a sharp smoothed three-control
+        # Hamiltonian: cold-start Newton converges at level 5 with the DMP
+        # intact; on the second, GMRES falls short twice in one step, and
+        # that Newton system is solved by the LU of the 2n Jacobian
+        mesh = square_hierarchy[5]
+        space = mf.P1Space(mesh)
+        tensor = mf.build_xz_tensor(mesh, problem.hamiltonian.L_H)
+        splu = scipy.sparse.linalg.splu
+        sizes = []
+
+        def tracking_splu(A, *args, **kwargs):
+            sizes.append(A.shape[0])
+            return splu(A, *args, **kwargs)
+
+        monkeypatch.setattr(scipy.sparse.linalg, "splu", tracking_splu)
+        sol = solve_mfg(space, problem, tensor)
+        assert max(sol.residual1_dual, sol.residual2_dual) <= SolverConfig().tol_outer
+        assert sol.m.coeffs.min() >= mf.analysis.DMP_TOL
+        assert (2 * space.ndof in sizes) is direct
 
 
 @st.composite
@@ -841,7 +895,7 @@ class TestRecycledLUProperty:
         mesh = square_hierarchy[level]
         space = mf.P1Space(mesh)
         tensor = mf.build_xz_tensor(mesh, problem.hamiltonian.L_H)
-        cfg = SolverConfig(tol_outer=1e-12, tol_newton=1e-12, max_outer=400)
+        cfg = SolverConfig(tol_outer=1e-12)
         sol = solve_mfg(space, problem, tensor, cfg)
         direct = _all_direct_solve(space, problem, tensor, cfg)
         assert max(sol.residual1_dual, sol.residual2_dual) <= cfg.tol_outer
@@ -861,7 +915,7 @@ class TestMultigridProperty:
         mesh = square_hierarchy[max(level, 3)]
         space = mf.P1Space(mesh)
         tensor = mf.build_xz_tensor(mesh, problem.hamiltonian.L_H)
-        cfg = SolverConfig(tol_outer=1e-12, tol_newton=1e-12, max_outer=400)
+        cfg = SolverConfig(tol_outer=1e-12)
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(assembly, "COARSE_DOFS", 40)
             system = DiscreteSystem(space, problem, tensor)
@@ -901,7 +955,6 @@ class TestMkPlus:
     def test_nonnegative_for_certified_source(self, square_spaces):
         # G = 1 with an attached exact value function: the DMP makes the
         # auxiliary density nonnegative
-        import dataclasses
         base = mf.make_g_one_problem()
         problem = dataclasses.replace(
             base, exact=mf.ExactSolution(u=mf.sine_product_field(),
@@ -915,6 +968,6 @@ class TestMkPlus:
 class TestSolverConfig:
     def test_validation(self):
         with pytest.raises(ConfigurationError):
-            SolverConfig(damping=0.0)
+            SolverConfig(max_newton=0)
         with pytest.raises(ConfigurationError):
             SolverConfig(tol_outer=-1.0)
