@@ -65,7 +65,8 @@ JACOBI_SWEEPS = 2
 
 def _scatter(space, blocks, full):
     """Sum (nt, 3, 3) local blocks into a CSR matrix."""
-    indptr, indices, slots = (csr_pattern(space.mesh.triangles, space.mesh.num_vertices)
+    mesh = space.mesh
+    indptr, indices, slots = (csr_pattern(mesh, np.arange(mesh.num_vertices))
                               if full else space.pattern)
     n = len(indptr) - 1
     data = np.bincount(slots, weights=blocks.ravel(), minlength=len(indices) + 1)[:-1]

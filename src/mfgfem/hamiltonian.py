@@ -16,7 +16,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.special import logsumexp, softmax
 
 from . import assembly
 from .errors import ConfigurationError
@@ -77,6 +76,23 @@ def huber_ball(R):
                            C_H=float(max(R, 0.5 * R * R)), L_Hp=1.0)
 
 
+def _logsumexp(a):
+    """log sum exp(a) over the last axis, in the form of scipy.special.logsumexp
+    and bitwise equal to it for finite input: the maxima are counted apart, as
+    log1p(sum of the other exp(a - max) / count) + log(count) + max."""
+    top = a.max(axis=-1, keepdims=True)
+    at_top = a == top
+    count = at_top.sum(axis=-1, keepdims=True, dtype=float)
+    rest = np.exp(np.where(at_top, -np.inf, a) - top).sum(axis=-1, keepdims=True)
+    return (np.log1p(rest / count) + np.log(count) + top)[..., 0]
+
+
+def _softmax(a):
+    """exp(a) normalized over the last axis, shifted by its maximum."""
+    e = np.exp(a - a.max(axis=-1, keepdims=True))
+    return e / e.sum(axis=-1, keepdims=True)
+
+
 def finite_control(drifts, costs, smoothing=0.0):
     """Finite control set: H(p) = max_a (b_a.p - f_a).
 
@@ -122,15 +138,15 @@ def finite_control(drifts, costs, smoothing=0.0):
 
     def value(p):
         scores = (np.asarray(p, dtype=float) @ B.T - f) / eps
-        return eps * logsumexp(scores, axis=-1)
+        return eps * _logsumexp(scores)
 
     def grad_p(p):
         scores = (np.asarray(p, dtype=float) @ B.T - f) / eps
-        return softmax(scores, axis=-1) @ B
+        return _softmax(scores) @ B
 
     def hess_p(p):
         # (B^T diag(s) B - (B^T s)(B^T s)^T) / eps with s the softmax weights
-        s = softmax((np.asarray(p, dtype=float) @ B.T - f) / eps, axis=-1)
+        s = _softmax((np.asarray(p, dtype=float) @ B.T - f) / eps)
         g = s @ B
         return (np.einsum("...a,ai,aj->...ij", s, B, B)
                 - g[..., :, None] * g[..., None, :]) / eps

@@ -4,7 +4,8 @@ import scipy.linalg
 
 import mfgfem as mf
 from mfgfem import assembly
-from mfgfem.fespace import quadrature
+from mfgfem.fespace import csr_pattern, quadrature
+from mfgfem.mesh import write_mesh
 from mfgfem.problem import scalar_load
 from mfgfem.stabilization import StabilizationTensor
 
@@ -34,6 +35,44 @@ def coo_to_csr_reference(dofs, n, blocks):
     return indptr, np.array([j for _, j in keys]), np.array([sums[k] for k in keys])
 
 
+def sorted_keys_pattern(dofs, n):
+    """(indptr, indices, slots) of sorting the keys row * n + col of all 9 nt
+    block entries on ``dofs`` (-1 drops an entry; its slot is nnz)."""
+    rows = np.repeat(dofs, 3, axis=1).ravel()
+    cols = np.tile(dofs, (1, 3)).ravel()
+    keep = (rows >= 0) & (cols >= 0)
+    keys, inverse = np.unique(rows[keep] * n + cols[keep], return_inverse=True)
+    slots = np.full(rows.shape, len(keys), dtype=np.int32)
+    slots[keep] = inverse
+    indptr = np.zeros(n + 1, dtype=np.int32)
+    np.cumsum(np.bincount(keys // n, minlength=n), out=indptr[1:])
+    return indptr, (keys % n).astype(np.int32), slots
+
+
+def check_pattern_and_scatter(space, full, blocks):
+    """The pattern of ``space`` equals the sort-based one bitwise, dtypes and
+    read-only flags included, and the scatter of ``blocks`` through it equals
+    the element-order COO sum."""
+    mesh = space.mesh
+    if full:
+        dofs, n = mesh.triangles, mesh.num_vertices
+        pattern = csr_pattern(mesh, np.arange(n))
+    else:
+        dofs, n = space.elem_dofs, space.ndof
+        pattern = space.pattern
+    for got, want in zip(pattern, sorted_keys_pattern(dofs, n)):
+        assert got.dtype == want.dtype == np.int32
+        assert got.shape == want.shape
+        assert np.array_equal(got, want)
+        assert not got.flags.writeable
+    A = assembly._scatter(space, blocks, full)
+    indptr, indices, data = coo_to_csr_reference(dofs, n, blocks)
+    assert A.shape == (n, n)
+    assert np.array_equal(A.indptr, indptr)
+    assert np.array_equal(A.indices, indices)
+    assert np.array_equal(A.data, data)
+
+
 class TestElementOracles:
     def test_reference_stiffness(self):
         K = assembly.assemble_diffusion(reference_space(), 1.0, full=True).toarray()
@@ -53,19 +92,27 @@ class TestElementOracles:
     @pytest.mark.parametrize("family", ["square", "rhombus"])
     @pytest.mark.parametrize("full", [False, True])
     def test_pattern_scatter_matches_coo_reference(self, family, full, request):
-        space = request.getfixturevalue(f"{family}_spaces")[3]
-        mesh = space.mesh
-        blocks = np.random.default_rng(7).standard_normal((mesh.num_triangles, 3, 3))
-        A = assembly._scatter(space, blocks, full)
-        if full:
-            dofs, n = mesh.triangles, mesh.num_vertices
-        else:
-            dofs, n = space.elem_dofs, space.ndof
-        indptr, indices, data = coo_to_csr_reference(dofs, n, blocks)
-        assert A.shape == (n, n)
-        assert np.array_equal(A.indptr, indptr)
-        assert np.array_equal(A.indices, indices)
-        assert np.array_equal(A.data, data)
+        rng = np.random.default_rng(7)
+        for space in request.getfixturevalue(f"{family}_spaces")[:7]:
+            blocks = rng.standard_normal((space.mesh.num_triangles, 3, 3))
+            check_pattern_and_scatter(space, full, blocks)
+
+    @pytest.mark.parametrize("full", [False, True])
+    def test_pattern_of_shuffled_file_mesh(self, full, tmp_path):
+        # vertex and triangle order of a file are arbitrary: the dofs of the
+        # interior vertices and the edge ends then follow no grid order
+        rng = np.random.default_rng(11)
+        base = mf.generate_structured_square(7)
+        perm = rng.permutation(base.num_vertices)
+        vertices = np.empty_like(base.vertices)
+        vertices[perm] = base.vertices
+        triangles = rng.permuted(perm[base.triangles], axis=1)
+        triangles = triangles[rng.permutation(base.num_triangles)]
+        path = tmp_path / "shuffled.mesh"
+        write_mesh(mf.Mesh2D(vertices, triangles), path)
+        space = mf.P1Space(mf.read_mesh(path))
+        blocks = rng.standard_normal((space.mesh.num_triangles, 3, 3))
+        check_pattern_and_scatter(space, full, blocks)
 
     def test_row_sums_vanish(self, square_spaces):
         K = assembly.assemble_diffusion(square_spaces[3], 1.0, full=True)

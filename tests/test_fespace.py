@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 import mfgfem as mf
 from mfgfem import assembly
 from mfgfem.errors import ConfigurationError, NumericError
-from mfgfem.fespace import quadrature, quadrature_points_xy
+from mfgfem.fespace import quadrature, quadrature_xy
 
 
 def reference_space():
@@ -88,10 +88,10 @@ class TestInterpolation:
         space = square_spaces[3]
         fn = mf.interpolate(space, lambda x, y: x)
         rule = quadrature(3)
-        xq = quadrature_points_xy(space.mesh, rule)
+        x, _ = quadrature_xy(space.mesh, rule)
         vals = fn.values_at_quadrature(rule)
         interior_elems = np.all(space.elem_dofs >= 0, axis=1)
-        assert np.allclose(vals[interior_elems], xq[interior_elems, :, 0], atol=1e-13)
+        assert np.allclose(vals[interior_elems], x[interior_elems], atol=1e-13)
 
     def test_non_finite_rejected(self, square_spaces):
         def blows_up(x, y):
@@ -196,6 +196,19 @@ class TestQuadrature:
         e4 = float(np.einsum("t,q->", (grads ** 2).sum(axis=1) * space.elem_areas,
                              rule.weights))
         assert e1 == pytest.approx(e4, rel=1e-13)
+
+    @pytest.mark.parametrize("degree", [1, 2, 3, 4, 5, 6])
+    def test_points_match_barycentric_einsum(self, degree, rhombus_spaces):
+        # every range of elements gets the rows of the whole-mesh barycentric
+        # contraction, bitwise, as contiguous arrays
+        mesh = rhombus_spaces[4].mesh
+        rule = quadrature(degree)
+        whole = np.einsum("qi,tid->tqd", rule.points, mesh.vertices[mesh.triangles])
+        for start, stop in [(0, None), (0, 1), (37, 301), (500, None)]:
+            x, y = quadrature_xy(mesh, rule, start, stop)
+            assert x.flags.c_contiguous and y.flags.c_contiguous
+            assert np.array_equal(x, whole[start:stop, :, 0])
+            assert np.array_equal(y, whole[start:stop, :, 1])
 
 
 class TestExport:

@@ -1,4 +1,7 @@
 import math
+import os
+import subprocess
+import sys
 import warnings
 
 import numpy as np
@@ -10,7 +13,13 @@ from hypothesis import strategies as st
 import mfgfem as mf
 from mfgfem import assembly
 from mfgfem.errors import ConfigurationError
-from mfgfem.hamiltonian import check_gradient, check_semismooth_bound, linearization_remainder
+from mfgfem.hamiltonian import (
+    _logsumexp,
+    _softmax,
+    check_gradient,
+    check_semismooth_bound,
+    linearization_remainder,
+)
 
 
 class TestHuberBall:
@@ -109,6 +118,29 @@ class TestFiniteControl:
     def test_empty_rejected(self):
         with pytest.raises(ConfigurationError):
             mf.finite_control([], [])
+
+    def test_log_sum_exp_and_softmax_match_scipy(self):
+        # computed in numpy in scipy.special's form, so bitwise equal to it:
+        # one to many controls, tied maxima, narrow and wide score ranges
+        from scipy.special import logsumexp, softmax
+        rng = np.random.default_rng(3)
+        for k in (1, 2, 3, 8):
+            for scale in (1e-3, 1.0, 1e3):
+                a = rng.standard_normal((2000, k)) * scale
+                a[::5, 0] = a[::5, -1]
+                a[::7] = np.round(a[::7])
+                assert np.array_equal(_logsumexp(a), logsumexp(a, axis=-1))
+                assert np.array_equal(_softmax(a), softmax(a, axis=-1))
+
+    def test_import_leaves_scipy_special_unloaded(self):
+        src = os.path.dirname(os.path.dirname(mf.__file__))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+        out = subprocess.run(
+            [sys.executable, "-c",
+             "import sys, mfgfem; print('scipy.special' in sys.modules)"],
+            capture_output=True, text=True, env=env, check=True)
+        assert out.stdout.strip() == "False"
 
     def test_tiny_drift_bound_does_not_underflow(self, square_spaces):
         # squaring 3e-163 underflows to 0; the bound must still be max |b_a|,

@@ -6,9 +6,11 @@ import pytest
 import mfgfem as mf
 from mfgfem import assembly
 from mfgfem.errors import ConfigurationError
-from mfgfem.fespace import quadrature, quadrature_points_xy
+from mfgfem.fespace import quadrature, quadrature_xy
 from mfgfem.problem import (
+    LOAD_BLOCK,
     halfplane_clipped_areas,
+    scalar_load,
     sine_product_field,
     source_load,
     vector_load,
@@ -117,8 +119,7 @@ class TestManufactured:
         phi = mf.interpolate(space, ex.m.value)
         lhs = float(vector_load(space, sine_problem.source.g_tilde, degree=6) @ phi.coeffs)
         rule = quadrature(6)
-        xq = quadrature_points_xy(space.mesh, rule)
-        gt = sine_problem.source.g_tilde(xq[..., 0], xq[..., 1])
+        gt = sine_problem.source.g_tilde(*quadrature_xy(space.mesh, rule))
         grads = phi.element_gradients()
         rhs = float(np.einsum("tqd,td,q,t->", gt, grads, rule.weights,
                               space.elem_areas))
@@ -165,6 +166,57 @@ class TestSourceLoads:
         src = mf.SourceG(g_tilde=lambda x, y: np.stack(
             [np.full(np.shape(x), 0.7), np.full(np.shape(x), -0.2)], axis=-1))
         assert np.abs(source_load(space, src)).max() < 1e-14
+
+
+def whole_mesh_loads(space, f, gt, degree):
+    """Scalar and vector loads from whole-mesh (nt, nq, 2) quadrature arrays."""
+    mesh = space.mesh
+    rule = quadrature(degree)
+    xq = np.einsum("qi,tid->tqd", rule.points, mesh.vertices[mesh.triangles])
+    fq = np.broadcast_to(np.asarray(f(xq[..., 0], xq[..., 1]), dtype=float), xq.shape[:2])
+    scalar = np.einsum("tq,q,qi->ti", fq, rule.weights, rule.points) * mesh.areas[:, None]
+    gq = np.asarray(gt(xq[..., 0], xq[..., 1]), dtype=float)
+    mean = np.einsum("tqd,q->td", gq, rule.weights)
+    vector = np.einsum("td,tid->ti", mean, space.elem_grads) * mesh.areas[:, None]
+    return assembly._scatter_load(space, scalar), assembly._scatter_load(space, vector)
+
+
+class TestBlockedLoads:
+    @pytest.fixture(scope="class")
+    def spaces(self, square_spaces, rhombus_spaces):
+        # nt below, equal to, not a multiple of, and a multiple of LOAD_BLOCK
+        spaces = [square_spaces[4], square_spaces[5],
+                  mf.P1Space(mf.generate_structured_square(33)), rhombus_spaces[6]]
+        nts = [s.mesh.num_triangles for s in spaces]
+        assert nts[0] < LOAD_BLOCK == nts[1] < nts[2] and nts[2] % LOAD_BLOCK
+        assert nts[3] % LOAD_BLOCK == 0 and nts[3] > LOAD_BLOCK
+        return spaces
+
+    @pytest.mark.parametrize("degree", [1, 2, 3, 4, 5, 6])
+    def test_bitwise_equal_to_whole_mesh_quadrature(self, degree, spaces, sine_problem):
+        f0, gt = sine_problem.coupling.offset, sine_problem.source.g_tilde
+        for space in spaces:
+            scalar, vector = whole_mesh_loads(space, f0, gt, degree)
+            assert np.array_equal(scalar_load(space, f0, degree), scalar)
+            assert np.array_equal(vector_load(space, gt, degree), vector)
+
+    def test_fields_are_evaluated_in_blocks(self, spaces):
+        space = spaces[2]
+        rows = []
+
+        def f(x, y):
+            rows.append(x.shape[0])
+            return x * y
+
+        def gt(x, y):
+            rows.append(x.shape[0])
+            return np.stack([x, y], axis=-1)
+
+        scalar_load(space, f)
+        vector_load(space, gt)
+        nt = space.mesh.num_triangles
+        blocks = [LOAD_BLOCK] * (nt // LOAD_BLOCK) + [nt % LOAD_BLOCK]
+        assert rows == blocks + blocks
 
 
 class TestRoughInstance:
