@@ -93,7 +93,7 @@ def error_vs_reference(fn_coarse, fn_fine):
     injected = inject_to_descendant(fn_coarse, fine_space)
     d = injected.coeffs - fn_fine.coeffs
     mass = assembly.assemble_mass(fine_space)
-    gram = mass + assembly.assemble_diffusion(fine_space, 1.0)
+    gram = assembly.pattern_sum(mass, assembly.assemble_diffusion(fine_space, 1.0))
     l2 = math.sqrt(max(float(d @ (mass @ d)), 0.0))
     h1 = math.sqrt(max(float(d @ (gram @ d)), 0.0))
     return l2, h1

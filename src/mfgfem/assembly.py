@@ -4,8 +4,14 @@ operator of it, the solver of its H1 Gram matrix included.
 
 All operators act on interior dofs only (matching the space); ``full=True``
 assembles over every vertex for diagnostics such as row-sum checks.  Matrices
-are returned as ``scipy.sparse`` CSR, filled through the fixed sparsity
-pattern of the space.
+are returned as ``scipy.sparse`` CSR on the fixed sparsity pattern of the
+space, holding its own index arrays: every operator of a solve -- K, M, the
+H1 Gram, L = K + B(u), c_F M and C -- is one data array over
+``space.pattern``, and their sums are sums of data arrays (``pattern_sum``).
+The local element matrices are formed and added into their slots block by
+block over ``mesh.element_blocks()``, in element order, so no (nt, 3, 3) or
+(nt, 2, 2) temporary is formed and the sums are bitwise those of one
+whole-mesh scatter.
 
 Drift fields are element-wise constant 2-vectors.  Because P1 gradients are
 constant per triangle and the Hamiltonians do not depend on x, the Hamiltonian
@@ -63,46 +69,67 @@ COARSE_DOFS = 1000
 JACOBI_WEIGHT = 0.7
 JACOBI_SWEEPS = 2
 
-def _scatter(space, blocks, full):
-    """Sum (nt, 3, 3) local blocks into a CSR matrix."""
+def _scatter(space, local, full=False):
+    """Sum local (k, 3, 3) blocks into a CSR matrix on the pattern of the
+    space (``_csr``).  ``local(blk)`` gives the blocks of the triangles of each
+    slice of ``mesh.element_blocks()``; their entries are added into their
+    slots in element order, the order of one bincount over all 9 nt entries."""
     mesh = space.mesh
     indptr, indices, slots = (csr_pattern(mesh, np.arange(mesh.num_vertices))
                               if full else space.pattern)
-    n = len(indptr) - 1
-    data = np.bincount(slots, weights=blocks.ravel(), minlength=len(indices) + 1)[:-1]
-    return sp.csr_matrix((data, indices, indptr), shape=(n, n))
+    data = np.zeros(len(indices) + 1)   # slot nnz collects the dropped entries
+    for blk in mesh.element_blocks():
+        np.add.at(data, slots[9 * blk.start:9 * blk.stop], local(blk).ravel())
+    return _csr(indptr, indices, data[:-1])
+
+
+def _csr(indptr, indices, data):
+    """The square CSR matrix of ``data`` on a pattern, holding the pattern's
+    own ``indptr`` and ``indices`` arrays."""
+    A = sp.csr_matrix((data, indices, indptr), shape=(len(indptr) - 1,) * 2)
+    A.indices = indices   # the constructor keeps a view of it
+    return A
+
+
+def pattern_sum(A, B):
+    """A + B for two CSR matrices on one pattern: the sum of their data
+    arrays on A's index arrays.  Bitwise scipy's A + B, except that an entry
+    summing to exactly zero stays stored, and no index array is allocated."""
+    return _csr(A.indptr, A.indices, A.data + B.data)
 
 
 def _scatter_load(space, elem_loads):
-    """Sum (nt, 3) per-element nodal loads into a vector."""
-    flat_dofs = space.elem_dofs.ravel()
-    keep = flat_dofs >= 0
-    return np.bincount(flat_dofs[keep], weights=elem_loads.ravel()[keep],
-                       minlength=space.ndof)
-
-
-def _diffusion_tensors(space, nu, tensor):
-    A = np.broadcast_to(nu * np.eye(2), (space.mesh.num_triangles, 2, 2))
-    if tensor is not None:
-        per_element = tensor.per_element
-        if per_element.shape[0] != space.mesh.num_triangles:
-            raise ConfigurationError("stabilization tensor does not match the mesh")
-        A = A + per_element
-    return A
+    """Sum (nt, 3) per-element nodal loads into a vector, in element order."""
+    out = np.zeros(space.ndof + 1)   # dof -1 indexes slot ndof, which is dropped
+    np.add.at(out, space.elem_dofs.ravel(), elem_loads.ravel())
+    return out[:-1]
 
 
 def assemble_diffusion(space, nu, tensor=None, full=False):
     """Stiffness of the diffusion tensor nu*I + D: sum_K area (A grad xi_j).grad xi_i."""
-    return assemble_stiffness(space, _diffusion_tensors(space, nu, tensor), full)
+    D = None if tensor is None else tensor.per_element
+    if D is not None and D.shape[0] != space.mesh.num_triangles:
+        raise ConfigurationError("stabilization tensor does not match the mesh")
+
+    def tensors(blk):
+        A = np.broadcast_to(nu * np.eye(2), (blk.stop - blk.start, 2, 2))
+        return A if D is None else A + D[blk]
+
+    return assemble_stiffness(space, tensors, full)
 
 
-def assemble_stiffness(space, A, full=False):
-    """Stiffness of an element-wise tensor A, shape (nt, 2, 2):
-    sum_K area (A_K grad xi_j).grad xi_i."""
-    g = space.elem_grads
-    blocks = g @ A @ g.transpose(0, 2, 1)
-    blocks *= space.elem_areas[:, None, None]   # in place: one (nt, 3, 3) temporary fewer
-    return _scatter(space, blocks, full)
+def assemble_stiffness(space, tensors, full=False):
+    """Stiffness of element-wise tensors A_K: sum_K area (A_K grad xi_j).grad xi_i,
+    where ``tensors(blk)`` gives the (k, 2, 2) tensors of the triangles ``blk``."""
+    g, areas = space.elem_grads, space.elem_areas
+
+    def local(blk):
+        gb = g[blk]
+        blocks = gb @ tensors(blk) @ gb.transpose(0, 2, 1)
+        blocks *= areas[blk, None, None]
+        return blocks
+
+    return _scatter(space, local, full)
 
 
 def assemble_hjb_drift(space, drift, full=False, drift_bound=None):
@@ -112,15 +139,17 @@ def assemble_hjb_drift(space, drift, full=False, drift_bound=None):
     drift = np.asarray(drift, dtype=float)
     if drift_bound is not None:
         drift_excess(drift, drift_bound)
-    col = np.einsum("td,tjd->tj", drift, space.elem_grads) * (space.elem_areas / 3.0)[:, None]
-    return scatter_columns(space, col, full)
+    g, areas = space.elem_grads, space.elem_areas
+    return scatter_columns(
+        space, lambda blk: (np.einsum("td,tjd->tj", drift[blk], g[blk])
+                            * (areas[blk] / 3.0)[:, None]), full)
 
 
 def scatter_columns(space, col, full=False):
-    """Sum (nt, 3) per-element column values c_Kj, the same for every test
-    function i of K, into a CSR matrix: the scatter of the drift matrices."""
-    blocks = np.repeat(col[:, None, :], 3, axis=1)
-    return _scatter(space, blocks, full)
+    """Sum per-element column values c_Kj, the same for every test function
+    i of K, into a CSR matrix: the scatter of the drift matrices.
+    ``col(blk)`` gives the (k, 3) values of the triangles ``blk``."""
+    return _scatter(space, lambda blk: np.repeat(col(blk)[:, None, :], 3, axis=1), full)
 
 
 def drift_excess(drift, bound):
@@ -137,13 +166,13 @@ _MASS_BLOCK = np.array([[2.0, 1.0, 1.0], [1.0, 2.0, 1.0], [1.0, 1.0, 2.0]]) / 12
 
 
 def assemble_mass(space, full=False):
-    blocks = space.elem_areas[:, None, None] * _MASS_BLOCK
-    return _scatter(space, blocks, full)
+    areas = space.elem_areas
+    return _scatter(space, lambda blk: areas[blk, None, None] * _MASS_BLOCK, full)
 
 
 def assemble_h1_gram(space):
     """Gram matrix of the full H1 inner product (mass + unit stiffness)."""
-    return assemble_mass(space) + assemble_diffusion(space, 1.0)
+    return pattern_sum(assemble_mass(space), assemble_diffusion(space, 1.0))
 
 
 def factorize(op):
@@ -340,7 +369,7 @@ class DiscreteSystem:
     def gram(self):
         """``H1Gram`` of M + unit stiffness, which measures the dual norms of
         the residuals; built on first use."""
-        return H1Gram(self.space, self.M + assemble_diffusion(self.space, 1.0))
+        return H1Gram(self.space, pattern_sum(self.M, assemble_diffusion(self.space, 1.0)))
 
     def linearize(self, u):
         """The HJB linearization L = K + B(u), with B(u) the drift matrix of the
@@ -355,7 +384,7 @@ class DiscreteSystem:
             drift = grad_p_field(hspec, u)
             self.drift_excess = max(self.drift_excess, drift_excess(drift, hspec.L_H))
             self._linearization = (u.coeffs.copy(),
-                                   self.K + assemble_hjb_drift(self.space, drift))
+                                   pattern_sum(self.K, assemble_hjb_drift(self.space, drift)))
         return self._linearization[1]
 
     def solve(self, u, rhs, x0=None, trans="N"):
@@ -461,11 +490,21 @@ class DiscreteSystem:
         """J = [[L, -c_F M], [C, L^T]], minus the Jacobian of the two residuals
         at (u, m): L = K + B(u), and C = sum_K mbar_K G_K^T D^2H(grad u|_K) G_K,
         the derivative in u of B(u)^T m, with G_K the basis gradients on K and
-        mbar_K = |K|/3 sum_{i in K} m_i, a stiffness matrix on the pattern of K."""
-        hess = self.problem.hamiltonian.hess_p(u.element_gradients())
-        mean = m.nodal_values()[self.space.mesh.triangles].mean(axis=1)
-        return CoupledJacobian(self.linearize(u), self.problem.coupling.c_F * self.M,
-                               assemble_stiffness(self.space, mean[:, None, None] * hess))
+        mbar_K = |K|/3 sum_{i in K} m_i, a stiffness matrix on the pattern of K
+        whose tensors are evaluated block by block."""
+        hess_p = self.problem.hamiltonian.hess_p
+        grads = u.element_gradients()
+        nodal = m.nodal_values()
+        triangles = self.space.mesh.triangles
+
+        def tensors(blk):
+            mean = nodal[triangles[blk]].mean(axis=1)
+            return mean[:, None, None] * hess_p(grads[blk])
+
+        M = self.M
+        return CoupledJacobian(self.linearize(u),
+                               _csr(M.indptr, M.indices, self.problem.coupling.c_F * M.data),
+                               assemble_stiffness(self.space, tensors))
 
     def coupling_load(self, m):
         """<F[m], xi_i> for a P1 density m."""

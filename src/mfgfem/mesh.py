@@ -27,6 +27,17 @@ GEOM_TOL = 1e-12
 # Sentinel worst cotangent sum when a mesh has no two-triangle edges at all.
 XZ_VACUOUS = math.inf
 
+# triangles (or edges) per block of every element loop (operator assembly,
+# quadrature loads, cotangent sums, edge tensors), so that no whole-mesh
+# per-element temporary is formed; for the f0 and G loads of the level-8 sine
+# instance, blocks of 512 to 16384 triangles timed alike (0.30-0.38 s, best of
+# 5, 2-core Xeon) and faster than one whole-mesh block (0.40-0.46 s)
+ELEMENT_BLOCK = 2048
+
+
+def _blocks(n):
+    return [slice(start, min(start + ELEMENT_BLOCK, n)) for start in range(0, n, ELEMENT_BLOCK)]
+
 
 def _cross2(a, b):
     """z-component of the cross product of 2D vectors (vectorized)."""
@@ -141,6 +152,15 @@ class Mesh2D:
     @property
     def num_edges(self):
         return len(self.edges)
+
+    def element_blocks(self):
+        """Consecutive slices of at most ELEMENT_BLOCK triangles covering the
+        mesh, in triangle order."""
+        return _blocks(self.num_triangles)
+
+    def edge_blocks(self):
+        """Consecutive slices of at most ELEMENT_BLOCK edges, in edge order."""
+        return _blocks(self.num_edges)
 
     @cached_property
     def interior_vertex_mask(self):
@@ -285,10 +305,11 @@ def refine_red(mesh):
 
 # -- angle conditions ------------------------------------------------------
 
-def _cotangents(mesh):
-    """Cotangent of the angle opposite each local edge, shape (nt, 3)."""
-    p = mesh.vertices[mesh.triangles]
-    cots = np.empty((mesh.num_triangles, 3))
+def _cotangents(mesh, blk=slice(None)):
+    """Cotangent of the angle opposite each local edge of the triangles
+    ``blk``, shape (k, 3)."""
+    p = mesh.vertices[mesh.triangles[blk]]
+    cots = np.empty((len(p), 3))
     for s in range(3):
         # edge s is opposite local vertex s; the angle sits at vertex s
         a = p[:, (s + 1) % 3] - p[:, s]
@@ -300,18 +321,26 @@ def _cotangents(mesh):
     return cots
 
 
+def _cotangent_blocks(mesh, cots):
+    """(blk, cotangents of blk) over ``mesh.element_blocks()``: slices of
+    ``cots``, or computed block by block if it is None."""
+    for blk in mesh.element_blocks():
+        yield blk, _cotangents(mesh, blk) if cots is None else cots[blk]
+
+
 def check_xz(mesh, cots=None):
     """Check the XZ condition: for every edge shared by two triangles, the sum
     of cotangents of the two opposite angles must be nonnegative (equivalently
     the two opposite angles sum to at most pi).  ``cots`` are the mesh's
-    ``_cotangents``, computed here if None.
+    ``_cotangents``, computed here block by block if None; the sums are added
+    in triangle order either way.
 
     Returns ``(satisfied, worst_sum)``; ``worst_sum`` is +inf when the mesh has
     no two-triangle edges (vacuous condition).
     """
-    cots = _cotangents(mesh) if cots is None else cots
-    sums = np.bincount(mesh.tri_edges.ravel(), weights=cots.ravel(),
-                       minlength=mesh.num_edges)
+    sums = np.zeros(mesh.num_edges)
+    for blk, block in _cotangent_blocks(mesh, cots):
+        np.add.at(sums, mesh.tri_edges[blk].ravel(), block.ravel())
     shared = ~mesh.boundary_edge_flags
     if not shared.any():
         return True, XZ_VACUOUS
@@ -323,10 +352,10 @@ def check_acute(mesh, cots=None):
     """Largest theta >= 0 such that every triangle's largest angle is at most
     pi/2 - theta; 0 when the mesh is not strictly acute.  ``cots`` as in
     ``check_xz``."""
-    cots = _cotangents(mesh) if cots is None else cots
     # angle in (0, pi) from its cotangent
-    angles = np.arctan2(1.0, cots)
-    theta = math.pi / 2.0 - float(angles.max())
+    largest = max(float(np.arctan2(1.0, block).max())
+                  for _, block in _cotangent_blocks(mesh, cots))
+    theta = math.pi / 2.0 - largest
     return max(theta, 0.0)
 
 

@@ -24,21 +24,17 @@ from .errors import ConfigurationError
 from .fespace import quadrature, quadrature_xy
 from .hamiltonian import HamiltonianSpec, huber_ball
 
-# triangles per block of the quadrature loads, so that no whole-mesh (nt, nq, 2)
-# array is formed; for the f0 and G loads of the level-8 sine instance, blocks
-# of 512 to 16384 triangles timed alike (0.30-0.38 s, best of 5, 2-core Xeon)
-# and faster than one whole-mesh block (0.40-0.46 s)
-LOAD_BLOCK = 2048
-
 
 # -- exact solution fields --------------------------------------------------
 
 @dataclass(frozen=True)
 class ScalarField:
-    """C^2 scalar field bundle: value, gradient and Laplacian."""
+    """C^2 scalar field bundle: value, gradient and Laplacian, and ``jet``,
+    which returns the three at once from one evaluation of the field."""
     value: Callable                      # (x, y) -> (...)
     grad: Callable                       # (x, y) -> (..., 2)
     laplacian: Callable                  # (x, y) -> (...)
+    jet: Callable                        # (x, y) -> (value, grad, laplacian)
 
 
 @dataclass(frozen=True)
@@ -62,24 +58,36 @@ def sine_product_field(transform=None):
         t = Ainv[1, 0] * x + Ainv[1, 1] * y
         return s, t
 
+    def _trig(x, y):
+        """sin(pi s), cos(pi s), sin(pi t), cos(pi t)."""
+        s, t = _st(x, y)
+        return np.sin(np.pi * s), np.cos(np.pi * s), np.sin(np.pi * t), np.cos(np.pi * t)
+
+    def _grad(sin_s, cos_s, sin_t, cos_t):
+        gs = np.pi * cos_s * sin_t
+        gt = np.pi * sin_s * cos_t
+        return np.stack([Ainv[0, 0] * gs + Ainv[1, 0] * gt,
+                         Ainv[0, 1] * gs + Ainv[1, 1] * gt], axis=-1)
+
+    def _laplacian(sin_s, cos_s, sin_t, cos_t):
+        return np.pi ** 2 * (-(C[0, 0] + C[1, 1]) * (sin_s * sin_t)
+                             + 2.0 * C[0, 1] * (cos_s * cos_t))
+
     def value(x, y):
         s, t = _st(x, y)
         return np.sin(np.pi * s) * np.sin(np.pi * t)
 
     def grad(x, y):
-        s, t = _st(x, y)
-        gs = np.pi * np.cos(np.pi * s) * np.sin(np.pi * t)
-        gt = np.pi * np.sin(np.pi * s) * np.cos(np.pi * t)
-        return np.stack([Ainv[0, 0] * gs + Ainv[1, 0] * gt,
-                         Ainv[0, 1] * gs + Ainv[1, 1] * gt], axis=-1)
+        return _grad(*_trig(x, y))
 
     def laplacian(x, y):
-        s, t = _st(x, y)
-        ss = np.sin(np.pi * s) * np.sin(np.pi * t)
-        cc = np.cos(np.pi * s) * np.cos(np.pi * t)
-        return np.pi ** 2 * (-(C[0, 0] + C[1, 1]) * ss + 2.0 * C[0, 1] * cc)
+        return _laplacian(*_trig(x, y))
 
-    return ScalarField(value=value, grad=grad, laplacian=laplacian)
+    def jet(x, y):
+        trig = _trig(x, y)
+        return trig[0] * trig[2], _grad(*trig), _laplacian(*trig)
+
+    return ScalarField(value=value, grad=grad, laplacian=laplacian, jet=jet)
 
 
 def zero_field():
@@ -89,7 +97,10 @@ def zero_field():
     def grad(x, y):
         return np.zeros(np.broadcast(x, y).shape + (2,))
 
-    return ScalarField(value=value, grad=grad, laplacian=value)
+    def jet(x, y):
+        return value(x, y), grad(x, y), value(x, y)
+
+    return ScalarField(value=value, grad=grad, laplacian=value, jet=jet)
 
 
 RHOMBUS_TRANSFORM = np.array([[1.0, 0.5], [0.0, math.sqrt(3.0) / 2.0]])
@@ -137,20 +148,14 @@ class SourceG:
         return source_load(space, self)
 
 
-def _element_blocks(mesh):
-    """Consecutive slices of at most LOAD_BLOCK triangles covering the mesh."""
-    return [slice(start, start + LOAD_BLOCK)
-            for start in range(0, mesh.num_triangles, LOAD_BLOCK)]
-
-
 def scalar_load(space, f, degree=4):
     """<f, xi_i> by symmetric quadrature of the stated degree, evaluated over
-    blocks of LOAD_BLOCK triangles; each element's load is reduced as over the
+    ``mesh.element_blocks()``; each element's load is reduced as over the
     whole mesh at once, so the blocks change no bit of it."""
     rule = quadrature(degree)
     mesh = space.mesh
     loads = np.empty((mesh.num_triangles, 3))
-    for blk in _element_blocks(mesh):
+    for blk in mesh.element_blocks():
         x, y = quadrature_xy(mesh, rule, blk.start, blk.stop)
         fq = np.broadcast_to(np.asarray(f(x, y), dtype=float), x.shape)
         loads[blk] = (np.einsum("tq,q,qi->ti", fq, rule.weights, rule.points)
@@ -159,12 +164,12 @@ def scalar_load(space, f, degree=4):
 
 
 def vector_load(space, gt, degree=4):
-    """<gtilde, grad xi_i> by quadrature over blocks of LOAD_BLOCK triangles,
-    as ``scalar_load``; exact when gtilde is constant per element."""
+    """<gtilde, grad xi_i> by quadrature over ``mesh.element_blocks()``, as
+    ``scalar_load``; exact when gtilde is constant per element."""
     rule = quadrature(degree)
     mesh = space.mesh
     loads = np.empty((mesh.num_triangles, 3))
-    for blk in _element_blocks(mesh):
+    for blk in mesh.element_blocks():
         x, y = quadrature_xy(mesh, rule, blk.start, blk.stop)
         gq = np.asarray(gt(x, y), dtype=float)   # (block, nq, 2)
         mean = np.einsum("tqd,q->td", gq, rule.weights)
@@ -243,13 +248,12 @@ def make_manufactured(nu, hamiltonian, c_F, domain="xz_square"):
         RHOMBUS_TRANSFORM if domain == "acute_rhombus" else None)
 
     def f0(x, y):
-        return (-nu * sine.laplacian(x, y)
-                + hamiltonian.value(sine.grad(x, y))
-                - c_F * sine.value(x, y))
+        value, grad, laplacian = sine.jet(x, y)
+        return -nu * laplacian + hamiltonian.value(grad) - c_F * value
 
     def g_tilde(x, y):
-        grad = sine.grad(x, y)
-        return nu * grad + sine.value(x, y)[..., None] * hamiltonian.grad_p(grad)
+        value, grad, _ = sine.jet(x, y)
+        return nu * grad + value[..., None] * hamiltonian.grad_p(grad)
 
     source = SourceG(g0=None, g_tilde=g_tilde, nonneg_certified=False)
     return MFGProblem(nu=float(nu), hamiltonian=hamiltonian,
@@ -296,7 +300,8 @@ def make_rough_density_problem(nu=1.0, hamiltonian=None, c_F=1.0, jump_x=1.0 / 3
     jump = float(jump_x)
 
     def f0(x, y):
-        return -nu * u_rich.laplacian(x, y) + hamiltonian.value(u_rich.grad(x, y))
+        _, grad, laplacian = u_rich.jet(x, y)
+        return -nu * laplacian + hamiltonian.value(grad)
 
     def g_tilde(x, y):
         left = np.where(np.asarray(x) < jump, 1.0, 0.0)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import mfgfem as mf
+from mfgfem.mesh import ELEMENT_BLOCK
 from mfgfem.solver import SolverConfig
 
 # acceptance tests register one line per criterion here; printed at the end
@@ -58,6 +59,18 @@ def square_spaces(square_hierarchy):
 @pytest.fixture(scope="session")
 def rhombus_spaces(rhombus_hierarchy):
     return [mf.P1Space(mesh) for mesh in rhombus_hierarchy]
+
+
+@pytest.fixture(scope="session")
+def blocked_spaces(square_spaces, rhombus_spaces):
+    """Spaces whose nt is below, equal to, not a multiple of, and a multiple of
+    ELEMENT_BLOCK, the block size of the element loops."""
+    spaces = [square_spaces[4], square_spaces[5],
+              mf.P1Space(mf.generate_structured_square(33)), rhombus_spaces[6]]
+    nts = [s.mesh.num_triangles for s in spaces]
+    assert nts[0] < ELEMENT_BLOCK == nts[1] < nts[2] and nts[2] % ELEMENT_BLOCK
+    assert nts[3] % ELEMENT_BLOCK == 0 and nts[3] > ELEMENT_BLOCK
+    return spaces
 
 
 @pytest.fixture(scope="session")

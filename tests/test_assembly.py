@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -65,7 +67,7 @@ def check_pattern_and_scatter(space, full, blocks):
         assert got.shape == want.shape
         assert np.array_equal(got, want)
         assert not got.flags.writeable
-    A = assembly._scatter(space, blocks, full)
+    A = assembly._scatter(space, lambda blk: blocks[blk], full)
     indptr, indices, data = coo_to_csr_reference(dofs, n, blocks)
     assert A.shape == (n, n)
     assert np.array_equal(A.indptr, indptr)
@@ -144,6 +146,114 @@ class TestElementOracles:
         K1 = assembly.assemble_diffusion(space, nu)
         K2 = assembly.assemble_diffusion(space, nu, tensor)
         assert abs(K2 - 2.0 * K1).max() < 1e-14
+
+
+def whole_mesh_data(space, blocks):
+    """CSR data of one bincount of all (nt, 3, 3) blocks into the slots of
+    ``space.pattern``, the whole-mesh reference of the blocked scatter."""
+    _, indices, slots = space.pattern
+    return np.bincount(slots, weights=blocks.ravel(), minlength=len(indices) + 1)[:-1]
+
+
+def whole_mesh_stiffness(space, A):
+    """(nt, 3, 3) stiffness blocks of the (nt, 2, 2) tensors A."""
+    g = space.elem_grads
+    blocks = g @ A @ g.transpose(0, 2, 1)
+    blocks *= space.elem_areas[:, None, None]
+    return blocks
+
+
+class TestBlockedAssembly:
+    """Every operator is scattered block by block, bitwise as one whole-mesh
+    scatter, into a data array over ``space.pattern``."""
+
+    def test_stiffness_and_diffusion(self, blocked_spaces):
+        rng = np.random.default_rng(8)
+        for space in blocked_spaces:
+            nt = space.mesh.num_triangles
+            C = rng.standard_normal((nt, 2, 2))
+            tensor = StabilizationTensor(C @ C.transpose(0, 2, 1))
+            A = np.broadcast_to(0.7 * np.eye(2), (nt, 2, 2))
+            for D, tensors in ((None, A), (tensor, A + tensor.per_element)):
+                K = assembly.assemble_diffusion(space, 0.7, D)
+                want = whole_mesh_data(space, whole_mesh_stiffness(space, tensors))
+                assert np.array_equal(K.data, want)
+
+    def test_mass(self, blocked_spaces):
+        for space in blocked_spaces:
+            blocks = space.elem_areas[:, None, None] * (REF_MASS / 0.5)
+            assert np.array_equal(assembly.assemble_mass(space).data,
+                                  whole_mesh_data(space, blocks))
+
+    def test_drift(self, blocked_spaces):
+        rng = np.random.default_rng(9)
+        for space in blocked_spaces:
+            drift = rng.uniform(-1, 1, (space.mesh.num_triangles, 2))
+            col = (np.einsum("td,tjd->tj", drift, space.elem_grads)
+                   * (space.elem_areas / 3.0)[:, None])
+            blocks = np.repeat(col[:, None, :], 3, axis=1)
+            assert np.array_equal(assembly.assemble_hjb_drift(space, drift).data,
+                                  whole_mesh_data(space, blocks))
+
+    @pytest.mark.parametrize("hamiltonian", [
+        mf.huber_ball(0.5),
+        mf.finite_control([(1.0, 0.0), (0.0, 1.0), (-1.0, -1.0)], [0.0, 0.5, 0.2], smoothing=0.05)],
+        ids=["huber", "smoothed_finite_control"])
+    def test_coupling_block(self, blocked_spaces, hamiltonian):
+        rng = np.random.default_rng(10)
+        for space in blocked_spaces:
+            problem = mf.MFGProblem(0.5, hamiltonian, mf.CouplingF(2.0), mf.SourceG())
+            u = mf.P1Function(space, rng.standard_normal(space.ndof))
+            m = mf.P1Function(space, rng.uniform(0, 1, space.ndof))
+            J = assembly.DiscreteSystem(space, problem, None).jacobian(u, m)
+            mean = m.nodal_values()[space.mesh.triangles].mean(axis=1)
+            A = mean[:, None, None] * hamiltonian.hess_p(u.element_gradients())
+            assert np.array_equal(J.C.data, whole_mesh_data(space, whole_mesh_stiffness(space, A)))
+
+    def test_load_scatter(self, blocked_spaces):
+        rng = np.random.default_rng(12)
+        for space in blocked_spaces:
+            loads = rng.standard_normal((space.mesh.num_triangles, 3))
+            dofs = space.elem_dofs.ravel()
+            keep = dofs >= 0
+            want = np.bincount(dofs[keep], weights=loads.ravel()[keep], minlength=space.ndof)
+            assert np.array_equal(assembly._scatter_load(space, loads), want)
+
+    def test_operators_of_a_solve_hold_the_pattern(self, square_spaces, sine_problem):
+        space = square_spaces[4]
+        indptr, indices, _ = space.pattern
+        system = assembly.DiscreteSystem(space, sine_problem,
+                                         mf.build_xz_tensor(space.mesh, 1.0))
+        rng = np.random.default_rng(13)
+        u = mf.P1Function(space, rng.standard_normal(space.ndof))
+        m = mf.P1Function(space, rng.uniform(0, 1, space.ndof))
+        J = system.jacobian(u, m)
+        for A in (system.K, system.M, system.gram.G, system.linearize(u), J.C, J.cM,
+                  assembly.assemble_h1_gram(space)):
+            assert A.indptr is indptr and A.indices is indices
+        assert np.array_equal(system.linearize(u).data,
+                              (system.K + assembly.assemble_hjb_drift(
+                                  space, assembly.grad_p_field(sine_problem.hamiltonian, u))).data)
+        assert np.array_equal(J.cM.data, (sine_problem.coupling.c_F * system.M).data)
+
+    def test_jacobian_forms_no_element_matrices(self, square_spaces, sine_problem):
+        # nothing of the size of nt (3, 3) blocks is alive beyond what J keeps
+        space = square_spaces[6]
+        nt = space.mesh.num_triangles
+        system = assembly.DiscreteSystem(space, sine_problem,
+                                         mf.build_xz_tensor(space.mesh, 1.0))
+        rng = np.random.default_rng(14)
+        u = mf.P1Function(space, rng.standard_normal(space.ndof))
+        m = mf.P1Function(space, rng.uniform(0, 1, space.ndof))
+        system.jacobian(u, m)   # linearizes at u, which the system keeps
+        tracemalloc.start()
+        try:
+            J = system.jacobian(u, m)
+            kept, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert J.C.nnz > 0
+        assert peak - kept < 9 * nt * np.dtype(float).itemsize
 
 
 class TestDriftMatrices:

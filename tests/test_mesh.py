@@ -159,6 +159,29 @@ class TestXZCondition:
         assert worst == pytest.approx(2.0 / math.sqrt(3.0), rel=1e-12)
 
 
+    def test_blocked_angle_checks_equal_whole_mesh(self, blocked_spaces):
+        # cotangents and their edge sums are taken block by block, bitwise as
+        # over the whole mesh at once, here on jittered meshes whose sums differ
+        from mfgfem import mesh as mesh_mod
+        rng = np.random.default_rng(15)
+        for space in blocked_spaces:
+            base = space.mesh
+            vertices = base.vertices.copy()
+            inner = base.interior_vertex_mask
+            vertices[inner] += 0.05 * base.h_max * rng.uniform(-1, 1, (inner.sum(), 2))
+            mesh = mf.Mesh2D(vertices, base.triangles)
+            cots = mesh_mod._cotangents(mesh)
+            blocks = [mesh_mod._cotangents(mesh, blk) for blk in mesh.element_blocks()]
+            assert np.array_equal(np.concatenate(blocks), cots)
+            sums = np.bincount(mesh.tri_edges.ravel(), weights=cots.ravel(),
+                               minlength=mesh.num_edges)
+            worst = float(sums[~mesh.boundary_edge_flags].min())
+            want = (worst >= -mesh_mod.GEOM_TOL, worst)
+            assert mf.check_xz(mesh) == mf.check_xz(mesh, cots) == want
+            theta = max(math.pi / 2.0 - float(np.arctan2(1.0, cots).max()), 0.0)
+            assert mf.check_acute(mesh) == mf.check_acute(mesh, cots) == theta
+
+
 class TestAcuteness:
     def test_equilateral_theta(self):
         theta = mf.check_acute(mf.generate_acute_rhombus(2))

@@ -7,8 +7,8 @@ import mfgfem as mf
 from mfgfem import assembly
 from mfgfem.errors import ConfigurationError
 from mfgfem.fespace import quadrature, quadrature_xy
+from mfgfem.mesh import ELEMENT_BLOCK
 from mfgfem.problem import (
-    LOAD_BLOCK,
     halfplane_clipped_areas,
     scalar_load,
     sine_product_field,
@@ -181,27 +181,40 @@ def whole_mesh_loads(space, f, gt, degree):
     return assembly._scatter_load(space, scalar), assembly._scatter_load(space, vector)
 
 
-class TestBlockedLoads:
-    @pytest.fixture(scope="class")
-    def spaces(self, square_spaces, rhombus_spaces):
-        # nt below, equal to, not a multiple of, and a multiple of LOAD_BLOCK
-        spaces = [square_spaces[4], square_spaces[5],
-                  mf.P1Space(mf.generate_structured_square(33)), rhombus_spaces[6]]
-        nts = [s.mesh.num_triangles for s in spaces]
-        assert nts[0] < LOAD_BLOCK == nts[1] < nts[2] and nts[2] % LOAD_BLOCK
-        assert nts[3] % LOAD_BLOCK == 0 and nts[3] > LOAD_BLOCK
-        return spaces
+class TestOneTrigPass:
+    @pytest.mark.parametrize("transform", [None, mf.problem.RHOMBUS_TRANSFORM],
+                             ids=["square", "rhombus"])
+    def test_jet_is_value_grad_laplacian(self, transform):
+        field = sine_product_field(transform)
+        x, y = np.random.default_rng(16).uniform(-0.2, 1.2, (2, 50, 6))
+        value, grad, laplacian = field.jet(x, y)
+        assert np.array_equal(value, field.value(x, y))
+        assert np.array_equal(grad, field.grad(x, y))
+        assert np.array_equal(laplacian, field.laplacian(x, y))
 
+    def test_manufactured_fields_equal_separate_evaluations(self):
+        nu, c_F, ham = 0.7, 1.3, mf.huber_ball(0.8)
+        problem = mf.make_manufactured(nu, ham, c_F)
+        sine = problem.exact.u
+        x, y = np.random.default_rng(17).uniform(0, 1, (2, 40, 6))
+        f0 = -nu * sine.laplacian(x, y) + ham.value(sine.grad(x, y)) - c_F * sine.value(x, y)
+        grad = sine.grad(x, y)
+        g_tilde = nu * grad + sine.value(x, y)[..., None] * ham.grad_p(grad)
+        assert np.array_equal(problem.coupling.offset(x, y), f0)
+        assert np.array_equal(problem.source.g_tilde(x, y), g_tilde)
+
+
+class TestBlockedLoads:
     @pytest.mark.parametrize("degree", [1, 2, 3, 4, 5, 6])
-    def test_bitwise_equal_to_whole_mesh_quadrature(self, degree, spaces, sine_problem):
+    def test_bitwise_equal_to_whole_mesh_quadrature(self, degree, blocked_spaces, sine_problem):
         f0, gt = sine_problem.coupling.offset, sine_problem.source.g_tilde
-        for space in spaces:
+        for space in blocked_spaces:
             scalar, vector = whole_mesh_loads(space, f0, gt, degree)
             assert np.array_equal(scalar_load(space, f0, degree), scalar)
             assert np.array_equal(vector_load(space, gt, degree), vector)
 
-    def test_fields_are_evaluated_in_blocks(self, spaces):
-        space = spaces[2]
+    def test_fields_are_evaluated_in_blocks(self, blocked_spaces):
+        space = blocked_spaces[2]
         rows = []
 
         def f(x, y):
@@ -215,7 +228,7 @@ class TestBlockedLoads:
         scalar_load(space, f)
         vector_load(space, gt)
         nt = space.mesh.num_triangles
-        blocks = [LOAD_BLOCK] * (nt // LOAD_BLOCK) + [nt % LOAD_BLOCK]
+        blocks = [ELEMENT_BLOCK] * (nt // ELEMENT_BLOCK) + [nt % ELEMENT_BLOCK]
         assert rows == blocks + blocks
 
 

@@ -33,6 +33,23 @@ class TestXZTensor:
         assert tensor.is_zero
         assert mf.verify_h1(tensor, mesh).c_d_observed == 0.0
 
+    def test_blocked_gathers_equal_whole_mesh(self, blocked_spaces):
+        # the three edge tensors of each element, gathered block by block and
+        # added in local-edge order, are bitwise one whole-mesh gather
+        for space in blocked_spaces:
+            mesh = space.mesh
+            internal = mesh.internal_edge_mask
+            tang = (mesh.vertices[mesh.edges[internal, 1]]
+                    - mesh.vertices[mesh.edges[internal, 0]])
+            lengths = mesh.edge_lengths[internal]
+            tang = tang / lengths[:, None]
+            omega = mesh.shape_regularity / 3.0 * 1.5 * lengths
+            rank1 = np.zeros((mesh.num_edges, 2, 2))
+            rank1[internal] = omega[:, None, None] * np.einsum("ei,ej->eij", tang, tang)
+            want = rank1[mesh.tri_edges[:, 0]] + rank1[mesh.tri_edges[:, 1]]
+            want += rank1[mesh.tri_edges[:, 2]]
+            assert np.array_equal(mf.build_xz_tensor(mesh, 1.5).per_element, want)
+
     def test_fan_mesh_hand_assembled(self):
         # each spoke has length sqrt(2)/2 and diagonal direction; with factor c
         # and L_H = 1 each element collects its two spokes:
