@@ -3,7 +3,9 @@ discrete system of one solve: one ``DiscreteSystem`` per solve holds every
 operator of it, the solver of its H1 Gram matrix included.
 
 All operators act on interior dofs only (matching the space); ``full=True``
-assembles over every vertex for diagnostics such as row-sum checks.  Matrices
+assembles over every vertex for diagnostics such as row-sum checks, and
+``full=full_pattern(space)`` does so on a pattern built once for several
+operators, as the DMP certificate does for K and the drift bound.  Matrices
 are returned as ``scipy.sparse`` CSR on the fixed sparsity pattern of the
 space, holding its own index arrays: every operator of a solve -- K, M, the
 H1 Gram, L = K + B(u), c_F M and C -- is one data array over
@@ -31,10 +33,11 @@ level, so there the V-cycle is the LU.  This module holds the whole
 linear-solve policy, the same for a KFP solve with L^T and for a Newton
 system with the 2n Jacobian: one cycle of at most KRYLOV_MAX iterations of
 GMRES right-preconditioned with V-cycles of one held hierarchy (for the
-Jacobian, its block upper triangle), which forms one iterate once its
-least-squares residual is within KRYLOV_RTOL and accepts it if its true
-residual passes LINEAR_RESIDUAL_TOL; the hierarchy of the current
-linearization is rebuilt when it does not, GMRES retried once, and the
+Jacobian, its block upper triangle), which updates its least-squares residual
+by Givens rotations, forms one iterate once that residual is within
+KRYLOV_RTOL and accepts it if its true residual passes LINEAR_RESIDUAL_TOL;
+the hierarchy of the current linearization is rebuilt when it does not, or
+when the least-squares triangle is singular, GMRES retried once, and the
 system solved directly when that fails too.  A direct solution passes
 ``checked``, the same LINEAR_RESIDUAL_TOL test, so every solution passes that
 test exactly once.  ``H1Gram`` solves with the H1 Gram matrix of the residual dual norms by
@@ -45,6 +48,7 @@ when CG falls short.
 
 from __future__ import annotations
 
+import math
 import warnings
 from functools import cached_property
 
@@ -69,16 +73,24 @@ COARSE_DOFS = 1000
 JACOBI_WEIGHT = 0.7
 JACOBI_SWEEPS = 2
 
+def full_pattern(space):
+    """The CSR pattern of the operators over every vertex of the mesh of a
+    space, boundary vertices included (see ``fespace.csr_pattern``)."""
+    return csr_pattern(space.mesh, np.arange(space.mesh.num_vertices))
+
+
 def _scatter(space, local, full=False):
-    """Sum local (k, 3, 3) blocks into a CSR matrix on the pattern of the
-    space (``_csr``).  ``local(blk)`` gives the blocks of the triangles of each
-    slice of ``mesh.element_blocks()``; their entries are added into their
-    slots in element order, the order of one bincount over all 9 nt entries."""
-    mesh = space.mesh
-    indptr, indices, slots = (csr_pattern(mesh, np.arange(mesh.num_vertices))
-                              if full else space.pattern)
+    """Sum local (k, 3, 3) blocks into a CSR matrix (``_csr``) on the pattern
+    of the space, or with ``full`` on that of every vertex: built here if
+    ``full`` is True, else ``full`` is that pattern.  ``local(blk)`` gives the
+    blocks of the triangles of each slice of ``mesh.element_blocks()``; their
+    entries are added into their slots in element order, the order of one
+    bincount over all 9 nt entries."""
+    if full is True:
+        full = full_pattern(space)
+    indptr, indices, slots = full or space.pattern
     data = np.zeros(len(indices) + 1)   # slot nnz collects the dropped entries
-    for blk in mesh.element_blocks():
+    for blk in space.mesh.element_blocks():
         np.add.at(data, slots[9 * blk.start:9 * blk.stop], local(blk).ravel())
     return _csr(indptr, indices, data[:-1])
 
@@ -446,12 +458,19 @@ class DiscreteSystem:
     def _gmres(self, op, precondition, rhs, x0):
         """GMRES for op x = rhs, right-preconditioned with the linear map
         ``precondition`` = M^-1: x_k = x0 + M^-1 V y_k for an orthonormal Krylov
-        basis V of op M^-1, k <= KRYLOV_MAX.  Iteration k reads the residual
-        that y_k minimizes from the QR of its Hessenberg matrix and forms x_k
-        once, when that residual is at most KRYLOV_RTOL |rhs| or the Krylov
-        space is invariant.  Returns x_k if its true residual passes the
-        LINEAR_RESIDUAL_TOL test of ``checked``; None if it does not, or if no
-        iterate is formed.
+        basis V of op M^-1, k <= KRYLOV_MAX.  Returns x_k if its true residual
+        passes the LINEAR_RESIDUAL_TOL test of ``checked``; None if it does
+        not, or if no iterate is formed.
+
+        The least squares min |beta e_1 - H y| of the Hessenberg matrix H is
+        solved by Givens rotations (Saad & Schultz, SIAM J. Sci. Stat. Comput.
+        7, 1986): iteration k applies the k earlier rotations to the new column
+        of H and forms one that zeroes its subdiagonal entry, turning H into
+        the upper triangle R and beta e_1 into g.  The residual y_k leaves is
+        |g_k+1|.  x_k is formed once, by one back substitution with R, when
+        that residual is at most KRYLOV_RTOL |rhs|; an invariant Krylov space
+        makes it 0.  A rotation of zero length means R is singular, and
+        returns None.
 
         Modified Gram-Schmidt keeps the true residual with the least-squares
         one down to the accuracy a backward-stable solve attains (Greenbaum,
@@ -467,23 +486,37 @@ class DiscreteSystem:
         if beta <= tol:
             return x0
         V = np.empty((max_iter + 1, n))   # each iteration fills its next row
-        H = np.zeros((max_iter + 1, max_iter))
+        R = np.zeros((max_iter, max_iter))   # the rotated columns of H
+        rotations = []   # (cos, sin) of each iteration
+        g = [beta]
         V[0] = r0 / beta
         for k in range(max_iter):
             w = V[k + 1]
             w[:] = op @ precondition(V[k])
+            col = R[:, k]
             for j in range(k + 1):   # modified Gram-Schmidt
-                H[j, k] = V[j] @ w
-                w -= H[j, k] * V[j]
-            H[k + 1, k] = np.linalg.norm(w)
+                col[j] = V[j] @ w
+                w -= col[j] * V[j]
+            h = np.linalg.norm(w)
             self.krylov_iters += 1
-            q, R = np.linalg.qr(H[:k + 2, :k + 1], mode="complete")
-            if beta * abs(q[0, k + 1]) <= tol or H[k + 1, k] == 0.0:
-                y = np.linalg.solve(R[:k + 1], beta * q[0, :k + 1])
+            for j, (c, s) in enumerate(rotations):
+                col[j], col[j + 1] = c * col[j] + s * col[j + 1], c * col[j + 1] - s * col[j]
+            rho = math.hypot(col[k], h)
+            if rho == 0.0:
+                return None
+            c, s = col[k] / rho, h / rho
+            rotations.append((c, s))
+            col[k] = rho
+            g.append(-s * g[k])
+            g[k] *= c
+            if abs(g[k + 1]) <= tol:
+                y = np.array(g[:k + 1])
+                for i in range(k, -1, -1):   # back substitution with R
+                    y[i] = (y[i] - R[i, i + 1:k + 1] @ y[i + 1:]) / R[i, i]
                 x = x0 + precondition(y @ V[:k + 1])
                 resid = np.linalg.norm(rhs - op @ x)
                 return x if resid <= LINEAR_RESIDUAL_TOL * (1.0 + np.linalg.norm(rhs)) else None
-            w /= H[k + 1, k]
+            w /= h
         return None
 
     def jacobian(self, u, m):

@@ -182,12 +182,13 @@ def certify_dmp(space, nu, tensor, L_H):
     """
     if L_H < 0:
         raise ConfigurationError("L_H must be nonnegative")
-    K = assembly.assemble_diffusion(space, nu, tensor, full=True)
+    pattern = assembly.full_pattern(space)
+    K = assembly.assemble_diffusion(space, nu, tensor, full=pattern)
     g, areas = space.elem_grads, space.elem_areas
     B_star = assembly.scatter_columns(
         space, lambda blk: (L_H * np.linalg.norm(g[blk], axis=2)
-                            * (areas[blk] / 3.0)[:, None]), full=True)
-    # both share the full pattern; adding the data keeps exact zeros stored
+                            * (areas[blk] / 3.0)[:, None]), full=pattern)
+    # both hold the one full pattern; adding the data keeps exact zeros stored
     data = K.data + B_star.data
     rows = np.repeat(np.arange(K.shape[0]), np.diff(K.indptr))
     off = (rows != K.indices) & space.mesh.interior_vertex_mask[rows]
