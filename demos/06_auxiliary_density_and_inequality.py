@@ -61,6 +61,6 @@ for scale in (0.1, 1.0, 10.0):
     r2 = system.kfp_residual(ubar, mbar)
     dm = mbar.coeffs - solution.m.coeffs
     du = ubar.coeffs - solution.u.coeffs
-    lhs = float(dm @ (system.M @ dm))
+    lhs = float(dm @ (space.mass @ dm))
     rhs = float(r1 @ dm) - float(r2 @ du)
     print(f"  scale {scale:5.1f}: c_F ||dm||^2 = {lhs:.3e} <= pairing = {rhs:.3e}")

@@ -16,7 +16,7 @@ import numpy as np
 from . import assembly
 from .errors import ConfigurationError
 from .fespace import P1Function, P1Space, interpolate, quadrature, quadrature_xy
-from .mesh import generate_acute_rhombus, generate_structured_square, refine_red
+from .mesh import MAX_LEVEL, generate_acute_rhombus, generate_structured_square, refine_red
 from .solver import SolverConfig, solve_mfg
 from .stabilization import DMP_TOL, build_acute_tensor, build_xz_tensor, none_tensor
 
@@ -90,12 +90,9 @@ def inject_to_descendant(fn, fine_space):
 def error_vs_reference(fn_coarse, fn_fine):
     """(L2, H1) norms of (injected coarse) - fine, measured on the fine mesh."""
     fine_space = fn_fine.space
-    injected = inject_to_descendant(fn_coarse, fine_space)
-    d = injected.coeffs - fn_fine.coeffs
-    mass = assembly.assemble_mass(fine_space)
-    gram = assembly.pattern_sum(mass, assembly.assemble_diffusion(fine_space, 1.0))
-    l2 = math.sqrt(max(float(d @ (mass @ d)), 0.0))
-    h1 = math.sqrt(max(float(d @ (gram @ d)), 0.0))
+    d = inject_to_descendant(fn_coarse, fine_space).coeffs - fn_fine.coeffs
+    l2 = math.sqrt(max(float(d @ (fine_space.mass @ d)), 0.0))
+    h1 = math.sqrt(max(float(d @ (fine_space.h1_gram @ d)), 0.0))
     return l2, h1
 
 
@@ -186,7 +183,10 @@ FAMILY_ROOTS = {
 
 
 def mesh_hierarchy(family, max_level, root=None):
-    """Nested meshes of a family up to ``max_level`` (index = level)."""
+    """Nested meshes of a family up to ``max_level`` (index = level), at most
+    ``mesh.MAX_LEVEL``."""
+    if max_level > MAX_LEVEL:
+        raise ConfigurationError(f"mesh level {max_level} exceeds MAX_LEVEL = {MAX_LEVEL}")
     if root is None:
         try:
             root = FAMILY_ROOTS[family]()
@@ -223,6 +223,8 @@ def run_convergence_study(problem, family, levels, stabilization_kind, cfg=None,
     levels = sorted(int(l) for l in levels)
     if not levels:
         raise ConfigurationError("no levels requested")
+    if len(set(levels)) < len(levels):
+        raise ConfigurationError(f"repeated level in {levels}")
     cfg = cfg or SolverConfig()
     use_reference = problem.exact is None
     if use_reference and reference_offset < 1:
@@ -308,7 +310,7 @@ def check_l2_monotonicity_inequality(space, problem, tensor, solution, pairs=50,
         r2 = system.kfp_residual(ubar, mbar)
         dm = mbar.coeffs - solution.m.coeffs
         du = ubar.coeffs - solution.u.coeffs
-        lhs = c_F * float(dm @ (system.M @ dm))
+        lhs = c_F * float(dm @ (space.mass @ dm))
         rhs = float(r1 @ dm) - float(r2 @ du)
         worst = max(worst, lhs - rhs)
     return worst <= MONOTONICITY_SLACK, worst

@@ -1,15 +1,16 @@
 """Element-wise assembly of the discrete operators and load vectors, and the
-discrete system of one solve: one ``DiscreteSystem`` per solve holds every
-operator of it, the solver of its H1 Gram matrix included.
+discrete system of one solve.  A space holds its mass and H1 Gram matrices,
+assembled here once (``P1Space.mass``, ``P1Space.h1_gram``), and one
+``DiscreteSystem`` per solve the operators of its problem and tensor.
 
-All operators act on interior dofs only (matching the space); ``full=True``
-assembles over every vertex for diagnostics such as row-sum checks, and
-``full=full_pattern(space)`` does so on a pattern built once for several
-operators, as the DMP certificate does for K and the drift bound.  Matrices
-are returned as ``scipy.sparse`` CSR on the fixed sparsity pattern of the
-space, holding its own index arrays: every operator of a solve -- K, M, the
-H1 Gram, L = K + B(u), c_F M and C -- is one data array over
-``space.pattern``, and their sums are sums of data arrays (``pattern_sum``).
+All operators act on interior dofs only, on the CSR pattern that
+``csr_pattern`` builds from the mesh edges (``P1Space.pattern``); with
+``full=full_pattern(space)`` they act on every vertex, for diagnostics such as
+row sums, and the DMP certificate scatters K and its drift bound onto one such.
+Matrices are ``scipy.sparse`` CSR holding the pattern's own index arrays:
+every operator of a solve -- K, M, the H1 Gram, L = K + B(u), c_F M and C --
+is one data array over ``space.pattern``, and their sums are sums of data
+arrays (``pattern_sum``).
 The local element matrices are formed and added into their slots block by
 block over ``mesh.element_blocks()``, in element order, so no (nt, 3, 3) or
 (nt, 2, 2) temporary is formed and the sums are bitwise those of one
@@ -50,14 +51,12 @@ from __future__ import annotations
 
 import math
 import warnings
-from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .errors import ConfigurationError, SolverError
-from .fespace import csr_pattern
 
 # every linear solve must leave |op x - rhs| <= LINEAR_RESIDUAL_TOL (1 + |rhs|)
 LINEAR_RESIDUAL_TOL = 1e-10
@@ -73,21 +72,74 @@ COARSE_DOFS = 1000
 JACOBI_WEIGHT = 0.7
 JACOBI_SWEEPS = 2
 
+
+def csr_pattern(mesh, dof_of_vertex):
+    """Sparsity of the matrices assembled from (nt, 3, 3) element blocks of
+    ``mesh`` on the dofs 0..n-1 that ``dof_of_vertex`` gives the vertices (-1
+    drops a vertex's row and column).
+
+    Returns read-only ``(indptr, indices, slots)``: the CSR structure with
+    sorted column indices, and for every block entry in C order its position
+    in the CSR data, or nnz for a dropped entry.  Summing the blocks into their
+    slots in that order gives the matrix's data.
+
+    The entries are the diagonal and both directions of every edge whose two
+    ends are kept, so one argsort of their n + 2 ne row-major keys gives the
+    CSR order, and an off-diagonal block entry finds its slot through the edge
+    ``tri_edges`` names for it: the memory is O(ne) besides ``slots`` itself.
+    The arrays are bitwise those of sorting the keys of all 9 nt block entries.
+    """
+    kept = np.nonzero(dof_of_vertex >= 0)[0]
+    n = len(kept)
+    ends = dof_of_vertex[mesh.edges]
+    linked = np.all(ends >= 0, axis=1)
+    ends = ends[linked]
+    # diagonal in vertex order, then every linked edge forward, then backward
+    rows = np.concatenate([dof_of_vertex[kept], ends[:, 0], ends[:, 1]])
+    cols = np.concatenate([dof_of_vertex[kept], ends[:, 1], ends[:, 0]])
+    indptr = np.zeros(n + 1, dtype=np.int32)
+    np.cumsum(np.bincount(rows, minlength=n), out=indptr[1:])
+    order = np.argsort(rows * n + cols)
+    del rows
+    indices = cols[order].astype(np.int32)
+    del cols
+    nnz = len(order)
+    rank = np.empty(nnz, dtype=np.int32)
+    rank[order] = np.arange(nnz, dtype=np.int32)
+    del order
+    vertex_slot = np.full(mesh.num_vertices, nnz, dtype=np.int32)
+    vertex_slot[kept] = rank[:n]
+    # edge_slot[e, 1] is the entry whose row is the larger vertex of edge e
+    edge_slot = np.full((len(mesh.edges), 2), nnz, dtype=np.int32)
+    edge_slot[linked] = rank[n:].reshape(2, -1).T
+    del rank
+    tris = mesh.triangles
+    slots = np.empty((len(tris), 3, 3), dtype=np.int32)
+    for a in range(3):
+        slots[:, a, a] = vertex_slot[tris[:, a]]
+        for b in range(3):
+            if b != a:
+                # local edge 3 - a - b is opposite the third vertex
+                edge = mesh.tri_edges[:, 3 - a - b]
+                slots[:, a, b] = edge_slot[edge, (tris[:, a] > tris[:, b]).view(np.int8)]
+    slots = slots.reshape(-1)
+    for arr in (indptr, indices, slots):
+        arr.setflags(write=False)
+    return indptr, indices, slots
+
+
 def full_pattern(space):
     """The CSR pattern of the operators over every vertex of the mesh of a
-    space, boundary vertices included (see ``fespace.csr_pattern``)."""
+    space, boundary vertices included (see ``csr_pattern``)."""
     return csr_pattern(space.mesh, np.arange(space.mesh.num_vertices))
 
 
-def _scatter(space, local, full=False):
+def _scatter(space, local, full=None):
     """Sum local (k, 3, 3) blocks into a CSR matrix (``_csr``) on the pattern
-    of the space, or with ``full`` on that of every vertex: built here if
-    ``full`` is True, else ``full`` is that pattern.  ``local(blk)`` gives the
-    blocks of the triangles of each slice of ``mesh.element_blocks()``; their
-    entries are added into their slots in element order, the order of one
-    bincount over all 9 nt entries."""
-    if full is True:
-        full = full_pattern(space)
+    of the space, or on ``full``, the ``full_pattern`` of the space.
+    ``local(blk)`` gives the blocks of the triangles of each slice of
+    ``mesh.element_blocks()``; their entries are added into their slots in
+    element order, the order of one bincount over all 9 nt entries."""
     indptr, indices, slots = full or space.pattern
     data = np.zeros(len(indices) + 1)   # slot nnz collects the dropped entries
     for blk in space.mesh.element_blocks():
@@ -117,7 +169,7 @@ def _scatter_load(space, elem_loads):
     return out[:-1]
 
 
-def assemble_diffusion(space, nu, tensor=None, full=False):
+def assemble_diffusion(space, nu, tensor=None, full=None):
     """Stiffness of the diffusion tensor nu*I + D: sum_K area (A grad xi_j).grad xi_i."""
     D = None if tensor is None else tensor.per_element
     if D is not None and D.shape[0] != space.mesh.num_triangles:
@@ -130,7 +182,7 @@ def assemble_diffusion(space, nu, tensor=None, full=False):
     return assemble_stiffness(space, tensors, full)
 
 
-def assemble_stiffness(space, tensors, full=False):
+def assemble_stiffness(space, tensors, full=None):
     """Stiffness of element-wise tensors A_K: sum_K area (A_K grad xi_j).grad xi_i,
     where ``tensors(blk)`` gives the (k, 2, 2) tensors of the triangles ``blk``."""
     g, areas = space.elem_grads, space.elem_areas
@@ -144,7 +196,7 @@ def assemble_stiffness(space, tensors, full=False):
     return _scatter(space, local, full)
 
 
-def assemble_hjb_drift(space, drift, full=False, drift_bound=None):
+def assemble_hjb_drift(space, drift, full=None, drift_bound=None):
     """Advection tested against nodal basis: B[i,j] = sum_K (b.grad xi_j) area/3.
 
     Its transpose is the divergence-form drift of the KFP equation."""
@@ -157,7 +209,7 @@ def assemble_hjb_drift(space, drift, full=False, drift_bound=None):
                             * (areas[blk] / 3.0)[:, None]), full)
 
 
-def scatter_columns(space, col, full=False):
+def scatter_columns(space, col, full=None):
     """Sum per-element column values c_Kj, the same for every test function
     i of K, into a CSR matrix: the scatter of the drift matrices.
     ``col(blk)`` gives the (k, 3) values of the triangles ``blk``."""
@@ -177,14 +229,15 @@ def drift_excess(drift, bound):
 _MASS_BLOCK = np.array([[2.0, 1.0, 1.0], [1.0, 2.0, 1.0], [1.0, 1.0, 2.0]]) / 12.0
 
 
-def assemble_mass(space, full=False):
+def assemble_mass(space, full=None):
     areas = space.elem_areas
     return _scatter(space, lambda blk: areas[blk, None, None] * _MASS_BLOCK, full)
 
 
 def assemble_h1_gram(space):
-    """Gram matrix of the full H1 inner product (mass + unit stiffness)."""
-    return pattern_sum(assemble_mass(space), assemble_diffusion(space, 1.0))
+    """Gram matrix of the full H1 inner product (mass + unit stiffness); the
+    space holds it as ``P1Space.h1_gram``."""
+    return pattern_sum(space.mass, assemble_diffusion(space, 1.0))
 
 
 def factorize(op):
@@ -351,23 +404,22 @@ class DiscreteSystem:
     """The discrete MFG system of one (space, problem, tensor).
 
     Holds what does not change during a solve -- the diffusion matrix
-    K = nu I + D, the mass matrix M, the offset load <f0, xi_i>, the source
-    load <G, xi_i> and, from its first use, the ``H1Gram`` solver ``gram`` --
-    and evaluates what does: the linearization K + B(u), the coupling block
-    C(u, m) of the Newton Jacobian, the coupling load <F[m], xi_i> and both
-    residuals.  ``linearize`` caches the latest linearization and keeps in
-    ``drift_excess`` the largest excess of a drift over L_H since it was last
-    reset.  ``solve`` and ``newton_step`` hold one ``Multigrid`` hierarchy,
-    that of the last linearization they had to rebuild it for, and count
-    their sparse LU ``factorizations`` and GMRES iterations
-    (``krylov_iters``).
+    K = nu I + D, the offset load <f0, xi_i> and the source load <G, xi_i>
+    (the mass matrix is the space's) -- and evaluates what does: the
+    linearization K + B(u), the coupling block C(u, m) of the Newton
+    Jacobian, the coupling load <F[m], xi_i> and both residuals.  The H1 Gram
+    solver of the dual norms belongs to the solve, not to the system.
+    ``linearize`` caches the latest linearization and keeps in ``drift_excess``
+    the largest excess of a drift over L_H since it was last reset.  ``solve``
+    and ``newton_step`` hold one ``Multigrid`` hierarchy, that of the last
+    linearization they had to rebuild it for, and count their sparse LU
+    ``factorizations`` and GMRES iterations (``krylov_iters``).
     """
 
     def __init__(self, space, problem, tensor):
         self.space = space
         self.problem = problem
         self.K = assemble_diffusion(space, problem.nu, tensor)
-        self.M = assemble_mass(space)
         self.f0_load = problem.coupling.offset_load(space)
         self.g_load = problem.source.load_vector(space)
         # (u coefficients, L = K + B(u))
@@ -376,12 +428,6 @@ class DiscreteSystem:
         self.factorizations = 0
         self.krylov_iters = 0
         self.drift_excess = 0.0
-
-    @cached_property
-    def gram(self):
-        """``H1Gram`` of M + unit stiffness, which measures the dual norms of
-        the residuals; built on first use."""
-        return H1Gram(self.space, pattern_sum(self.M, assemble_diffusion(self.space, 1.0)))
 
     def linearize(self, u):
         """The HJB linearization L = K + B(u), with B(u) the drift matrix of the
@@ -534,14 +580,14 @@ class DiscreteSystem:
             mean = nodal[triangles[blk]].mean(axis=1)
             return mean[:, None, None] * hess_p(grads[blk])
 
-        M = self.M
+        M = self.space.mass
         return CoupledJacobian(self.linearize(u),
                                _csr(M.indptr, M.indices, self.problem.coupling.c_F * M.data),
                                assemble_stiffness(self.space, tensors))
 
     def coupling_load(self, m):
         """<F[m], xi_i> for a P1 density m."""
-        return self.f0_load + self.problem.coupling.c_F * (self.M @ m.coeffs)
+        return self.f0_load + self.problem.coupling.c_F * (self.space.mass @ m.coeffs)
 
     def hjb_residual(self, u, m):
         """Residual load of the discrete HJB equation at (m, u):

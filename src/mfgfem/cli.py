@@ -23,7 +23,7 @@ from . import analysis, problem as problem_mod, stabilization
 from .errors import ConfigurationError, MeshFormatError, MFGError, NonConvergenceError
 from .fespace import P1Space, function_to_csv
 from .hamiltonian import check_gradient, check_semismooth_bound, finite_control, huber_ball
-from .mesh import quality_report, read_mesh, refine_red
+from .mesh import MAX_LEVEL, quality_report, read_mesh, refine_red
 from .solver import SolverConfig, solve_mfg
 
 EXIT_OK = 0
@@ -70,11 +70,6 @@ def _parse_bool(text):
     if low in ("false", "no", "off", "0"):
         return False
     raise ConfigurationError(f"not a boolean: {text!r}")
-
-
-# Level 15 of either family has 2^31 triangles, past the int32 sparsity
-# pattern of its operators; a bound also keeps 'lo:hi' ranges small.
-MAX_LEVEL = 14
 
 
 def _int_in(lo, hi=math.inf):

@@ -8,11 +8,11 @@ knows the space it refines (``parent``) and the exact nested injection from
 it (``prolongation``), which the multigrid hierarchy and the reference-error
 injection both use.
 
-The sparsity pattern of the operators is the diagonal plus the mesh edges
-between kept vertices, so ``csr_pattern`` builds it from ``mesh.edges`` in
-O(ne) memory; no per-element key array is formed.  ``quadrature_xy`` gives the
-physical quadrature points of any range of elements, so loads and errors can
-walk the mesh in blocks.
+A space holds what depends on it alone, each built by ``assembly`` on first
+use: the CSR pattern of its operators (``pattern``), its mass matrix
+(``mass``) and its H1 Gram matrix, mass plus unit stiffness (``h1_gram``).
+``quadrature_xy`` gives the physical quadrature points of any range of
+elements, so loads and errors can walk the mesh in blocks.
 """
 
 from __future__ import annotations
@@ -23,6 +23,7 @@ from functools import cached_property
 import numpy as np
 import scipy.sparse as sp
 
+from . import assembly
 from .errors import ConfigurationError, NumericError
 
 
@@ -44,8 +45,18 @@ class P1Space:
 
     @cached_property
     def pattern(self):
-        """CSR pattern of the operators on interior dofs (see ``csr_pattern``)."""
-        return csr_pattern(self.mesh, self.dof_of_vertex)
+        """CSR pattern of the operators on interior dofs (``assembly.csr_pattern``)."""
+        return assembly.csr_pattern(self.mesh, self.dof_of_vertex)
+
+    @cached_property
+    def mass(self):
+        """Mass matrix on ``pattern``."""
+        return assembly.assemble_mass(self)
+
+    @cached_property
+    def h1_gram(self):
+        """H1 Gram matrix, mass plus unit stiffness, on ``pattern``."""
+        return assembly.assemble_h1_gram(self)
 
     @cached_property
     def parent(self):
@@ -80,61 +91,6 @@ class P1Space:
 
     def __repr__(self):
         return f"P1Space(ndof={self.ndof}, mesh={self.mesh!r})"
-
-
-def csr_pattern(mesh, dof_of_vertex):
-    """Sparsity of the matrices assembled from (nt, 3, 3) element blocks of
-    ``mesh`` on the dofs 0..n-1 that ``dof_of_vertex`` gives the vertices (-1
-    drops a vertex's row and column).
-
-    Returns read-only ``(indptr, indices, slots)``: the CSR structure with
-    sorted column indices, and for every block entry in C order its position
-    in the CSR data, or nnz for a dropped entry.  Summing the blocks into their
-    slots in that order gives the matrix's data.
-
-    The entries are the diagonal and both directions of every edge whose two
-    ends are kept, so one argsort of their n + 2 ne row-major keys gives the
-    CSR order, and an off-diagonal block entry finds its slot through the edge
-    ``tri_edges`` names for it: the memory is O(ne) besides ``slots`` itself.
-    The arrays are bitwise those of sorting the keys of all 9 nt block entries.
-    """
-    kept = np.nonzero(dof_of_vertex >= 0)[0]
-    n = len(kept)
-    ends = dof_of_vertex[mesh.edges]
-    linked = np.all(ends >= 0, axis=1)
-    ends = ends[linked]
-    # diagonal in vertex order, then every linked edge forward, then backward
-    rows = np.concatenate([dof_of_vertex[kept], ends[:, 0], ends[:, 1]])
-    cols = np.concatenate([dof_of_vertex[kept], ends[:, 1], ends[:, 0]])
-    indptr = np.zeros(n + 1, dtype=np.int32)
-    np.cumsum(np.bincount(rows, minlength=n), out=indptr[1:])
-    order = np.argsort(rows * n + cols)
-    del rows
-    indices = cols[order].astype(np.int32)
-    del cols
-    nnz = len(order)
-    rank = np.empty(nnz, dtype=np.int32)
-    rank[order] = np.arange(nnz, dtype=np.int32)
-    del order
-    vertex_slot = np.full(mesh.num_vertices, nnz, dtype=np.int32)
-    vertex_slot[kept] = rank[:n]
-    # edge_slot[e, 1] is the entry whose row is the larger vertex of edge e
-    edge_slot = np.full((len(mesh.edges), 2), nnz, dtype=np.int32)
-    edge_slot[linked] = rank[n:].reshape(2, -1).T
-    del rank
-    tris = mesh.triangles
-    slots = np.empty((len(tris), 3, 3), dtype=np.int32)
-    for a in range(3):
-        slots[:, a, a] = vertex_slot[tris[:, a]]
-        for b in range(3):
-            if b != a:
-                # local edge 3 - a - b is opposite the third vertex
-                edge = mesh.tri_edges[:, 3 - a - b]
-                slots[:, a, b] = edge_slot[edge, (tris[:, a] > tris[:, b]).view(np.int8)]
-    slots = slots.reshape(-1)
-    for arr in (indptr, indices, slots):
-        arr.setflags(write=False)
-    return indptr, indices, slots
 
 
 @dataclass

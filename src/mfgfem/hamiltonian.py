@@ -190,7 +190,8 @@ def check_semismooth_bound(spec, space, seed=0):
     """Worst observed ratio ||remainder||_{V*} / ||v - w||_{H1}^{1+gamma} over
     SEMISMOOTH_PAIRS random P1 pairs, with the two-dimensional exponent
     gamma = SEMISMOOTH_GAMMA.
-    Dual norms go through ``assembly.H1Gram``, as in a solve.
+    Dual norms go through an ``assembly.H1Gram`` of the space's ``h1_gram``,
+    as in a solve.
 
     The constant multiplying ||v - w||^{1+gamma} in the bound is existential,
     so callers assert boundedness/stability of this ratio, not a value.
@@ -198,15 +199,14 @@ def check_semismooth_bound(spec, space, seed=0):
     if not spec.smooth:
         raise ConfigurationError("semismooth bound check requires a smooth Hamiltonian")
     rng = np.random.default_rng(seed)
-    gram = assembly.assemble_h1_gram(space)
-    gram_solver = assembly.H1Gram(space, gram)
+    gram_solver = assembly.H1Gram(space, space.h1_gram)
     worst = 0.0
     for _ in range(SEMISMOOTH_PAIRS):
         scale = 10.0 ** rng.uniform(-2.0, 0.5)
         v = P1Function(space, scale * rng.standard_normal(space.ndof))
         w = P1Function(space, scale * rng.standard_normal(space.ndof))
         diff = v.coeffs - w.coeffs
-        h1 = math.sqrt(max(float(diff @ (gram @ diff)), 0.0))
+        h1 = math.sqrt(max(float(diff @ (space.h1_gram @ diff)), 0.0))
         if h1 == 0.0:
             continue
         remainder = linearization_remainder(spec, v, w)

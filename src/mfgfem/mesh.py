@@ -34,6 +34,10 @@ XZ_VACUOUS = math.inf
 # 5, 2-core Xeon) and faster than one whole-mesh block (0.40-0.46 s)
 ELEMENT_BLOCK = 2048
 
+# Level 15 of either family has 2^31 triangles, past the int32 sparsity
+# pattern of its operators; a bound also keeps 'lo:hi' ranges small.
+MAX_LEVEL = 14
+
 
 def _blocks(n):
     return [slice(start, min(start + ELEMENT_BLOCK, n)) for start in range(0, n, ELEMENT_BLOCK)]

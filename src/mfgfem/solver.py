@@ -11,12 +11,12 @@ at most ``assembly.COARSE_DOFS`` dofs is one LU.
 
 Convergence is declared on the dual norms of the two discrete residual
 operators (the quantities the stability theory controls), computed via the H1
-Gram matrix: ||r||_{V*} = sqrt(r^T Gram^-1 r), with the ``assembly.H1Gram``
-that the one ``DiscreteSystem`` of a solve owns: CG preconditioned with a
-V-cycle to a relative ``assembly.KRYLOV_RTOL`` in r^T Gram^-1 r, or one LU on
-a space of at most ``assembly.COARSE_DOFS`` dofs.  The returned density is
-always a KFP solve, never a Newton iterate, so it obeys the discrete maximum
-principle whenever the scheme does.
+Gram matrix: ||r||_{V*} = sqrt(r^T Gram^-1 r).  A solve builds one
+``assembly.H1Gram`` of the space's ``h1_gram`` for them: CG preconditioned
+with a V-cycle to a relative ``assembly.KRYLOV_RTOL`` in r^T Gram^-1 r, or
+one LU on a space of at most ``assembly.COARSE_DOFS`` dofs.  The returned
+density is always a KFP solve, never a Newton iterate, so it obeys the
+discrete maximum principle whenever the scheme does.
 """
 
 from __future__ import annotations
@@ -123,10 +123,11 @@ def solve_mfg(space, problem, tensor, cfg=None):
     def residuals(x):
         u, m = pair(x)
         r = np.concatenate([system.hjb_residual(u, m), system.kfp_residual(u, m)])
-        return r, (riesz_dual_norm(system.gram, r[:n]), riesz_dual_norm(system.gram, r[n:]))
+        return r, (riesz_dual_norm(gram, r[:n]), riesz_dual_norm(gram, r[n:]))
 
     x = np.zeros(2 * n)
     x[n:] = solve_kfp(system, space.zero_function()).coeffs
+    gram = assembly.H1Gram(space, space.h1_gram)
     r, duals = residuals(x)
     outer = 1
     # factorizations, GMRES iterations and Gram V-cycles before this step
@@ -165,9 +166,9 @@ def solve_mfg(space, problem, tensor, cfg=None):
                         "min_m": float(x[n:].min()),
                         "factorizations": system.factorizations - counted[0],
                         "krylov_iters": system.krylov_iters - counted[1],
-                        "gram_cycles": system.gram.cycles - counted[2],
+                        "gram_cycles": gram.cycles - counted[2],
                         "drift_excess": system.drift_excess})
-        counted = (system.factorizations, system.krylov_iters, system.gram.cycles)
+        counted = (system.factorizations, system.krylov_iters, gram.cycles)
         system.drift_excess = 0.0
 
     raise NonConvergenceError(

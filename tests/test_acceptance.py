@@ -244,15 +244,17 @@ class TestCriterion8HamiltonianCalculus:
 class TestCriterion9AssemblyOracles:
     def test_hand_derived_matrices(self, square_spaces):
         space_ref = mf.P1Space(mf.Mesh2D([(0, 0), (1, 0), (0, 1)], [(0, 1, 2)]))
-        K = assembly.assemble_diffusion(space_ref, 1.0, full=True).toarray()
-        M = assembly.assemble_mass(space_ref, full=True).toarray()
+        pattern = assembly.full_pattern(space_ref)
+        K = assembly.assemble_diffusion(space_ref, 1.0, full=pattern).toarray()
+        M = assembly.assemble_mass(space_ref, full=pattern).toarray()
         K_exact = 0.5 * np.array([[2.0, -1.0, -1.0], [-1.0, 1.0, 0.0],
                                   [-1.0, 0.0, 1.0]])
         M_exact = np.array([[2.0, 1.0, 1.0], [1.0, 2.0, 1.0], [1.0, 1.0, 2.0]]) / 24.0
         stiffness_ok = np.abs(K - K_exact).max() < 1e-14
         mass_ok = np.abs(M - M_exact).max() < 1e-14
 
-        K_full = assembly.assemble_diffusion(square_spaces[4], 1.0, full=True)
+        K_full = assembly.assemble_diffusion(square_spaces[4], 1.0,
+                                             full=assembly.full_pattern(square_spaces[4]))
         row_sums_ok = np.abs(np.asarray(K_full.sum(axis=1))).max() < 1e-13
 
         space = square_spaces[4]

@@ -187,6 +187,21 @@ class TestStudies:
         with pytest.raises(ConfigurationError):
             mf.run_convergence_study(sine_problem, "hexagons", [2, 3], "xz")
 
+    def test_repeated_level_rejected(self, sine_problem):
+        # a repeated level was solved again and left every EOC of it nan
+        with pytest.raises(ConfigurationError, match="repeated level"):
+            mf.run_convergence_study(sine_problem, "xz_square", [3, 3, 3], "xz")
+
+    def test_hierarchy_past_max_level_rejected(self, monkeypatch):
+        # refused before the first refinement, which would raise here
+        def no_refinement(mesh):
+            raise AssertionError("refined before the level check")
+
+        monkeypatch.setattr("mfgfem.analysis.refine_red", no_refinement)
+        assert len(mf.mesh_hierarchy("xz_square", 0)) == 1
+        with pytest.raises(ConfigurationError, match="MAX_LEVEL"):
+            mf.mesh_hierarchy("xz_square", mf.mesh.MAX_LEVEL + 1)
+
 
 class TestVerdictHelpers:
     def test_dmp_gate_requires_certificate(self, sine_problem, square_spaces):

@@ -6,7 +6,8 @@ import scipy.linalg
 
 import mfgfem as mf
 from mfgfem import assembly
-from mfgfem.fespace import csr_pattern, quadrature
+from mfgfem.assembly import csr_pattern
+from mfgfem.fespace import quadrature
 from mfgfem.mesh import write_mesh
 from mfgfem.problem import scalar_load
 from mfgfem.stabilization import StabilizationTensor
@@ -67,7 +68,7 @@ def check_pattern_and_scatter(space, full, blocks):
         assert got.shape == want.shape
         assert np.array_equal(got, want)
         assert not got.flags.writeable
-    A = assembly._scatter(space, lambda blk: blocks[blk], full)
+    A = assembly._scatter(space, lambda blk: blocks[blk], pattern if full else None)
     indptr, indices, data = coo_to_csr_reference(dofs, n, blocks)
     assert A.shape == (n, n)
     assert np.array_equal(A.indptr, indptr)
@@ -77,17 +78,20 @@ def check_pattern_and_scatter(space, full, blocks):
 
 class TestElementOracles:
     def test_reference_stiffness(self):
-        K = assembly.assemble_diffusion(reference_space(), 1.0, full=True).toarray()
+        space = reference_space()
+        K = assembly.assemble_diffusion(space, 1.0, full=assembly.full_pattern(space)).toarray()
         assert np.abs(K - REF_STIFFNESS).max() < 1e-14
 
     def test_reference_mass(self):
-        M = assembly.assemble_mass(reference_space(), full=True).toarray()
+        space = reference_space()
+        M = assembly.assemble_mass(space, full=assembly.full_pattern(space)).toarray()
         assert np.abs(M - REF_MASS).max() < 1e-14
 
     def test_constant_drift_on_reference(self):
         # column j entry = (grad xi_j)_x * area / 3 = (grad xi_j)_x / 6
         space = reference_space()
-        B = assembly.assemble_hjb_drift(space, [[1.0, 0.0]], full=True).toarray()
+        B = assembly.assemble_hjb_drift(space, [[1.0, 0.0]],
+                                        full=assembly.full_pattern(space)).toarray()
         expected_cols = np.array([-1.0, 1.0, 0.0]) / 6.0
         assert np.allclose(B, np.tile(expected_cols, (3, 1)), atol=1e-15)
 
@@ -117,7 +121,8 @@ class TestElementOracles:
         check_pattern_and_scatter(space, full, blocks)
 
     def test_row_sums_vanish(self, square_spaces):
-        K = assembly.assemble_diffusion(square_spaces[3], 1.0, full=True)
+        space = square_spaces[3]
+        K = assembly.assemble_diffusion(space, 1.0, full=assembly.full_pattern(space))
         row_sums = np.asarray(K.sum(axis=1)).ravel()
         assert np.abs(row_sums).max() < 1e-13
 
@@ -133,7 +138,7 @@ class TestElementOracles:
         A = 0.7 * np.eye(2) + tensor.per_element
         blocks = np.array([[[area * (Ak @ gj) @ gi for gj in g] for gi in g]
                            for area, Ak, g in zip(space.elem_areas, A, space.elem_grads)])
-        K = assembly.assemble_diffusion(space, 0.7, tensor, full=True)
+        K = assembly.assemble_diffusion(space, 0.7, tensor, full=assembly.full_pattern(space))
         _, _, data = coo_to_csr_reference(mesh.triangles, mesh.num_vertices, blocks)
         assert np.abs(K.data - data).max() <= 1e-14 * np.abs(data).max()
 
@@ -228,13 +233,13 @@ class TestBlockedAssembly:
         u = mf.P1Function(space, rng.standard_normal(space.ndof))
         m = mf.P1Function(space, rng.uniform(0, 1, space.ndof))
         J = system.jacobian(u, m)
-        for A in (system.K, system.M, system.gram.G, system.linearize(u), J.C, J.cM,
+        for A in (system.K, space.mass, space.h1_gram, system.linearize(u), J.C, J.cM,
                   assembly.assemble_h1_gram(space)):
             assert A.indptr is indptr and A.indices is indices
         assert np.array_equal(system.linearize(u).data,
                               (system.K + assembly.assemble_hjb_drift(
                                   space, assembly.grad_p_field(sine_problem.hamiltonian, u))).data)
-        assert np.array_equal(J.cM.data, (sine_problem.coupling.c_F * system.M).data)
+        assert np.array_equal(J.cM.data, (sine_problem.coupling.c_F * space.mass).data)
 
     def test_jacobian_forms_no_element_matrices(self, square_spaces, sine_problem):
         # nothing of the size of nt (3, 3) blocks is alive beyond what J keeps

@@ -50,6 +50,13 @@ BAD_CONFIGS = {
     "negative_trials": b"verify.trials = -5\n",
     "zero_pairs": b"verify.pairs = 0\n",
 }
+# convergence inputs that once ran: a rough-instance reference at level 16
+# (about 8.6e9 triangles) and a repeated level, solved again to nan EOCs (exit 1)
+BAD_CONVERGENCE_CONFIGS = {
+    "reference_past_max_level": (b"problem.kind = rough\nmesh.levels = 2 3 4\n"
+                                 b"reference_offset = 12\n"),
+    "repeated_levels": b"mesh.levels = 3 3 3\n",
+}
 
 
 
@@ -179,6 +186,21 @@ class TestConfigParsing:
         path = tmp_path / "run.cfg"
         path.write_bytes(text + f"output.dir = {tmp_path / 'out'}\n".encode())
         assert cli.main(["solve", str(path)]) == cli.EXIT_INPUT_ERROR
+        assert capsys.readouterr().err.startswith("error: ")
+
+    @pytest.mark.parametrize("text", BAD_CONVERGENCE_CONFIGS.values(),
+                             ids=BAD_CONVERGENCE_CONFIGS.keys())
+    def test_bad_convergence_input_exits_2(self, tmp_path, capsys, monkeypatch, text):
+        # rejected before any refinement: a refinement raises here at once
+        # instead of building meshes toward the reference level
+        def no_refinement(mesh):
+            raise AssertionError("refined before the input check")
+
+        monkeypatch.setattr("mfgfem.mesh.refine_red", no_refinement)
+        monkeypatch.setattr("mfgfem.analysis.refine_red", no_refinement)
+        path = tmp_path / "run.cfg"
+        path.write_bytes(text + f"output.dir = {tmp_path / 'out'}\n".encode())
+        assert cli.main(["convergence", str(path)]) == cli.EXIT_INPUT_ERROR
         assert capsys.readouterr().err.startswith("error: ")
 
     def test_hash_stable(self, tmp_path):

@@ -1,3 +1,4 @@
+import collections
 import math
 
 import numpy as np
@@ -6,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import mfgfem as mf
-from mfgfem import assembly
+from mfgfem import assembly, cli
 from mfgfem.errors import ConfigurationError, NumericError
 from mfgfem.fespace import quadrature, quadrature_xy
 
@@ -40,6 +41,62 @@ class TestSpace:
         for s in range(3):
             opp = mesh.edge_lengths[mesh.tri_edges[:, s]]
             assert np.allclose(norms[:, s], opp / (2.0 * mesh.areas), rtol=1e-13)
+
+
+def count_assemblies(monkeypatch):
+    """Calls of ``assemble_mass`` and ``assemble_diffusion`` from now on, per
+    (function name, mesh level)."""
+    calls = collections.Counter()
+    for name in ("assemble_mass", "assemble_diffusion"):
+        def counted(space, *args, _name=name, _assemble=getattr(assembly, name), **kwargs):
+            calls[_name, space.mesh.level] += 1
+            return _assemble(space, *args, **kwargs)
+        monkeypatch.setattr(assembly, name, counted)
+    return calls
+
+
+class TestSpaceMatrices:
+    def test_assembled_once_and_held(self, square_hierarchy, monkeypatch):
+        space = mf.P1Space(square_hierarchy[3])
+        calls = count_assemblies(monkeypatch)
+        assert space.h1_gram is space.h1_gram and space.mass is space.mass
+        assert calls == {("assemble_mass", 3): 1, ("assemble_diffusion", 3): 1}
+        indptr, indices, _ = space.pattern
+        for A in (space.mass, space.h1_gram):
+            assert A.indptr is indptr and A.indices is indices
+        stiffness = assembly.assemble_diffusion(space, 1.0)
+        assert np.array_equal(space.h1_gram.data, space.mass.data + stiffness.data)
+
+    def test_reference_ladder_assembles_reference_matrices_once(self, monkeypatch):
+        # the level-6 reference space serves its solve and the six errors
+        # measured against it: one mass matrix, and the stiffness of nu and
+        # the unit stiffness of the H1 Gram matrix
+        problem = mf.make_rough_density_problem(1.0, mf.huber_ball(1.0), 1.0)
+        calls = count_assemblies(monkeypatch)
+        mf.run_convergence_study(problem, "xz_square", range(2, 5), "xz")
+        assert calls["assemble_mass", 6] == 1
+        assert calls["assemble_diffusion", 6] == 2
+
+    def test_verify_assembles_the_mass_once(self, tmp_path, monkeypatch, capsys):
+        # the solve, the monotonicity check and the semismooth check share the
+        # level-5 space
+        path = tmp_path / "verify.cfg"
+        path.write_text(f"mesh.level = 5\noutput.dir = {tmp_path}\n")
+        calls = count_assemblies(monkeypatch)
+        assert cli.main(["verify", str(path)]) == cli.EXIT_OK
+        assert calls["assemble_mass", 5] == 1
+
+    def test_held_matrices_carry_no_solver_state(self, sine_problem, square_hierarchy):
+        # a second solve on the same space, whose mass and Gram matrices the
+        # first one assembled, repeats it bit for bit, V-cycle counts included
+        mesh = square_hierarchy[6]
+        space = mf.P1Space(mesh)
+        tensor = mf.build_xz_tensor(mesh, 1.0)
+        first, second = (mf.solve_mfg(space, sine_problem, tensor) for _ in range(2))
+        assert np.array_equal(first.u.coeffs, second.u.coeffs)
+        assert np.array_equal(first.m.coeffs, second.m.coeffs)
+        assert first.history == second.history
+        assert sum(h["gram_cycles"] for h in first.history) > 0
 
 
 class TestProlongation:

@@ -286,8 +286,9 @@ class TestHJB:
         assert sol.newton_iters_total == 3
         assert all(h["linesearch_halvings"] == 0 for h in sol.history)
         system = DiscreteSystem(space, sine_problem, tensor)
+        gram = assembly.H1Gram(space, space.h1_gram)
         for r in (system.hjb_residual(sol.u, sol.m), system.kfp_residual(sol.u, sol.m)):
-            assert riesz_dual_norm(system.gram, r) <= cfg.tol_outer
+            assert riesz_dual_norm(gram, r) <= cfg.tol_outer
 
     def test_rejects_nonsmooth(self, square_spaces):
         ham = mf.finite_control([(1, 0), (-1, 0)], [0, 0])
@@ -308,8 +309,9 @@ class TestHJB:
         system = DiscreteSystem(space, sine_problem, None)
         zero = space.zero_function()
         m0 = solve_kfp(system, zero)
-        start = max(riesz_dual_norm(system.gram, system.hjb_residual(zero, m0)),
-                    riesz_dual_norm(system.gram, system.kfp_residual(zero, m0)))
+        gram = assembly.H1Gram(space, space.h1_gram)
+        start = max(riesz_dual_norm(gram, system.hjb_residual(zero, m0)),
+                    riesz_dual_norm(gram, system.kfp_residual(zero, m0)))
         assert err.value.last_residual == start
         assert err.value.history == []
 
@@ -549,7 +551,7 @@ class TestMFG:
 
     def test_one_mass_assembly_and_two_lus_per_solve(self, sine_problem, square_hierarchy,
                                                       monkeypatch):
-        # the system's mass matrix serves the coupling and the Gram matrix, and
+        # the space's mass matrix serves the coupling and the Gram matrix, and
         # the only LUs are the Gram matrix's and the held hierarchy's coarsest
         mesh = square_hierarchy[3]
         space = mf.P1Space(mesh)

@@ -283,7 +283,8 @@ class TestCertifyDMP:
         space = (square_spaces if family == "xz_square" else rhombus_spaces)[level]
         mesh = space.mesh
         tensor = family_tensor(family, mesh, L_H)
-        K = assembly.assemble_diffusion(space, 1.0, tensor, full=True).toarray()
+        pattern = assembly.full_pattern(space)
+        K = assembly.assemble_diffusion(space, 1.0, tensor, full=pattern).toarray()
         bound = K + class_bound_oracle(mesh, L_H)
         mask = interior_edge_entries(mesh)
         _, margin = mf.certify_dmp(space, 1.0, tensor, L_H)
@@ -291,7 +292,7 @@ class TestCertifyDMP:
 
         # every drift of the class stays below the bound entrywise
         drift = random_disk_drift(mesh, L_H, np.random.default_rng(seed))
-        L = K + assembly.assemble_hjb_drift(space, drift, full=True).toarray()
+        L = K + assembly.assemble_hjb_drift(space, drift, full=pattern).toarray()
         slack = 1e-14 * np.abs(bound).max()
         assert np.all(L[mask] <= bound[mask] + slack)
 
@@ -304,7 +305,7 @@ class TestCertifyDMP:
         for t in np.nonzero((mesh.tri_edges == edge).any(axis=1))[0]:
             grad_j = mesh.basis_gradients[t, list(mesh.triangles[t]).index(j)]
             drift[t] = L_H * grad_j / np.linalg.norm(grad_j)
-        B = assembly.assemble_hjb_drift(space, drift, full=True)
+        B = assembly.assemble_hjb_drift(space, drift, full=pattern)
         B_star = bound - K
         assert B[i, j] == pytest.approx(B_star[i, j], rel=1e-15)
 
