@@ -75,7 +75,6 @@ from .stabilization import (
     build_acute_tensor,
     build_xz_tensor,
     certify_dmp,
-    none_tensor,
     verify_h1,
     verify_h2_dmp,
 )

@@ -18,7 +18,7 @@ from .errors import ConfigurationError
 from .fespace import P1Function, P1Space, interpolate, quadrature, quadrature_xy
 from .mesh import MAX_LEVEL, generate_acute_rhombus, generate_structured_square, refine_red
 from .solver import SolverConfig, solve_mfg
-from .stabilization import DMP_TOL, build_acute_tensor, build_xz_tensor, none_tensor
+from .stabilization import DMP_TOL, build_acute_tensor, build_xz_tensor
 
 # degree of the quadrature that measures errors against exact fields
 ERROR_QUADRATURE_DEGREE = 4
@@ -204,7 +204,7 @@ def tensor_for(mesh, kind, L_H, nu, omega_factor=None, mu=1.1):
     if kind == "acute":
         return build_acute_tensor(mesh, L_H, nu, mu=mu)
     if kind == "none":
-        return none_tensor(mesh)
+        return None
     raise ConfigurationError(f"unknown stabilization kind {kind!r}")
 
 

@@ -196,13 +196,11 @@ def assemble_stiffness(space, tensors, full=None):
     return _scatter(space, local, full)
 
 
-def assemble_hjb_drift(space, drift, full=None, drift_bound=None):
+def assemble_hjb_drift(space, drift, full=None):
     """Advection tested against nodal basis: B[i,j] = sum_K (b.grad xi_j) area/3.
 
     Its transpose is the divergence-form drift of the KFP equation."""
     drift = np.asarray(drift, dtype=float)
-    if drift_bound is not None:
-        drift_excess(drift, drift_bound)
     g, areas = space.elem_grads, space.elem_areas
     return scatter_columns(
         space, lambda blk: (np.einsum("td,tjd->tj", drift[blk], g[blk])

@@ -3,10 +3,12 @@
 Degrees of freedom are the interior vertices only; boundary values are
 identically zero (homogeneous Dirichlet).  Gradients of discrete functions are
 constant on each triangle, which is what makes the Hamiltonian terms of the
-discrete system computable element by element.  The space of a red refinement
-knows the space it refines (``parent``) and the exact nested injection from
-it (``prolongation``), which the multigrid hierarchy and the reference-error
-injection both use.
+discrete system computable element by element.  A mesh has one space:
+``P1Space(mesh)`` returns the mesh's live space while there is one, so a
+ladder, its ``parent`` chain and every solve on a mesh share it.  The space of
+a red refinement knows the space it refines (``parent``) and the exact nested
+injection from it (``prolongation``), which the multigrid hierarchy and the
+reference-error injection both use.
 
 A space holds what depends on it alone, each built by ``assembly`` on first
 use: the CSR pattern of its operators (``pattern``), its mass matrix
@@ -17,6 +19,7 @@ elements, so loads and errors can walk the mesh in blocks.
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -30,7 +33,14 @@ from .errors import ConfigurationError, NumericError
 class P1Space:
     """Interior-vertex P1 space: dof maps, basis gradients, element areas."""
 
+    _live = weakref.WeakValueDictionary()  # mesh -> its space, while one is referenced
+
+    def __new__(cls, mesh):
+        return P1Space._live.get(mesh) or super().__new__(cls)
+
     def __init__(self, mesh):
+        if P1Space._live.get(mesh) is self:  # built already
+            return
         self.mesh = mesh
         interior = np.nonzero(mesh.interior_vertex_mask)[0]
         self.vertex_of_dof = interior
@@ -42,6 +52,7 @@ class P1Space:
         self.elem_areas = mesh.areas
         for arr in (self.vertex_of_dof, self.dof_of_vertex, self.elem_dofs):
             arr.setflags(write=False)
+        P1Space._live[mesh] = self
 
     @cached_property
     def pattern(self):
@@ -60,7 +71,7 @@ class P1Space:
 
     @cached_property
     def parent(self):
-        """The space of the mesh this one refines; None for a root mesh."""
+        """The live space of the mesh this one refines; None for a root mesh."""
         return None if self.mesh.parent is None else P1Space(self.mesh.parent)
 
     @cached_property

@@ -72,12 +72,12 @@ class Mesh2D:
         triangles = np.ascontiguousarray(triangles, dtype=np.int64)
         if vertices.ndim != 2 or vertices.shape[1] != 2:
             raise GeometryError("vertices must be an (nv, 2) array")
-        if triangles.ndim != 2 or triangles.shape[1] != 3:
-            raise GeometryError("triangles must be an (nt, 3) array")
+        if triangles.ndim != 2 or triangles.shape[1] != 3 or not len(triangles):
+            raise GeometryError("triangles must be a nonempty (nt, 3) array")
         if not np.all(np.isfinite(vertices)):
             raise GeometryError("non-finite vertex coordinates")
         nv = len(vertices)
-        if triangles.size and (triangles.min() < 0 or triangles.max() >= nv):
+        if triangles.min() < 0 or triangles.max() >= nv:
             raise GeometryError("triangle vertex index out of range")
 
         # orient counterclockwise, which negates a signed area exactly, so the

@@ -80,9 +80,9 @@ def solve_m_k_plus(space, problem, tensor):
     bary = space.mesh.barycenters
     grads = problem.exact.u.grad(bary[:, 0], bary[:, 1])
     drift = np.asarray(problem.hamiltonian.grad_p(grads), dtype=float)
-    L = assembly.pattern_sum(
-        assembly.assemble_diffusion(space, problem.nu, tensor),
-        assembly.assemble_hjb_drift(space, drift, drift_bound=problem.hamiltonian.L_H))
+    assembly.drift_excess(drift, problem.hamiltonian.L_H)
+    L = assembly.pattern_sum(assembly.assemble_diffusion(space, problem.nu, tensor),
+                             assembly.assemble_hjb_drift(space, drift))
     load = problem.source.load_vector(space)
     return P1Function(space, assembly.checked(L.T, assembly.factorize(L.T).solve(load), load))
 

@@ -73,7 +73,8 @@ class TestErrorNorms:
         space = square_spaces[2]
         grads = np.ones((space.mesh.num_triangles, 2))
         assert stabilization_error_term(space, None, grads) == 0.0
-        assert stabilization_error_term(space, mf.none_tensor(space.mesh), grads) == 0.0
+        zero = mf.StabilizationTensor(np.zeros((space.mesh.num_triangles, 2, 2)))
+        assert stabilization_error_term(space, zero, grads) == 0.0
 
 
 class TestInjection:

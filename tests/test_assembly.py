@@ -302,7 +302,10 @@ class TestDriftMatrices:
         space = square_spaces[2]
         drift = np.tile([2.0, 0.0], (space.mesh.num_triangles, 1))
         with pytest.warns(UserWarning):
-            assembly.assemble_hjb_drift(space, drift, drift_bound=1.0)
+            assert assembly.drift_excess(drift, 1.0) == pytest.approx(1.0)
+        # the sampled DMP checks a fixed drift against the bound it is given
+        with pytest.warns(UserWarning, match="exceeds bound"):
+            mf.verify_h2_dmp(space, 1.0, None, L_H=1.0, drift=drift, trials=1)
 
 
 class TestMassAndGram:

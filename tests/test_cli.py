@@ -24,6 +24,7 @@ MALFORMED_MESH_FILES = {
     "index_past_int64": (b"MFGMESH 1\nvertices 3\n0 0\n1 0\n0 1\ntriangles 1\n"
                          b"0 1 99999999999999999999\n"),
     "missing_file": None,
+    "no_triangles": b"MFGMESH 1\nvertices 0\ntriangles 0\n",
 }
 BAD_CONFIGS = {
     "negative_level": b"mesh.level = -1\n",

@@ -1,5 +1,7 @@
 import collections
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -55,9 +57,68 @@ def count_assemblies(monkeypatch):
     return calls
 
 
+def record_spaces(monkeypatch):
+    """Every space object ``P1Space`` builds or returns from now on, per mesh;
+    the record keeps them alive."""
+    spaces = collections.defaultdict(set)
+    init = mf.P1Space.__init__
+
+    def recorded(self, mesh):
+        init(self, mesh)
+        spaces[mesh].add(self)
+    monkeypatch.setattr(mf.P1Space, "__init__", recorded)
+    return spaces
+
+
+class TestOneSpacePerMesh:
+    def test_mesh_has_one_live_space(self):
+        meshes = mf.mesh_hierarchy("xz_square", 3)
+        space = mf.P1Space(meshes[3])
+        assert mf.P1Space(meshes[3]) is space
+        assert space.parent is mf.P1Space(meshes[2])
+        assert space.parent.parent is mf.P1Space(meshes[1])
+        assert mf.P1Space(mf.refine_red(meshes[3])).parent is space
+
+    def test_registry_drops_an_unreferenced_space(self):
+        live = len(mf.P1Space._live)
+        mesh = mf.generate_structured_square(4)
+        space = mf.P1Space(mesh)
+        # the matrices a space holds do not keep it alive
+        assert space.mass is not None and len(mf.P1Space._live) == live + 1
+        mesh_ref, space_ref = weakref.ref(mesh), weakref.ref(space)
+        del mesh, space
+        gc.collect()
+        assert mesh_ref() is None and space_ref() is None
+        assert len(mf.P1Space._live) == live
+
+    def test_reference_ladder_builds_one_space_per_mesh(self, monkeypatch):
+        # levels 2-4 against the level-6 reference: the solves, their
+        # multigrid parent chains, the injections and the errors share the
+        # spaces of the one hierarchy
+        problem = mf.make_rough_density_problem(1.0, mf.huber_ball(1.0), 1.0)
+        spaces = record_spaces(monkeypatch)
+        mf.run_convergence_study(problem, "xz_square", range(2, 5), "xz")
+        levels = [mesh.level for mesh in spaces]
+        assert set(range(2, 7)) <= set(levels) and len(levels) == len(set(levels))
+        assert all(len(built) == 1 for built in spaces.values())
+
+    def test_verify_builds_one_space_per_mesh(self, tmp_path, monkeypatch, capsys):
+        # the semismooth check's finer space refines the verify space, which
+        # its multigrid parent chain returns
+        path = tmp_path / "verify.cfg"
+        path.write_text(f"mesh.level = 5\noutput.dir = {tmp_path}\n")
+        spaces = record_spaces(monkeypatch)
+        assert cli.main(["verify", str(path)]) == cli.EXIT_OK
+        assert all(len(built) == 1 for built in spaces.values())
+        (space,), (finer,) = (built for mesh, built in sorted(
+            spaces.items(), key=lambda item: item[0].level) if mesh.level >= 5)
+        assert finer.parent is space
+
+
 class TestSpaceMatrices:
-    def test_assembled_once_and_held(self, square_hierarchy, monkeypatch):
-        space = mf.P1Space(square_hierarchy[3])
+    def test_assembled_once_and_held(self, monkeypatch):
+        # a fresh mesh, whose space holds no matrices from earlier tests
+        space = mf.P1Space(mf.mesh_hierarchy("xz_square", 3)[3])
         calls = count_assemblies(monkeypatch)
         assert space.h1_gram is space.h1_gram and space.mass is space.mass
         assert calls == {("assemble_mass", 3): 1, ("assemble_diffusion", 3): 1}

@@ -99,6 +99,11 @@ class TestValidation:
         with pytest.raises(GeometryError):
             mf.Mesh2D([(0, 0), (1, 0), (0, 1)], [(0, 1, 7)])
 
+    @pytest.mark.parametrize("vertices", [[(0, 0), (1, 0), (0, 1)], np.empty((0, 2))])
+    def test_no_triangles(self, vertices):
+        with pytest.raises(GeometryError, match="nonempty"):
+            mf.Mesh2D(vertices, np.empty((0, 3), dtype=np.int64))
+
     def test_clockwise_reoriented(self):
         mesh = mf.Mesh2D([(0, 0), (1, 0), (0, 1)], [(0, 2, 1)])
         assert mesh.areas[0] > 0

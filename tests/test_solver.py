@@ -549,11 +549,11 @@ class TestMFG:
         # each step solves its Newton system by GMRES
         assert all(h["krylov_iters"] >= 1 for h in sol.history[1:])
 
-    def test_one_mass_assembly_and_two_lus_per_solve(self, sine_problem, square_hierarchy,
-                                                      monkeypatch):
+    def test_one_mass_assembly_and_two_lus_per_solve(self, sine_problem, monkeypatch):
         # the space's mass matrix serves the coupling and the Gram matrix, and
-        # the only LUs are the Gram matrix's and the held hierarchy's coarsest
-        mesh = square_hierarchy[3]
+        # the only LUs are the Gram matrix's and the held hierarchy's coarsest;
+        # fresh meshes, whose spaces hold no matrices from earlier tests
+        mesh = mf.mesh_hierarchy("xz_square", 3)[3]
         space = mf.P1Space(mesh)
         tensor = mf.build_xz_tensor(mesh, 1.0)
         calls = {"assemble_mass": 0, "splu": 0}

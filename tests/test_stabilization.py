@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import mfgfem as mf
-from mfgfem import assembly
+from mfgfem import analysis, assembly
 from mfgfem.errors import ConfigurationError, InvariantViolation, SolverError
 from mfgfem.stabilization import StabilizationTensor, random_disk_drift
 
@@ -189,9 +189,14 @@ class TestAcuteTensor:
 
 class TestVerifyH1:
     def test_zero_tensor(self, square_hierarchy):
-        report = mf.verify_h1(mf.none_tensor(square_hierarchy[2]), square_hierarchy[2])
-        assert report.min_eigenvalue == 0.0
-        assert report.c_d_observed == 0.0
+        # no stabilization is None, and reports what a zero array reports
+        mesh = square_hierarchy[2]
+        assert analysis.tensor_for(mesh, "none", 1.0, 1.0) is None
+        zero = StabilizationTensor(np.zeros((mesh.num_triangles, 2, 2)))
+        for tensor in (None, zero):
+            report = mf.verify_h1(tensor, mesh)
+            assert report.min_eigenvalue == 0.0
+            assert report.c_d_observed == 0.0
 
     def test_negative_eigenvalue_detected(self, square_hierarchy):
         mesh = square_hierarchy[2]
