@@ -36,14 +36,13 @@ system with the 2n Jacobian: one cycle of at most KRYLOV_MAX iterations of
 GMRES right-preconditioned with V-cycles of one held hierarchy (for the
 Jacobian, its block upper triangle), which updates its least-squares residual
 by Givens rotations, forms one iterate once that residual is within
-KRYLOV_RTOL and accepts it if its true residual passes LINEAR_RESIDUAL_TOL;
-the hierarchy of the current linearization is rebuilt when it does not, or
-when the least-squares triangle is singular, GMRES retried once, and the
-system solved directly when that fails too.  A direct solution passes
-``checked``, the same LINEAR_RESIDUAL_TOL test, so every solution passes that
-test exactly once.  ``H1Gram`` solves with the H1 Gram matrix of the residual dual norms by
-CG preconditioned with the V-cycle of its own hierarchy, and with one LU of it
-when CG falls short.
+KRYLOV_RTOL and accepts it if its true residual passes LINEAR_RESIDUAL_TOL.
+After a miss, the one rule: rebuild only when the held hierarchy belongs to
+another linearization, and retry GMRES once; otherwise, or when the retry
+misses too, solve directly.  A direct solution passes ``checked``, the same
+test, so every solution passes it exactly once.  ``H1Gram(space)`` solves with
+the space's H1 Gram matrix, that of the residual dual norms, by CG
+preconditioned with the V-cycle of its own hierarchy, or one LU when CG falls short.
 ``factorize`` is the one place a sparse LU is made.
 """
 
@@ -267,10 +266,11 @@ class Multigrid:
     sweeps (weight JACOBI_WEIGHT) before and after its coarse correction.  The
     cycle is a fixed linear map M^-1, and the cycle of the transposed level
     operators is M^-T, so one hierarchy preconditions L and L^T.  With one
-    level, M is A and ``exact`` is True.
+    level, M is A and ``exact`` is True.  It holds A as ``op``.
     """
 
     def __init__(self, space, op):
+        self.op = op
         # per level above the coarsest: (A, A^T, P, P^T, Jacobi weights)
         self.levels = []
         while space.ndof > COARSE_DOFS and space.prolongation is not None:
@@ -302,8 +302,8 @@ class Multigrid:
 
 
 class H1Gram:
-    """Solves with the H1 Gram matrix G = M + unit stiffness of a space, the
-    operator of the residual dual norms sqrt(r^T G^-1 r).
+    """Solves with the H1 Gram matrix G = M + unit stiffness of a space, its
+    ``h1_gram``, the operator of the residual dual norms sqrt(r^T G^-1 r).
 
     G is symmetric positive definite, and so is the V-cycle of its
     ``Multigrid`` hierarchy: the smoothing before and after each coarse
@@ -314,9 +314,9 @@ class H1Gram:
     V-cycles applied.
     """
 
-    def __init__(self, space, G):
-        self.G = G
-        self._multigrid = Multigrid(space, G)
+    def __init__(self, space):
+        self.G = space.h1_gram
+        self._multigrid = Multigrid(space, self.G)
         self._lu = self._multigrid.lu if self._multigrid.exact else None
         self.cycles = 0
 
@@ -443,16 +443,16 @@ class DiscreteSystem:
                                    pattern_sum(self.K, assemble_hjb_drift(self.space, drift)))
         return self._linearization[1]
 
-    def solve(self, u, rhs, x0=None, trans="N"):
-        """x with op x = rhs for op = L, or L^T if trans is "T", and
-        L = K + B(u); x has passed the LINEAR_RESIDUAL_TOL test exactly once.
+    def solve(self, u, x0=None):
+        """m with L^T m = G, the KFP system at u: L = K + B(u) and G the
+        source load ``g_load``; m has passed the LINEAR_RESIDUAL_TOL test
+        exactly once.
 
-        GMRES is preconditioned with one V-cycle of the held hierarchy, in
-        the policy of ``_solve``.
+        GMRES from x0 is preconditioned with one L^T V-cycle of the held
+        hierarchy, in the policy of ``_solve``.
         """
         L = self.linearize(u)
-        op = L.T if trans == "T" else L
-        return self._solve(L, op, lambda b: self._multigrid.solve(b, trans), rhs, x0,
+        return self._solve(L, L.T, lambda b: self._multigrid.solve(b, "T"), self.g_load, x0,
                            cycle_inverts=True)
 
     def newton_step(self, u, m, rhs):
@@ -476,19 +476,18 @@ class DiscreteSystem:
         return self._solve(J.L, J, precondition, rhs, None, cycle_inverts=False)
 
     def _solve(self, L, op, precondition, rhs, x0, cycle_inverts):
-        """x with op x = rhs by GMRES from x0 (zero if None), preconditioned
-        with ``precondition``, which applies the held hierarchy, as
-        ``_gmres`` sets out; an iterate it returns has passed the
-        LINEAR_RESIDUAL_TOL test.  When it returns none, or no hierarchy is
-        held yet, the held one is released and that of L built and held for
-        the next solves, so at most one is alive, and the solve retried once:
-        by GMRES, or directly if the hierarchy is exact and ``cycle_inverts``,
-        that is, its V-cycle is op^-1.  When that fails too, an LU of op
-        solves directly.  A direct solution passes ``checked``.
-        """
-        x = None if self._multigrid is None else self._gmres(op, precondition, rhs, x0)
-        if x is None:
-            self._multigrid = None   # release the held hierarchy before the next
+        """x with op x = rhs by GMRES from x0 (zero if None) preconditioned with
+        ``precondition``, which applies the held hierarchy (see ``_gmres``).
+        When none is held, or GMRES misses with one of another linearization,
+        that is released and replaced by L's, so at most one is alive, and the
+        solve retried once: directly if the hierarchy is exact and
+        ``cycle_inverts`` (its V-cycle is op^-1), else by GMRES.  After a miss
+        with L's own hierarchy, or of the retry, an LU of op solves directly.
+        Every solution passes the LINEAR_RESIDUAL_TOL test exactly once."""
+        held = self._multigrid
+        x = None if held is None else self._gmres(op, precondition, rhs, x0)
+        if x is None and (held is None or held.op is not L):
+            held = self._multigrid = None   # release the held hierarchy before the next
             self._multigrid = Multigrid(self.space, L)
             self.factorizations += 1
             if cycle_inverts and self._multigrid.exact:

@@ -199,7 +199,7 @@ def check_semismooth_bound(spec, space, seed=0):
     if not spec.smooth:
         raise ConfigurationError("semismooth bound check requires a smooth Hamiltonian")
     rng = np.random.default_rng(seed)
-    gram_solver = assembly.H1Gram(space, space.h1_gram)
+    gram_solver = assembly.H1Gram(space)
     worst = 0.0
     for _ in range(SEMISMOOTH_PAIRS):
         scale = 10.0 ** rng.uniform(-2.0, 0.5)

@@ -116,6 +116,7 @@ class Mesh2D:
         for s, (a, b) in enumerate(locals_):
             pairs[s::3, 0] = tris[:, a]
             pairs[s::3, 1] = tris[:, b]
+        forward = pairs[:, 0] < pairs[:, 1]   # the triangle runs from the smaller end
         pairs.sort(axis=1)
         # one sort of the key a * nv + b orders the pairs as edges are numbered,
         # lexicographically
@@ -130,6 +131,8 @@ class Mesh2D:
         counts = np.bincount(inverse, minlength=len(edges))
         if np.any(counts > 2):
             raise GeometryError("non-conforming mesh: an edge is shared by more than two triangles")
+        if np.any((counts == 2) & (np.bincount(inverse[forward], minlength=len(edges)) != 1)):
+            raise GeometryError("folded mesh: two triangles lie on one side of a shared edge")
 
         self.edges = edges
         self.tri_edges = inverse.reshape(nt, 3)

@@ -4,15 +4,16 @@ residuals at once (Achdou & Capuzzo-Dolcetta, SIAM J. Numer. Anal. 48, 2010).
 The Jacobian of the HJB and KFP residuals at (u, m) is -[[L, -c_F M], [C, L^T]]
 with L = K + B(u) the HJB linearization, whose transpose is the KFP operator,
 and C the derivative of the KFP drift term in u.  Every linear step is one
-``DiscreteSystem.solve`` or ``DiscreteSystem.newton_step``, which own the
-linear-solve policy (see ``assembly``): GMRES preconditioned with V-cycles of
-one held ``Multigrid`` hierarchy over the nested meshes, which on a space of
-at most ``assembly.COARSE_DOFS`` dofs is one LU.
+KFP solve ``DiscreteSystem.solve(u, x0)`` or one ``DiscreteSystem.newton_step``,
+which own the linear-solve policy (see ``assembly``): GMRES preconditioned with
+V-cycles of one held ``Multigrid`` hierarchy over the nested meshes, which on a
+space of at most ``assembly.COARSE_DOFS`` dofs is one LU, rebuilt after a miss
+only when it belongs to another linearization.
 
 Convergence is declared on the dual norms of the two discrete residual
 operators (the quantities the stability theory controls), computed via the H1
 Gram matrix: ||r||_{V*} = sqrt(r^T Gram^-1 r).  A solve builds one
-``assembly.H1Gram`` of the space's ``h1_gram`` for them: CG preconditioned
+``assembly.H1Gram(space)``, of the space's ``h1_gram``, for them: CG preconditioned
 with a V-cycle to a relative ``assembly.KRYLOV_RTOL`` in r^T Gram^-1 r, or
 one LU on a space of at most ``assembly.COARSE_DOFS`` dofs.  The returned
 density is always a KFP solve, never a Newton iterate, so it obeys the
@@ -69,7 +70,7 @@ def solve_kfp(system, u_fixed, m0=None):
     function, with the transpose of the HJB linearization at it, from the
     density m0 (zero if None)."""
     x0 = None if m0 is None else m0.coeffs
-    return P1Function(system.space, system.solve(u_fixed, system.g_load, x0=x0, trans="T"))
+    return P1Function(system.space, system.solve(u_fixed, x0=x0))
 
 
 def solve_m_k_plus(space, problem, tensor):
@@ -127,7 +128,7 @@ def solve_mfg(space, problem, tensor, cfg=None):
 
     x = np.zeros(2 * n)
     x[n:] = solve_kfp(system, space.zero_function()).coeffs
-    gram = assembly.H1Gram(space, space.h1_gram)
+    gram = assembly.H1Gram(space)
     r, duals = residuals(x)
     outer = 1
     # factorizations, GMRES iterations and Gram V-cycles before this step

@@ -25,6 +25,7 @@ MALFORMED_MESH_FILES = {
                          b"0 1 99999999999999999999\n"),
     "missing_file": None,
     "no_triangles": b"MFGMESH 1\nvertices 0\ntriangles 0\n",
+    "folded_triangles": b"MFGMESH 1\nvertices 3\n0 0\n1 0\n0 1\ntriangles 2\n0 1 2\n0 2 1\n",
 }
 BAD_CONFIGS = {
     "negative_level": b"mesh.level = -1\n",

@@ -86,18 +86,22 @@ def test_no_dense_qr(sine_problem, square_hierarchy, monkeypatch):
     assert len(table.records) == 3
 
 
-def test_singular_triangle_returns_none(g_one_problem, square_hierarchy):
+@pytest.mark.parametrize("stale", [False, True], ids=["held_is_current", "held_is_stale"])
+def test_singular_triangle_returns_none(stale, g_one_problem, square_hierarchy):
     # a preconditioner that maps everything to zero gives a zero Hessenberg
     # column: its rotation has zero length, and _gmres gives up without a
-    # division by zero; _solve then rebuilds the hierarchy and, GMRES failing
-    # again, solves by the LU of the operator
+    # division by zero.  _solve then solves by the LU of the operator; only
+    # when the held hierarchy is that of another linearization does it first
+    # rebuild the hierarchy for L and retry GMRES, which fails again
     mesh = square_hierarchy[3]
     space = mf.P1Space(mesh)
     system = DiscreteSystem(space, g_one_problem, mf.build_xz_tensor(mesh, 1.0))
     u = space.zero_function()
-    system.solve(u, system.g_load)
+    other = mf.P1Function(space, 0.1 * np.random.default_rng(3).standard_normal(space.ndof))
+    system.solve(other if stale else u)
     L = system.linearize(u)
     held = system._multigrid
+    assert (held.op is L) is not stale
     iters = system.krylov_iters
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -106,6 +110,8 @@ def test_singular_triangle_returns_none(g_one_problem, square_hierarchy):
         factorizations = system.factorizations
         x = system._solve(L, L, lambda b: np.zeros_like(b), system.g_load, None,
                           cycle_inverts=False)
-    assert system.factorizations == factorizations + 2
-    assert system._multigrid is not held
+    assert system.factorizations == factorizations + (2 if stale else 1)
+    assert system.krylov_iters == iters + (3 if stale else 2)
+    assert (system._multigrid is held) is not stale
+    assert system._multigrid.op is L
     assert assembly.checked(L, x, system.g_load) is x

@@ -95,6 +95,16 @@ class TestValidation:
         with pytest.raises(GeometryError):
             mf.Mesh2D(vertices, triangles)
 
+    def test_folded_fan(self):
+        # rim angles 0.1, 0.5 and 0.9 rad: the third triangle folds back over
+        # the first two, so edge (0, 1) has both its triangles on one side and
+        # the centre, a corner of the covered region, would count as interior
+        rim = [(math.cos(t), math.sin(t)) for t in (0.1, 0.5, 0.9)]
+        with pytest.raises(GeometryError, match="folded"):
+            mf.Mesh2D([(0.0, 0.0)] + rim, [(0, 1, 2), (0, 2, 3), (0, 3, 1)])
+        # the unfolded fan over the same rim is accepted
+        assert mf.Mesh2D([(0.0, 0.0)] + rim, [(0, 1, 2), (0, 2, 3)]).num_triangles == 2
+
     def test_index_out_of_range(self):
         with pytest.raises(GeometryError):
             mf.Mesh2D([(0, 0), (1, 0), (0, 1)], [(0, 1, 7)])

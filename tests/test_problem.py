@@ -134,7 +134,7 @@ class TestManufactured:
             system = assembly.DiscreteSystem(space, sine_problem, None)
             u_i = mf.interpolate(space, sine_problem.exact.u.value)
             m_i = mf.interpolate(space, sine_problem.exact.m.value)
-            gram = assembly.H1Gram(space, space.h1_gram)
+            gram = assembly.H1Gram(space)
             norms1.append(riesz_dual_norm(gram, system.hjb_residual(u_i, m_i)))
             norms2.append(riesz_dual_norm(gram, system.kfp_residual(u_i, m_i)))
             hs.append(space.mesh.h_max)
