@@ -4,10 +4,12 @@ the solver telemetry.
 The exact pair is u* = m* = sin(pi x) sin(pi y) with nu = 1, the Huber
 Hamiltonian of the unit control disk, and the local coupling F[m] = m + f0.
 The solver runs damped semismooth Newton on the HJB and KFP equations at once,
-from u = 0 and the KFP solve at it: each step solves the coupled Jacobian
+from the zero pair (u, m) = (0, 0): each step solves the coupled Jacobian
 system by GMRES, preconditioned with the block triangle of the HJB
 linearization L, its transpose and the mass matrix, and halves the step while
-the larger residual dual norm rises.  The V-cycles of L come from one held
+the larger residual dual norm rises.  At the zero pair the Jacobian is that
+block triangle, so on this mesh, whose V-cycle is one LU, the first step takes
+one GMRES iteration.  The V-cycles of L come from one held
 hierarchy, which on this small mesh is one LU, factorized again only when
 GMRES falls short; each step reports its factorizations and GMRES iterations.
 Convergence is declared on the dual norms of the two discrete residuals,
@@ -34,7 +36,7 @@ solution = mf.solve_mfg(space, problem, tensor)
 
 print(f"level {LEVEL}: {space.ndof} interior dofs")
 print(f"converged in {solution.newton_iters_total} Newton steps, "
-      f"{solution.outer_iters} stop tests")
+      f"{solution.outer_iters} stop test(s)")
 print(f"residual dual norms: HJB {solution.residual1_dual:.2e}, "
       f"KFP {solution.residual2_dual:.2e}")
 

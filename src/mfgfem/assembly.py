@@ -452,8 +452,7 @@ class DiscreteSystem:
         hierarchy, in the policy of ``_solve``.
         """
         L = self.linearize(u)
-        return self._solve(L, L.T, lambda b: self._multigrid.solve(b, "T"), self.g_load, x0,
-                           cycle_inverts=True)
+        return self._solve(L, L.T, lambda b: self._multigrid.solve(b, "T"), self.g_load, x0)
 
     def newton_step(self, u, m, rhs):
         """delta with J delta = rhs for the ``jacobian`` J at (u, m), in the
@@ -473,25 +472,23 @@ class DiscreteSystem:
             z[:n] = self._multigrid.solve(b[:n] + J.cM @ z[n:], "N")
             return z
 
-        return self._solve(J.L, J, precondition, rhs, None, cycle_inverts=False)
+        return self._solve(J.L, J, precondition, rhs, None)
 
-    def _solve(self, L, op, precondition, rhs, x0, cycle_inverts):
+    def _solve(self, L, op, precondition, rhs, x0):
         """x with op x = rhs by GMRES from x0 (zero if None) preconditioned with
         ``precondition``, which applies the held hierarchy (see ``_gmres``).
         When none is held, or GMRES misses with one of another linearization,
-        that is released and replaced by L's, so at most one is alive, and the
-        solve retried once: directly if the hierarchy is exact and
-        ``cycle_inverts`` (its V-cycle is op^-1), else by GMRES.  After a miss
-        with L's own hierarchy, or of the retry, an LU of op solves directly.
-        Every solution passes the LINEAR_RESIDUAL_TOL test exactly once."""
+        that is released and replaced by L's, so at most one is alive, and
+        GMRES retried once (for a KFP solve, an exact hierarchy's V-cycle is
+        op^-1, and GMRES takes one iteration).  After a miss with L's own
+        hierarchy, or of the retry, an LU of op solves directly.  Every
+        solution passes the LINEAR_RESIDUAL_TOL test exactly once."""
         held = self._multigrid
         x = None if held is None else self._gmres(op, precondition, rhs, x0)
         if x is None and (held is None or held.op is not L):
             held = self._multigrid = None   # release the held hierarchy before the next
             self._multigrid = Multigrid(self.space, L)
             self.factorizations += 1
-            if cycle_inverts and self._multigrid.exact:
-                return checked(op, precondition(rhs), rhs)
             x = self._gmres(op, precondition, rhs, x0)
         if x is None:
             self.factorizations += 1

@@ -5,7 +5,8 @@ Conventions
 -----------
 * Triangles are stored counterclockwise; construction reorients clockwise input.
 * An edge joins vertex ``i < j``.  Edges adjacent to exactly one triangle lie on
-  the boundary; their endpoints are the boundary vertices.
+  the boundary; their endpoints are the boundary vertices, each the end of
+  exactly two boundary edges.
 * An edge is *internal* if it touches at least one interior vertex.  This is the
   set of edges that carries stabilization weights; it is a subset of the edges
   shared by two triangles.
@@ -138,9 +139,10 @@ class Mesh2D:
         self.tri_edges = inverse.reshape(nt, 3)
 
         boundary_edges = counts == 1
-        flags = np.zeros(len(self.vertices), dtype=bool)
-        flags[edges[boundary_edges].ravel()] = True
-        self.boundary_vertex_flags = flags
+        ends = np.bincount(edges[boundary_edges].ravel(), minlength=len(self.vertices))
+        if np.any(ends > 2):
+            raise GeometryError("non-conforming mesh: a hanging node or a pinched vertex")
+        self.boundary_vertex_flags = ends > 0
         self.boundary_edge_flags = boundary_edges
         self.boundary_vertex_flags.setflags(write=False)
         self.boundary_edge_flags.setflags(write=False)

@@ -190,27 +190,25 @@ def source_load(space, source):
 
 
 def halfplane_clipped_areas(mesh, threshold):
-    """Area of each triangle's intersection with the half-plane {x < threshold}."""
-    corners = mesh.vertices[mesh.triangles]          # (nt, 3, 2)
-    below = corners[..., 0] < threshold
+    """Area of each triangle's intersection with the half-plane {x < threshold}.
+
+    The line x = threshold cuts a triangle it crosses at the two edges of the
+    vertex alone on its side, and cuts off there a triangle of area
+    s_1 s_2 |K|, s_i the fraction of edge i on that side: the intersection
+    keeps it when the lone vertex lies left, and the rest when it lies right.
+    """
+    x = mesh.vertices[mesh.triangles, 0]             # (nt, 3)
+    below = x < threshold
     count = below.sum(axis=1)
     areas = np.where(count == 3, mesh.areas, 0.0)
-    for t in np.nonzero((count > 0) & (count < 3))[0]:
-        poly = corners[t]
-        clipped = []
-        for i in range(3):
-            a, b = poly[i], poly[(i + 1) % 3]
-            a_in, b_in = a[0] < threshold, b[0] < threshold
-            if a_in:
-                clipped.append(a)
-            if a_in != b_in:
-                # intersection of segment ab with the vertical line x = threshold
-                s = (threshold - a[0]) / (b[0] - a[0])
-                clipped.append(a + s * (b - a))
-        if len(clipped) >= 3:
-            poly_arr = np.array(clipped)
-            x, y = poly_arr[:, 0], poly_arr[:, 1]
-            areas[t] = 0.5 * abs(np.dot(x, np.roll(y, -1)) - np.dot(y, np.roll(x, -1)))
+    cut = np.nonzero((count == 1) | (count == 2))[0]
+    x, one_left = x[cut], count[cut] == 1
+    rows = np.arange(len(cut))
+    lone = np.where(one_left, below[cut].argmax(axis=1), below[cut].argmin(axis=1))
+    x_lone = x[rows, lone]
+    s1 = (threshold - x_lone) / (x[rows, (lone + 1) % 3] - x_lone)
+    s2 = (threshold - x_lone) / (x[rows, (lone + 2) % 3] - x_lone)
+    areas[cut] = np.where(one_left, s1 * s2, 1.0 - s1 * s2) * mesh.areas[cut]
     return areas
 
 

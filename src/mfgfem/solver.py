@@ -15,9 +15,10 @@ operators (the quantities the stability theory controls), computed via the H1
 Gram matrix: ||r||_{V*} = sqrt(r^T Gram^-1 r).  A solve builds one
 ``assembly.H1Gram(space)``, of the space's ``h1_gram``, for them: CG preconditioned
 with a V-cycle to a relative ``assembly.KRYLOV_RTOL`` in r^T Gram^-1 r, or
-one LU on a space of at most ``assembly.COARSE_DOFS`` dofs.  The returned
-density is always a KFP solve, never a Newton iterate, so it obeys the
-discrete maximum principle whenever the scheme does.
+one LU on a space of at most ``assembly.COARSE_DOFS`` dofs.  Newton starts
+at the zero pair, with no KFP solve; the returned density is always a KFP
+solve (of a stop test), never a Newton iterate, so it obeys the discrete
+maximum principle whenever the scheme does.
 """
 
 from __future__ import annotations
@@ -91,23 +92,25 @@ def solve_m_k_plus(space, problem, tensor):
 def solve_mfg(space, problem, tensor, cfg=None):
     """Damped semismooth Newton on the HJB and KFP residuals (r1, r2) at once.
 
-    The start is (0, KFP(0)).  Each step solves J delta = (r1, r2) with the
-    Jacobian of ``DiscreteSystem.newton_step`` and moves (u, m) by delta,
-    halving the step while the larger residual dual norm rises above that of
-    the current pair; a step still rising at length 2^-10 raises
-    NonConvergenceError.  A pair whose larger dual norm is at most tol_outer
-    is replaced by (u, KFP(u)), solved from m, and the stop test measures both
+    The start is the zero pair, where the coupling block C vanishes with m,
+    so the first step solves with exactly the block triangle
+    [[L(0), -c_F M], [0, L(0)^T]] that preconditions every step.  Each step
+    solves J delta = (r1, r2) with the Jacobian of
+    ``DiscreteSystem.newton_step`` and moves (u, m) by delta, halving the step
+    while the larger residual dual norm rises above that of the current pair;
+    a step still rising at length 2^-10 raises NonConvergenceError.  A pair
+    whose larger dual norm is at most tol_outer, the zero pair included, is
+    replaced by (u, KFP(u)), solved from m, and the stop test measures both
     dual norms there: the pair is returned if they pass, and the steps go on
-    from it if not.  The start is such a pair, so ``outer_iters`` counts it
-    among the stop tests.
+    from it if not; ``outer_iters`` counts the stop tests.
 
     Each Newton step appends an entry to ``history``: the dual norms and min m
     of the pair it leaves (after its stop test, if it made one), the step
     length and halvings, the factorizations and GMRES iterations of its
     linear solves, the V-cycles of its dual norms (``gram_cycles``, 0 where
     the Gram solver is an LU) and the largest excess of a drift it assembled
-    over L_H, 0.0 when all were within it (the first entry counts the start
-    too).  A NonConvergenceError carries the history of the steps before it.
+    over L_H, 0.0 when all were within it (the first entry counts the zero
+    pair's too).  A NonConvergenceError carries the history of the steps before it.
     """
     cfg = cfg or SolverConfig()
     if space.ndof == 0:
@@ -127,50 +130,49 @@ def solve_mfg(space, problem, tensor, cfg=None):
         return r, (riesz_dual_norm(gram, r[:n]), riesz_dual_norm(gram, r[n:]))
 
     x = np.zeros(2 * n)
-    x[n:] = solve_kfp(system, space.zero_function()).coeffs
     gram = assembly.H1Gram(space)
     r, duals = residuals(x)
-    outer = 1
+    outer = 0
     # factorizations, GMRES iterations and Gram V-cycles before this step
     counted = (0, 0, 0)
-    for newton in range(cfg.max_newton + 1):
-        if max(duals) <= cfg.tol_outer:
-            u, m = pair(x)
-            return DiscreteSolution(u=u, m=m, outer_iters=outer, newton_iters_total=newton,
-                                    residual1_dual=duals[0], residual2_dual=duals[1],
-                                    history=history)
-        if newton == cfg.max_newton:
-            break
-        delta = system.newton_step(*pair(x), r)
-        step, halvings = 1.0, 0
-        r_new, duals_new = residuals(x + delta)
-        while max(duals_new) > max(duals):
-            if step <= 2.0 ** -10:
-                raise NonConvergenceError(
-                    f"Newton line search raised the residual at step 2^-10 "
-                    f"(residual {max(duals):.3e})", history=history,
-                    last_residual=max(duals))
-            step *= 0.5
-            halvings += 1
-            r_new, duals_new = residuals(x + step * delta)
-        x += step * delta
-        r, duals = r_new, duals_new
+    for newton in range(cfg.max_newton + 1):   # pass 0 measures the zero pair
+        if newton:
+            delta = system.newton_step(*pair(x), r)
+            step, halvings = 1.0, 0
+            r_new, duals_new = residuals(x + delta)
+            while max(duals_new) > max(duals):
+                if step <= 2.0 ** -10:
+                    raise NonConvergenceError(
+                        f"Newton line search raised the residual at step 2^-10 "
+                        f"(residual {max(duals):.3e})", history=history,
+                        last_residual=max(duals))
+                step *= 0.5
+                halvings += 1
+                r_new, duals_new = residuals(x + step * delta)
+            x += step * delta
+            r, duals = r_new, duals_new
         stop = max(duals) <= cfg.tol_outer
         if stop:   # the stop test is made at (u, KFP(u)), solved from m
             u, m = pair(x)
             x[n:] = solve_kfp(system, u, m0=m).coeffs
             r, duals = residuals(x)
             outer += 1
-        history.append({"newton": newton + 1, "residual1_dual": duals[0],
-                        "residual2_dual": duals[1], "step": step,
-                        "linesearch_halvings": halvings, "stop_test": stop,
-                        "min_m": float(x[n:].min()),
-                        "factorizations": system.factorizations - counted[0],
-                        "krylov_iters": system.krylov_iters - counted[1],
-                        "gram_cycles": gram.cycles - counted[2],
-                        "drift_excess": system.drift_excess})
-        counted = (system.factorizations, system.krylov_iters, gram.cycles)
-        system.drift_excess = 0.0
+        if newton:
+            history.append({"newton": newton, "residual1_dual": duals[0],
+                            "residual2_dual": duals[1], "step": step,
+                            "linesearch_halvings": halvings, "stop_test": stop,
+                            "min_m": float(x[n:].min()),
+                            "factorizations": system.factorizations - counted[0],
+                            "krylov_iters": system.krylov_iters - counted[1],
+                            "gram_cycles": gram.cycles - counted[2],
+                            "drift_excess": system.drift_excess})
+            counted = (system.factorizations, system.krylov_iters, gram.cycles)
+            system.drift_excess = 0.0
+        if max(duals) <= cfg.tol_outer:
+            u, m = pair(x)
+            return DiscreteSolution(u=u, m=m, outer_iters=outer, newton_iters_total=newton,
+                                    residual1_dual=duals[0], residual2_dual=duals[1],
+                                    history=history)
 
     raise NonConvergenceError(
         f"Newton did not reach {cfg.tol_outer:.1e} in {cfg.max_newton} steps "

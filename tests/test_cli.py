@@ -26,6 +26,8 @@ MALFORMED_MESH_FILES = {
     "missing_file": None,
     "no_triangles": b"MFGMESH 1\nvertices 0\ntriangles 0\n",
     "folded_triangles": b"MFGMESH 1\nvertices 3\n0 0\n1 0\n0 1\ntriangles 2\n0 1 2\n0 2 1\n",
+    "hanging_node": (b"MFGMESH 1\nvertices 5\n0 0\n1 0\n0 1\n1 1\n0.5 0.5\n"
+                     b"triangles 3\n0 1 2\n1 3 4\n4 3 2\n"),
 }
 BAD_CONFIGS = {
     "negative_level": b"mesh.level = -1\n",
@@ -266,8 +268,11 @@ class TestCheckMesh:
         mesh_path = tmp_path / "bad.txt"
         if content is not None:
             mesh_path.write_bytes(content)
-        path = write_config(tmp_path, f"mesh.family = file:{mesh_path}\n")
+        path = write_config(tmp_path, f"mesh.family = file:{mesh_path}\n"
+                            f"output.dir = {tmp_path / 'out'}\n")
         assert cli.main(["check-mesh", path]) == cli.EXIT_INPUT_ERROR
+        assert capsys.readouterr().err.startswith("error: ")
+        assert cli.main(["solve", path]) == cli.EXIT_INPUT_ERROR
         assert capsys.readouterr().err.startswith("error: ")
 
     @settings(max_examples=60, deadline=None,

@@ -108,8 +108,7 @@ def test_singular_triangle_returns_none(stale, g_one_problem, square_hierarchy):
         assert system._gmres(L, lambda b: np.zeros_like(b), system.g_load, None) is None
         assert system.krylov_iters == iters + 1
         factorizations = system.factorizations
-        x = system._solve(L, L, lambda b: np.zeros_like(b), system.g_load, None,
-                          cycle_inverts=False)
+        x = system._solve(L, L, lambda b: np.zeros_like(b), system.g_load, None)
     assert system.factorizations == factorizations + (2 if stale else 1)
     assert system.krylov_iters == iters + (3 if stale else 2)
     assert (system._multigrid is held) is not stale

@@ -105,6 +105,17 @@ class TestValidation:
         # the unfolded fan over the same rim is accepted
         assert mf.Mesh2D([(0.0, 0.0)] + rim, [(0, 1, 2), (0, 2, 3)]).num_triangles == 2
 
+    def test_hanging_node(self):
+        # vertex 4 halves edge (1, 2) of the first triangle: that edge and its
+        # two halves each have one triangle, so vertices 1 and 2 end four
+        # boundary edges and the region would have a crack along the edge
+        vertices = [(0, 0), (1, 0), (0, 1), (1, 1), (0.5, 0.5)]
+        with pytest.raises(GeometryError, match="hanging node"):
+            mf.Mesh2D(vertices, [(0, 1, 2), (1, 3, 4), (4, 3, 2)])
+        # split into two triangles at vertex 4, the same region is conforming
+        mesh = mf.Mesh2D(vertices, [(0, 1, 4), (0, 4, 2), (1, 3, 4), (4, 3, 2)])
+        assert mesh.interior_vertex_mask.tolist() == [False] * 4 + [True]
+
     def test_index_out_of_range(self):
         with pytest.raises(GeometryError):
             mf.Mesh2D([(0, 0), (1, 0), (0, 1)], [(0, 1, 7)])

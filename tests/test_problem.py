@@ -233,7 +233,41 @@ class TestBlockedLoads:
         assert rows == blocks + blocks
 
 
+def clipped_areas_oracle(mesh, threshold):
+    """Per-triangle clipping: the polygon of each triangle's part left of
+    x = threshold, and its area by the shoelace formula."""
+    corners = mesh.vertices[mesh.triangles]
+    areas = np.zeros(len(corners))
+    for t, poly in enumerate(corners):
+        clipped = []
+        for i in range(3):
+            a, b = poly[i], poly[(i + 1) % 3]
+            a_in, b_in = a[0] < threshold, b[0] < threshold
+            if a_in:
+                clipped.append(a)
+            if a_in != b_in:
+                s = (threshold - a[0]) / (b[0] - a[0])
+                clipped.append(a + s * (b - a))
+        if len(clipped) >= 3:
+            x, y = np.array(clipped).T
+            areas[t] = 0.5 * abs(np.dot(x, np.roll(y, -1)) - np.dot(y, np.roll(x, -1)))
+    return areas
+
+
 class TestRoughInstance:
+    @pytest.mark.parametrize("family", ["square", "rhombus"])
+    def test_clipped_areas_match_polygon_clipping(self, family, request):
+        # the closed form against clipping each triangle: on mesh lines, at
+        # vertices, between them and off the mesh
+        mesh = request.getfixturevalue(f"{family}_hierarchy")[4]
+        lo, hi = mesh.vertices[:, 0].min(), mesh.vertices[:, 0].max()
+        # the shoelace sum rounds at the scale of the squared coordinates
+        tol = 4 * np.finfo(float).eps * np.abs(mesh.vertices).max() ** 2
+        rng = np.random.default_rng(5)
+        for c in [lo - 0.1, lo, 0.5, 1.0 / 3.0, hi, hi + 0.1, *rng.uniform(lo, hi, 5)]:
+            got = halfplane_clipped_areas(mesh, c)
+            assert np.abs(got - clipped_areas_oracle(mesh, c)).max() <= tol
+
     def test_clipped_areas_sum(self, square_hierarchy):
         mesh = square_hierarchy[4]
         for c, expected in ((1.0 / 3.0, 1.0 / 3.0), (0.5, 0.5), (1.5, 1.0), (-0.5, 0.0)):

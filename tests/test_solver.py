@@ -238,7 +238,7 @@ class TestH1Gram:
         monkeypatch.setattr(scipy.sparse.linalg, "splu", tracking_splu)
         sol = solve_mfg(space, sine_problem, mf.build_xz_tensor(mesh, 1.0))
         assert len(sizes) == 2 and max(sizes) <= assembly.COARSE_DOFS < space.ndof
-        assert (sol.outer_iters, sol.newton_iters_total) == (2, 4)
+        assert (sol.outer_iters, sol.newton_iters_total) == (1, 4)
         assert all(h["gram_cycles"] > 0 for h in sol.history)
 
 
@@ -274,11 +274,11 @@ class TestHJB:
             assert solve_mfg(space, sine_problem, tensor).newton_iters_total <= 4
 
     def test_newton_budget(self, sine_problem, square_hierarchy):
-        # from the start (0, KFP(0)) the solve needs exactly 3 Newton steps
+        # from the zero pair the solve needs exactly 3 Newton steps
         space, tensor = _sine_system(3, square_hierarchy)
         with pytest.raises(NonConvergenceError, match="in 1 steps") as err:
             solve_mfg(space, sine_problem, tensor, SolverConfig(max_newton=1))
-        assert err.value.last_residual == pytest.approx(0.303, rel=1e-2)
+        assert err.value.last_residual == pytest.approx(0.370, rel=1e-2)
         assert len(err.value.history) == 1
         cfg = SolverConfig(max_newton=3)
         sol = solve_mfg(space, sine_problem, tensor, cfg)
@@ -307,10 +307,9 @@ class TestHJB:
             solve_mfg(space, sine_problem, None)
         system = DiscreteSystem(space, sine_problem, None)
         zero = space.zero_function()
-        m0 = solve_kfp(system, zero)
         gram = assembly.H1Gram(space)
-        start = max(riesz_dual_norm(gram, system.hjb_residual(zero, m0)),
-                    riesz_dual_norm(gram, system.kfp_residual(zero, m0)))
+        start = max(riesz_dual_norm(gram, system.hjb_residual(zero, zero)),
+                    riesz_dual_norm(gram, system.kfp_residual(zero, zero)))
         assert err.value.last_residual == start
         assert err.value.history == []
 
@@ -335,10 +334,9 @@ class TestHJB:
     @pytest.mark.parametrize("overshoot", [1.0, 4.0])
     def test_one_hamiltonian_load_per_residual(self, overshoot, sine_problem,
                                                square_hierarchy, monkeypatch):
-        # H is loaded once per pair whose residuals are measured: the start,
-        # each step, each halving and each stop test after the start; the
-        # Jacobian needs no load, and an overshooting step makes the line
-        # search halve
+        # H is loaded once per pair whose residuals are measured: the zero
+        # pair, each step, each halving and each stop test; the Jacobian needs
+        # no load, and an overshooting step makes the line search halve
         space, tensor = _sine_system(3, square_hierarchy)
         load = assembly.hamiltonian_load
         calls = []
@@ -350,7 +348,7 @@ class TestHJB:
         sol = solve_mfg(space, sine_problem, tensor)
         halvings = sum(h["linesearch_halvings"] for h in sol.history)
         assert sol.newton_iters_total > 0 and (halvings > 0) is (overshoot > 1.0)
-        assert len(calls) == sol.newton_iters_total + halvings + sol.outer_iters
+        assert len(calls) == 1 + sol.newton_iters_total + halvings + sol.outer_iters
 
 
 class TestKFP:
@@ -407,8 +405,8 @@ class TestKFP:
     def test_each_solution_passes_one_residual_test(
             self, sine_problem, square_hierarchy, monkeypatch):
         # a GMRES iterate has passed the residual test inside _gmres, so
-        # solve returns it unchecked; an exact hierarchy's LU solve goes
-        # through checked once
+        # solve returns it unchecked; with an exact hierarchy, whose V-cycle
+        # is the LU of L^T, GMRES takes one iteration
         calls = []
         check = assembly.checked
 
@@ -420,13 +418,14 @@ class TestKFP:
         mesh = square_hierarchy[4]
         space = mf.P1Space(mesh)
         u = mf.interpolate(space, sine_problem.exact.u.value)
-        for coarse, checks in ((assembly.COARSE_DOFS, 1), (40, 0)):
+        for coarse, exact in ((assembly.COARSE_DOFS, True), (40, False)):
             monkeypatch.setattr(assembly, "COARSE_DOFS", coarse)
             system = DiscreteSystem(space, sine_problem, mf.build_xz_tensor(mesh, 1.0))
             calls.clear()
             x = system.solve(u)
-            assert system._multigrid.exact is (checks == 1)
-            assert len(calls) == checks
+            assert system._multigrid.exact is exact
+            assert (system.krylov_iters == 1) is exact
+            assert calls == []
             assert check(system.linearize(u).T, x, system.g_load) is x
 
     def test_formed_iterate_failing_the_residual_test_rebuilds(
@@ -576,15 +575,13 @@ class TestMFG:
         # system releases it and factorizes the current linearization, which
         # solves a KFP equation directly and preconditions a Newton system,
         # whose GMRES falls short again, so the Newton system is factorized
-        # too; the answer is that of a run where every solve factorizes.  The
-        # first Newton step is at the start's u = 0, whose LU is held, so it
-        # factorizes the Newton system alone
+        # too; the answer is that of a run where every solve factorizes
         mesh = square_hierarchy[3]
         space = mf.P1Space(mesh)
         tensor = mf.build_xz_tensor(mesh, 1.0)
         direct = _all_direct_solve(space, sine_problem, tensor)
         assert sum(h["factorizations"] for h in direct.history) == (
-            2 * direct.newton_iters_total + direct.outer_iters - 1)
+            2 * (direct.newton_iters_total + direct.outer_iters))
 
         splu = scipy.sparse.linalg.splu
         live = weakref.WeakSet()
@@ -606,9 +603,8 @@ class TestMFG:
         fallbacks = sum(h["factorizations"] for h in sol.history) - 1
         assert fallbacks >= 1
         assert len(alive_at_factorization) == 2 + fallbacks
-        # at most two other LUs are alive when one is made: the held one while
-        # the Gram matrix is factorized, the Gram LU while a linearization is,
-        # and both while a Newton system is
+        # at most two other LUs are alive when one is made: the Gram LU while
+        # a linearization is factorized, and both while a Newton system is
         assert max(alive_at_factorization) <= 2
         assert (sol.outer_iters, sol.newton_iters_total) == (
             direct.outer_iters, direct.newton_iters_total)
@@ -620,9 +616,7 @@ class TestMFG:
         # one GMRES iteration is too few for a V-cycle, even of the current
         # linearization: each solve rebuilds the hierarchy (one LU on its
         # coarsest level), retries, then factorizes L and solves directly, and
-        # the answer is that of a run where every solve factorizes; the first
-        # Newton step, at the start's u = 0, holds its hierarchy already and
-        # factorizes the 2n Jacobian alone
+        # the answer is that of a run where every solve factorizes
         monkeypatch.setattr(assembly, "COARSE_DOFS", 40)
         mesh = square_hierarchy[4]
         space = mf.P1Space(mesh)
@@ -640,15 +634,14 @@ class TestMFG:
         monkeypatch.setattr(scipy.sparse.linalg, "splu", tracking_splu)
         monkeypatch.setattr(assembly, "KRYLOV_MAX", 1)
         sol = solve_mfg(space, sine_problem, tensor)
-        assert sum(h["factorizations"] for h in sol.history) == 2 * solves - 1
-        # per solve the level-2 coarsest level and L, or the 2n Jacobian for a
-        # Newton step; after the first, when the first residual is measured,
-        # the Gram hierarchy's coarsest level and, as one CG iteration falls
-        # short too, the held LU of the Gram matrix
+        assert sum(h["factorizations"] for h in sol.history) == 2 * solves
+        # first, when the zero pair's residuals are measured, the Gram
+        # hierarchy's coarsest level and, as one CG iteration falls short too,
+        # the held LU of the Gram matrix; then per solve the level-2 coarsest
+        # level and L, or the 2n Jacobian for a Newton step
         n = space.ndof
         steps = [[9, 2 * n] + [9, n] * h["stop_test"] for h in sol.history]
-        del steps[0][0]   # the first step's hierarchy, that of u = 0, is held
-        assert sizes == [9, n, 9, n] + sum(steps, [])
+        assert sizes == [9, n] + sum(steps, [])
         assert (sol.outer_iters, sol.newton_iters_total) == (
             direct.outer_iters, direct.newton_iters_total)
         assert np.abs(sol.u.coeffs - direct.u.coeffs).max() < 1e-12
@@ -668,7 +661,7 @@ class TestMFG:
         system.solve(space.zero_function())
         assert system._multigrid.exact and not system._multigrid.levels
         sol = solve_mfg(space, sine_problem, tensor)
-        assert (sol.outer_iters, sol.newton_iters_total) == (2, 3)
+        assert (sol.outer_iters, sol.newton_iters_total) == (1, 3)
         assert [h["factorizations"] for h in sol.history] == (
             [1] + [0] * (sol.newton_iters_total - 1))
 
@@ -697,7 +690,7 @@ class TestMFG:
         # (39 sweeps, 47 Newton steps); the default solve pins the path
         space, tensor = _sine_system(4, square_hierarchy)
         sol = solve_mfg(space, sine_problem, tensor)
-        assert (sol.outer_iters, sol.newton_iters_total) == (2, 3)
+        assert (sol.outer_iters, sol.newton_iters_total) == (1, 3)
         tight = solve_mfg(space, sine_problem, tensor, SolverConfig(tol_outer=1e-12))
         ex = sine_problem.exact
         assert abs(mf.error_h1(tight.u, ex.u.value, ex.u.grad) - 0.3730181080584706) <= 1e-12
@@ -705,16 +698,16 @@ class TestMFG:
 
     @pytest.mark.parametrize("family, make_problem, path", [
         ("xz_square", lambda: mf.make_manufactured(1.0, mf.huber_ball(1.0), 1.0),
-         (2, 3, 26, 1)),
+         (1, 3, 21, 1)),
         ("acute_rhombus", lambda: mf.make_manufactured(1.0, mf.huber_ball(1.0), 1.0,
                                                        domain="acute_rhombus"),
-         (2, 4, 33, 1)),
+         (1, 3, 21, 1)),
         ("xz_square", lambda: mf.make_g_one_problem(1.0, mf.huber_ball(1.0), 1.0),
-         (2, 2, 9, 1)),
+         (1, 2, 7, 1)),
         ("xz_square", lambda: mf.make_g_one_problem(0.1, mf.huber_ball(2.0), 5.0),
-         (2, 4, 42, 1)),
+         (1, 4, 38, 1)),
         ("xz_square", lambda: mf.make_rough_density_problem(1.0, mf.huber_ball(1.0), 1.0),
-         (2, 3, 25, 1)),
+         (1, 3, 21, 1)),
     ], ids=["sine", "sine_acute", "g_one", "hard_g_one", "rough"])
     def test_level5_solver_path(self, family, make_problem, path, square_hierarchy,
                                 rhombus_hierarchy):
@@ -773,6 +766,19 @@ class TestMFG:
         system = DiscreteSystem(space, sine_problem, tensor)
         residual = np.linalg.norm(system.kfp_residual(sol.u, sol.m))
         assert residual <= assembly.KRYLOV_RTOL * np.linalg.norm(system.g_load)
+
+    def test_zero_pair_within_tolerance_is_stop_tested(self, sine_problem, square_hierarchy):
+        # a tolerance the zero pair already meets: no Newton step is taken,
+        # and the pair returned is (0, KFP(0)) from its one stop test
+        mesh = square_hierarchy[3]
+        space = mf.P1Space(mesh)
+        tensor = mf.build_xz_tensor(mesh, 1.0)
+        sol = solve_mfg(space, sine_problem, tensor, SolverConfig(tol_outer=1e3))
+        assert (sol.outer_iters, sol.newton_iters_total, sol.history) == (1, 0, [])
+        assert not sol.u.coeffs.any()
+        system = DiscreteSystem(space, sine_problem, tensor)
+        m0 = solve_kfp(system, space.zero_function())
+        assert np.abs(sol.m.coeffs - m0.coeffs).max() <= 1e-14 * np.abs(m0.coeffs).max()
 
     def test_nonconvergence_carries_history(self, sine_problem, square_hierarchy):
         mesh = square_hierarchy[3]
@@ -846,18 +852,23 @@ class TestCoupledNewton:
             assert np.allclose(dense @ v, J @ v, rtol=0, atol=1e-12)
             assert np.abs(J @ v - fd).max() <= 1e-7 * np.abs(fd).max()
 
-    @pytest.mark.parametrize("problem, direct", [
-        (mf.make_g_one_problem(0.02, mf.huber_ball(2.0), 5.0), False),
+    @pytest.mark.parametrize("problem, level", [
+        (mf.make_g_one_problem(0.02, mf.huber_ball(2.0), 5.0), 5),
+        (mf.make_g_one_problem(0.02, mf.huber_ball(2.0), 5.0), 6),
         (mf.make_g_one_problem(0.1, mf.finite_control([(1, 0), (-1, 0), (0, 1)],
                                                       [0.0, 0.1, 0.2], smoothing=0.05), 5.0),
-         True),
-    ], ids=["g_one_nu_0.02", "log_sum_exp_eps_0.05"])
-    def test_hardest_probes_converge(self, problem, direct, square_hierarchy, monkeypatch):
+         5),
+        (mf.make_g_one_problem(0.1, mf.finite_control([(1, 0), (-1, 0), (0, 1)],
+                                                      [0.0, 0.1, 0.2], smoothing=0.05), 5.0),
+         6),
+    ], ids=["g_one_nu_0.02", "g_one_nu_0.02_level_6",
+            "log_sum_exp_eps_0.05", "log_sum_exp_eps_0.05_level_6"])
+    def test_hardest_probes_converge(self, problem, level, square_hierarchy, monkeypatch):
         # small nu with a strong coupling, and a sharp smoothed three-control
-        # Hamiltonian: cold-start Newton converges at level 5 with the DMP
-        # intact; on the second, GMRES falls short twice in one step, and
-        # that Newton system is solved by the LU of the 2n Jacobian
-        mesh = square_hierarchy[5]
+        # Hamiltonian: cold-start Newton converges with the DMP intact, and no
+        # Newton system is solved by the LU of the 2n Jacobian, since the
+        # first step, at the zero pair, has no coupling block C to drop
+        mesh = square_hierarchy[level]
         space = mf.P1Space(mesh)
         tensor = mf.build_xz_tensor(mesh, problem.hamiltonian.L_H)
         splu = scipy.sparse.linalg.splu
@@ -871,13 +882,7 @@ class TestCoupledNewton:
         sol = solve_mfg(space, problem, tensor)
         assert max(sol.residual1_dual, sol.residual2_dual) <= SolverConfig().tol_outer
         assert sol.m.coeffs.min() >= mf.analysis.DMP_TOL
-        assert (2 * space.ndof in sizes) is direct
-        if direct:
-            # the first step is at the start's u = 0, whose hierarchy the start
-            # built: one GMRES cycle misses, and the Jacobian is factorized with
-            # no second build of that hierarchy and no identical retry
-            first = sol.history[0]
-            assert (first["factorizations"], first["krylov_iters"]) == (2, 20)
+        assert 2 * space.ndof not in sizes
 
 
 @st.composite
