@@ -8,9 +8,10 @@ All operators act on interior dofs only, on the CSR pattern that
 ``full=full_pattern(space)`` they act on every vertex, for diagnostics such as
 row sums, and the DMP certificate scatters K and its drift bound onto one such.
 Matrices are ``scipy.sparse`` CSR holding the pattern's own index arrays:
-every operator of a solve -- K, M, the H1 Gram, L = K + B(u), c_F M and C --
-is one data array over ``space.pattern``, and their sums are sums of data
-arrays (``pattern_sum``).
+every operator of a solve -- K, M, the H1 Gram, L = K + B(u) and C -- is one
+data array over ``space.pattern``, and their sums are sums of data arrays
+(``pattern_sum``); the Newton Jacobian scales M m by c_F instead of holding a
+scaled copy of M.
 The local element matrices are formed and added into their slots block by
 block over ``mesh.element_blocks()``, in element order, so no (nt, 3, 3) or
 (nt, 2, 2) temporary is formed and the sums are bitwise those of one
@@ -161,10 +162,14 @@ def pattern_sum(A, B):
     return _csr(A.indptr, A.indices, A.data + B.data)
 
 
-def _scatter_load(space, elem_loads):
-    """Sum (nt, 3) per-element nodal loads into a vector, in element order."""
+def _scatter_load(space, local):
+    """Sum per-element nodal loads into a vector.  ``local(blk)`` gives the
+    (k, 3) loads of the triangles of each slice of ``mesh.element_blocks()``;
+    they are added, with the dofs of those triangles, in element order."""
     out = np.zeros(space.ndof + 1)   # dof -1 indexes slot ndof, which is dropped
-    np.add.at(out, space.elem_dofs.ravel(), elem_loads.ravel())
+    dofs, tris = space.dof_of_vertex, space.mesh.triangles
+    for blk in space.mesh.element_blocks():
+        np.add.at(out, dofs[tris[blk]].ravel(), local(blk).ravel())
     return out[:-1]
 
 
@@ -370,32 +375,50 @@ def grad_p_field(hamiltonian, u):
 
 def hamiltonian_load(space, hamiltonian, u):
     """Load vector of H[grad u] against the nodal basis, exact by the area/3
-    rule because H[grad u] is constant per triangle."""
-    return element_constant_load(space, hamiltonian.value(u.element_gradients()))
+    rule because H[grad u] is constant per triangle.  The gradients, H and
+    the loads are evaluated block by block over ``mesh.element_blocks()``, so
+    no whole-mesh per-element temporary is formed; the sum is bitwise that of
+    one whole-mesh evaluation."""
+    nodal = u.nodal_values()
+    return _scatter_load(space, lambda blk: _constant_loads(
+        space, hamiltonian.value(u.element_gradients(blk, nodal)), blk))
 
 
 def element_constant_load(space, values):
     """Load of a piecewise constant scalar field against the basis (area/3 rule)."""
-    loads = (np.asarray(values, dtype=float) * space.elem_areas / 3.0)[:, None] * np.ones(3)
-    return _scatter_load(space, loads)
+    values = np.asarray(values, dtype=float)
+    return _scatter_load(space, lambda blk: _constant_loads(space, values[blk], blk))
+
+
+def _constant_loads(space, values, blk):
+    """(k, 3) area/3 loads of the constant ``values`` on the triangles ``blk``."""
+    loads = np.asarray(values, dtype=float) * space.elem_areas[blk] / 3.0
+    return np.repeat(loads, 3).reshape(-1, 3)
 
 
 class CoupledJacobian:
-    """The 2n x 2n matrix [[L, -cM], [C, L^T]] held as its blocks, acting on
-    vectors stacked in (u, m) block order."""
+    """The 2n x 2n matrix [[L, -c_F M], [C, L^T]] held as L, its transpose
+    view, the space's mass matrix M, the scalar c_F and C, acting on vectors
+    stacked in (u, m) block order.  No scaled copy of M is formed: the
+    coupling term is c_F (M m) (``coupling``), and only ``tocsc``, for a
+    direct solve, builds -c_F M."""
 
-    def __init__(self, L, cM, C):
-        self.L, self.LT, self.cM, self.C = L, L.T, cM, C
+    def __init__(self, L, M, c_F, C):
+        self.L, self.LT, self.M, self.c_F, self.C = L, L.T, M, c_F, C
+
+    def coupling(self, m):
+        """c_F M m."""
+        return self.c_F * (self.M @ m)
 
     def __matmul__(self, x):
         n = self.L.shape[0]
         out = np.empty_like(x)
-        out[:n] = self.L @ x[:n] - self.cM @ x[n:]
+        out[:n] = self.L @ x[:n] - self.coupling(x[n:])
         out[n:] = self.C @ x[:n] + self.LT @ x[n:]
         return out
 
     def tocsc(self):
-        return sp.bmat([[self.L, -self.cM], [self.C, self.LT]], format="csc")
+        return sp.bmat([[self.L, -self.c_F * self.M], [self.C, self.LT]], format="csc")
 
 
 class DiscreteSystem:
@@ -461,7 +484,7 @@ class DiscreteSystem:
 
         GMRES is preconditioned on the right with the block upper triangle
         [[L, -c_F M], [0, L^T]] of J: one L^T V-cycle of the held hierarchy,
-        one M matvec and one L V-cycle, in the policy of ``_solve``.
+        one coupling c_F (M z) and one L V-cycle, in the policy of ``_solve``.
         """
         n = self.space.ndof
         J = self.jacobian(u, m)
@@ -469,7 +492,7 @@ class DiscreteSystem:
         def precondition(b):
             z = np.empty_like(b)
             z[n:] = self._multigrid.solve(b[n:], "T")
-            z[:n] = self._multigrid.solve(b[:n] + J.cM @ z[n:], "N")
+            z[:n] = self._multigrid.solve(b[:n] + J.coupling(z[n:]), "N")
             return z
 
         return self._solve(J.L, J, precondition, rhs, None)
@@ -502,6 +525,12 @@ class DiscreteSystem:
         passes the LINEAR_RESIDUAL_TOL test of ``checked``; None if it does
         not, or if no iterate is formed.
 
+        The basis grows one vector per iteration: the matvec result of
+        iteration k, orthogonalized and normalized in place, is the next basis
+        vector, so a solve of k iterations holds k + 1 vectors of length n,
+        not KRYLOV_MAX + 1.  V y_k is summed by axpys, and the basis is
+        released before that sum is preconditioned.
+
         The least squares min |beta e_1 - H y| of the Hessenberg matrix H is
         solved by Givens rotations (Saad & Schultz, SIAM J. Sci. Stat. Comput.
         7, 1986): iteration k applies the k earlier rotations to the new column
@@ -518,25 +547,23 @@ class DiscreteSystem:
         condition number, h^-2, relative to |rhs|: a direct LU of the level-8
         KFP system leaves 3.1e-12 |rhs|, above KRYLOV_RTOL.
         """
-        n, max_iter = rhs.size, KRYLOV_MAX
-        x0 = np.zeros(n) if x0 is None else x0
+        max_iter = KRYLOV_MAX
         tol = KRYLOV_RTOL * np.linalg.norm(rhs)
-        r0 = rhs - op @ x0
+        r0 = rhs if x0 is None else rhs - op @ x0
         beta = np.linalg.norm(r0)
         if beta <= tol:
-            return x0
-        V = np.empty((max_iter + 1, n))   # each iteration fills its next row
+            return np.zeros(rhs.size) if x0 is None else x0
+        V = [r0 / beta]   # the Krylov basis, one vector per iteration
+        del r0
         R = np.zeros((max_iter, max_iter))   # the rotated columns of H
         rotations = []   # (cos, sin) of each iteration
         g = [beta]
-        V[0] = r0 / beta
         for k in range(max_iter):
-            w = V[k + 1]
-            w[:] = op @ precondition(V[k])
+            w = op @ precondition(V[k])
             col = R[:, k]
-            for j in range(k + 1):   # modified Gram-Schmidt
-                col[j] = V[j] @ w
-                w -= col[j] * V[j]
+            for j, v in enumerate(V):   # modified Gram-Schmidt
+                col[j] = v @ w
+                w -= col[j] * v
             h = np.linalg.norm(w)
             self.krylov_iters += 1
             for j, (c, s) in enumerate(rotations):
@@ -550,13 +577,21 @@ class DiscreteSystem:
             g.append(-s * g[k])
             g[k] *= c
             if abs(g[k + 1]) <= tol:
+                del w
                 y = np.array(g[:k + 1])
                 for i in range(k, -1, -1):   # back substitution with R
                     y[i] = (y[i] - R[i, i + 1:k + 1] @ y[i + 1:]) / R[i, i]
-                x = x0 + precondition(y @ V[:k + 1])
+                Vy = y[0] * V[0]
+                for yj, v in zip(y[1:], V[1:]):
+                    Vy += yj * v
+                V.clear()
+                x = precondition(Vy)
+                if x0 is not None:
+                    x += x0
                 resid = np.linalg.norm(rhs - op @ x)
                 return x if resid <= LINEAR_RESIDUAL_TOL * (1.0 + np.linalg.norm(rhs)) else None
             w /= h
+            V.append(w)
         return None
 
     def jacobian(self, u, m):
@@ -564,19 +599,18 @@ class DiscreteSystem:
         at (u, m): L = K + B(u), and C = sum_K mbar_K G_K^T D^2H(grad u|_K) G_K,
         the derivative in u of B(u)^T m, with G_K the basis gradients on K and
         mbar_K = |K|/3 sum_{i in K} m_i, a stiffness matrix on the pattern of K
-        whose tensors are evaluated block by block."""
+        whose tensors, gradients included, are evaluated block by block.  J
+        holds the space's M and the scalar c_F, not a scaled copy of M
+        (``CoupledJacobian``)."""
         hess_p = self.problem.hamiltonian.hess_p
-        grads = u.element_gradients()
-        nodal = m.nodal_values()
+        nodal_u, nodal_m = u.nodal_values(), m.nodal_values()
         triangles = self.space.mesh.triangles
 
         def tensors(blk):
-            mean = nodal[triangles[blk]].mean(axis=1)
-            return mean[:, None, None] * hess_p(grads[blk])
+            mean = nodal_m[triangles[blk]].mean(axis=1)
+            return mean[:, None, None] * hess_p(u.element_gradients(blk, nodal_u))
 
-        M = self.space.mass
-        return CoupledJacobian(self.linearize(u),
-                               _csr(M.indptr, M.indices, self.problem.coupling.c_F * M.data),
+        return CoupledJacobian(self.linearize(u), self.space.mass, self.problem.coupling.c_F,
                                assemble_stiffness(self.space, tensors))
 
     def coupling_load(self, m):

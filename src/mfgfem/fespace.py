@@ -13,6 +13,10 @@ reference-error injection both use.
 A space holds what depends on it alone, each built by ``assembly`` on first
 use: the CSR pattern of its operators (``pattern``), its mass matrix
 (``mass``) and its H1 Gram matrix, mass plus unit stiffness (``h1_gram``).
+Per-element data it reads from its mesh where used: ``elem_dofs`` is gathered
+on each read (the scatters gather it per element block), and ``elem_grads`` is
+the mesh's ``basis_gradients``, so a parent space that only serves a
+prolongation never computes basis gradients.
 ``quadrature_xy`` gives the physical quadrature points of any range of
 elements, so loads and errors can walk the mesh in blocks.
 """
@@ -31,7 +35,10 @@ from .errors import ConfigurationError, NumericError
 
 
 class P1Space:
-    """Interior-vertex P1 space: dof maps, basis gradients, element areas."""
+    """Interior-vertex P1 space: dof maps, and the element areas, dofs and
+    basis gradients of its mesh.  Of these it stores the dof maps and the
+    mesh's ``areas``; ``elem_dofs`` and ``elem_grads`` are read from the mesh
+    when used."""
 
     _live = weakref.WeakValueDictionary()  # mesh -> its space, while one is referenced
 
@@ -47,12 +54,22 @@ class P1Space:
         self.dof_of_vertex = -np.ones(mesh.num_vertices, dtype=np.int64)
         self.dof_of_vertex[interior] = np.arange(len(interior))
         self.ndof = len(interior)
-        self.elem_dofs = self.dof_of_vertex[mesh.triangles]  # -1 marks boundary
-        self.elem_grads = mesh.basis_gradients
         self.elem_areas = mesh.areas
-        for arr in (self.vertex_of_dof, self.dof_of_vertex, self.elem_dofs):
+        for arr in (self.vertex_of_dof, self.dof_of_vertex):
             arr.setflags(write=False)
         P1Space._live[mesh] = self
+
+    @property
+    def elem_dofs(self):
+        """Dofs of the vertices of every triangle, (nt, 3); -1 marks a
+        boundary vertex.  Gathered on each read."""
+        return self.dof_of_vertex[self.mesh.triangles]
+
+    @property
+    def elem_grads(self):
+        """Basis gradients per triangle, (nt, 3, 2): the mesh's
+        ``basis_gradients``, computed on the first read and kept by the mesh."""
+        return self.mesh.basis_gradients
 
     @cached_property
     def pattern(self):
@@ -125,10 +142,14 @@ class P1Function:
         full[self.space.vertex_of_dof] = self.coeffs
         return full
 
-    def element_gradients(self):
-        """Gradients on all triangles at once, shape (nt, 2)."""
-        vals = self.nodal_values()[self.space.mesh.triangles]  # (nt, 3)
-        return np.einsum("ti,tid->td", vals, self.space.elem_grads)
+    def element_gradients(self, blk=slice(None), nodal=None):
+        """Gradients on the triangles ``blk`` (all by default), shape (k, 2);
+        ``nodal`` is ``nodal_values()``, computed here if None.  Each
+        gradient is bitwise the same whatever the slice."""
+        if nodal is None:
+            nodal = self.nodal_values()
+        vals = nodal[self.space.mesh.triangles[blk]]  # (k, 3)
+        return np.einsum("ti,tid->td", vals, self.space.elem_grads[blk])
 
     def values_at_quadrature(self, rule):
         """Values at the physical quadrature points of every triangle, (nt, nq)."""

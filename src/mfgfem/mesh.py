@@ -66,6 +66,13 @@ class Mesh2D:
     of ``tri_edges`` that name it.  ``areas`` are the absolute signed areas of
     the orientation pass.  The instance is immutable after construction;
     arrays are write-protected.
+
+    Besides the arrays built at construction, the mesh caches only
+    ``interior_vertex_mask`` and, once read, ``basis_gradients``, which every
+    assembly on the mesh reads.  ``edge_lengths``, ``diameters``, ``inradii``,
+    ``internal_edge_mask`` and ``barycenters`` are computed on each read, so
+    geometry read while a stabilization is built is not held for the mesh's
+    life; a caller that reads one many times keeps it in a local.
     """
 
     def __init__(self, vertices, triangles, parent=None):
@@ -175,24 +182,24 @@ class Mesh2D:
     def interior_vertex_mask(self):
         return ~self.boundary_vertex_flags
 
-    @cached_property
+    @property
     def internal_edge_mask(self):
         """Edges touching at least one interior vertex (stabilization support)."""
         return self.interior_vertex_mask[self.edges].any(axis=1)
 
     # -- geometry ---------------------------------------------------------
 
-    @cached_property
+    @property
     def edge_lengths(self):
         d = self.vertices[self.edges[:, 1]] - self.vertices[self.edges[:, 0]]
         return np.hypot(d[:, 0], d[:, 1])
 
-    @cached_property
+    @property
     def diameters(self):
         """Per-triangle diameter (longest edge)."""
         return self.edge_lengths[self.tri_edges].max(axis=1)
 
-    @cached_property
+    @property
     def inradii(self):
         s = 0.5 * self.edge_lengths[self.tri_edges].sum(axis=1)
         return self.areas / s
@@ -212,7 +219,7 @@ class Mesh2D:
         g /= (2.0 * self.areas)[:, None, None]
         return g
 
-    @cached_property
+    @property
     def barycenters(self):
         return self.vertices[self.triangles].mean(axis=1)
 

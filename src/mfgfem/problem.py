@@ -154,12 +154,12 @@ def scalar_load(space, f, degree=4):
     whole mesh at once, so the blocks change no bit of it."""
     rule = quadrature(degree)
     mesh = space.mesh
-    loads = np.empty((mesh.num_triangles, 3))
-    for blk in mesh.element_blocks():
+
+    def loads(blk):
         x, y = quadrature_xy(mesh, rule, blk.start, blk.stop)
         fq = np.broadcast_to(np.asarray(f(x, y), dtype=float), x.shape)
-        loads[blk] = (np.einsum("tq,q,qi->ti", fq, rule.weights, rule.points)
-                      * mesh.areas[blk, None])
+        return np.einsum("tq,q,qi->ti", fq, rule.weights, rule.points) * mesh.areas[blk, None]
+
     return assembly._scatter_load(space, loads)
 
 
@@ -168,13 +168,14 @@ def vector_load(space, gt, degree=4):
     ``scalar_load``; exact when gtilde is constant per element."""
     rule = quadrature(degree)
     mesh = space.mesh
-    loads = np.empty((mesh.num_triangles, 3))
-    for blk in mesh.element_blocks():
+    grads = space.elem_grads
+
+    def loads(blk):
         x, y = quadrature_xy(mesh, rule, blk.start, blk.stop)
         gq = np.asarray(gt(x, y), dtype=float)   # (block, nq, 2)
         mean = np.einsum("tqd,q->td", gq, rule.weights)
-        loads[blk] = (np.einsum("td,tid->ti", mean, space.elem_grads[blk])
-                      * mesh.areas[blk, None])
+        return np.einsum("td,tid->ti", mean, grads[blk]) * mesh.areas[blk, None]
+
     return assembly._scatter_load(space, loads)
 
 
@@ -307,8 +308,8 @@ def make_rough_density_problem(nu=1.0, hamiltonian=None, c_F=1.0, jump_x=1.0 / 3
 
     def exact_load(space):
         clipped = halfplane_clipped_areas(space.mesh, jump)
-        loads = space.elem_grads[:, :, 0] * clipped[:, None]
-        return assembly._scatter_load(space, loads)
+        grads = space.elem_grads
+        return assembly._scatter_load(space, lambda blk: grads[blk, :, 0] * clipped[blk, None])
 
     source = SourceG(g0=None, g_tilde=g_tilde, nonneg_certified=False,
                      exact_load=exact_load)

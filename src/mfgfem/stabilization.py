@@ -53,7 +53,8 @@ def build_xz_tensor(mesh, L_H, omega_factor=None):
     Each element gets the sum of the tensors of the three edges ``tri_edges``
     names, added in local-edge order; an edge touching no interior vertex
     adds zero.  The edge tensors are formed, and gathered per element, block
-    by block.  ``omega_factor`` scales every weight as omega_E = omega_factor
+    by block, from the mesh's edge lengths and internal-edge mask, each
+    computed once here.  ``omega_factor`` scales every weight as omega_E = omega_factor
     L_H diam(E) and must exceed delta/6; the default delta/3 doubles the lower
     endpoint of the admissible window, keeping the stabilization minimal.
     """
@@ -74,11 +75,12 @@ def build_xz_tensor(mesh, L_H, omega_factor=None):
     # one tensor per edge, zero on the edges that touch no interior vertex
     rank1 = np.zeros((mesh.num_edges, 2, 2))
     if L_H > 0:
+        internal_edges, edge_lengths = mesh.internal_edge_mask, mesh.edge_lengths
         for blk in mesh.edge_blocks():
-            internal = mesh.internal_edge_mask[blk]
+            internal = internal_edges[blk]
             ends = mesh.edges[blk][internal]
             tang = mesh.vertices[ends[:, 1]] - mesh.vertices[ends[:, 0]]
-            lengths = mesh.edge_lengths[blk][internal]
+            lengths = edge_lengths[blk][internal]
             tang /= lengths[:, None]
             outer = np.einsum("ei,ej->eij", tang, tang)
             outer *= (omega_factor * L_H * lengths)[:, None, None]
@@ -106,10 +108,11 @@ def build_acute_tensor(mesh, L_H, nu, mu=1.1):
     if theta <= 0.0:
         raise ConfigurationError("mesh is not strictly acute (theta = 0)")
 
+    diameters = mesh.diameters
     grad_norms = np.linalg.norm(mesh.basis_gradients, axis=2)  # (nt, 3)
-    sigma_K = mesh.diameters * grad_norms.min(axis=1)
+    sigma_K = diameters * grad_norms.min(axis=1)
     sigma_k = float(sigma_K.min())
-    coeff = np.maximum(mu * L_H * mesh.diameters / (sigma_k * np.sin(theta)) - nu, 0.0)
+    coeff = np.maximum(mu * L_H * diameters / (sigma_k * np.sin(theta)) - nu, 0.0)
     per_element = coeff[:, None, None] * np.eye(2)
     return StabilizationTensor(per_element)
 

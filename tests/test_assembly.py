@@ -3,6 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.sparse as sp
 
 import mfgfem as mf
 from mfgfem import assembly
@@ -222,7 +223,23 @@ class TestBlockedAssembly:
             dofs = space.elem_dofs.ravel()
             keep = dofs >= 0
             want = np.bincount(dofs[keep], weights=loads.ravel()[keep], minlength=space.ndof)
-            assert np.array_equal(assembly._scatter_load(space, loads), want)
+            assert np.array_equal(assembly._scatter_load(space, lambda blk: loads[blk]), want)
+
+    @pytest.mark.parametrize("hamiltonian", [
+        mf.huber_ball(0.5),
+        mf.finite_control([(1.0, 0.0), (-1.0, 0.0), (0.0, 1.0)], [0.0, 0.1, 0.2], smoothing=0.05)],
+        ids=["huber", "smoothed_finite_control"])
+    def test_hamiltonian_load(self, blocked_spaces, hamiltonian):
+        # bitwise the whole-mesh evaluation: all gradients, H, then one
+        # scatter of the (nt, 3) area/3 loads in element order
+        rng = np.random.default_rng(14)
+        for space in blocked_spaces:
+            u = mf.P1Function(space, rng.standard_normal(space.ndof))
+            values = np.asarray(hamiltonian.value(u.element_gradients()), dtype=float)
+            loads = (values * space.elem_areas / 3.0)[:, None] * np.ones(3)
+            want = np.zeros(space.ndof + 1)
+            np.add.at(want, space.elem_dofs.ravel(), loads.ravel())
+            assert np.array_equal(assembly.hamiltonian_load(space, hamiltonian, u), want[:-1])
 
     def test_operators_of_a_solve_hold_the_pattern(self, square_spaces, sine_problem):
         space = square_spaces[4]
@@ -233,13 +250,15 @@ class TestBlockedAssembly:
         u = mf.P1Function(space, rng.standard_normal(space.ndof))
         m = mf.P1Function(space, rng.uniform(0, 1, space.ndof))
         J = system.jacobian(u, m)
-        for A in (system.K, space.mass, space.h1_gram, system.linearize(u), J.C, J.cM,
+        for A in (system.K, space.mass, space.h1_gram, system.linearize(u), J.C, J.M,
                   assembly.assemble_h1_gram(space)):
             assert A.indptr is indptr and A.indices is indices
         assert np.array_equal(system.linearize(u).data,
                               (system.K + assembly.assemble_hjb_drift(
                                   space, assembly.grad_p_field(sine_problem.hamiltonian, u))).data)
-        assert np.array_equal(J.cM.data, (sine_problem.coupling.c_F * space.mass).data)
+        # J holds the space's mass matrix and the scalar c_F, not a scaled copy
+        assert J.M is space.mass
+        assert J.c_F == sine_problem.coupling.c_F
 
     def test_jacobian_forms_no_element_matrices(self, square_spaces, sine_problem):
         # nothing of the size of nt (3, 3) blocks is alive beyond what J keeps
@@ -259,6 +278,63 @@ class TestBlockedAssembly:
             tracemalloc.stop()
         assert J.C.nnz > 0
         assert peak - kept < 9 * nt * np.dtype(float).itemsize
+
+
+class TestHeldArrays:
+    """A solve holds each array only while it is read."""
+
+    @pytest.mark.parametrize("c_F", [1.0, 5.0])
+    def test_jacobian_matvec_is_the_block_matrix(self, square_spaces, c_F):
+        space = square_spaces[5]
+        n = space.ndof
+        problem = mf.make_manufactured(1.0, mf.huber_ball(1.0), c_F)
+        system = assembly.DiscreteSystem(space, problem, mf.build_xz_tensor(space.mesh, 1.0))
+        rng = np.random.default_rng(22)
+        u = mf.P1Function(space, rng.standard_normal(n))
+        m = mf.P1Function(space, rng.uniform(0, 1, n))
+        J = system.jacobian(u, m)
+        L, M, C = J.L, J.M, J.C
+        blocks = sp.bmat([[L, -c_F * M], [C, L.T]], format="csr")
+        assert (J.tocsc() != blocks).nnz == 0
+        x = rng.standard_normal(2 * n)
+        got, want = J @ x, blocks @ x
+        # the CSR product sums a whole row of the assembled matrix in one
+        # sequence, J one block at a time: they agree to rounding
+        assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
+        if c_F == 1.0:   # scaling by c_F = 1 adds no rounding to the block sums
+            assert np.array_equal(got, np.concatenate([L @ x[:n] - M @ x[n:],
+                                                       C @ x[:n] + L.T @ x[n:]]))
+
+    def test_a_solve_leaves_no_derived_geometry_on_its_meshes(self, sine_problem):
+        meshes = mf.mesh_hierarchy("xz_square", 6)
+        mesh = meshes[6]
+        mf.solve_mfg(mf.P1Space(mesh), sine_problem,
+                     mf.build_xz_tensor(mesh, sine_problem.hamiltonian.L_H))
+        # the multigrid reads the coarser spaces' dof maps, never their gradients
+        for coarse in meshes[:-1]:
+            assert "basis_gradients" not in vars(coarse)
+        for each in meshes:
+            assert not {"edge_lengths", "diameters", "inradii",
+                        "internal_edge_mask", "barycenters"} & set(vars(each))
+
+    def test_kfp_solve_holds_one_basis_vector_per_iteration(self, square_spaces, sine_problem):
+        space = square_spaces[6]
+        system = assembly.DiscreteSystem(space, sine_problem,
+                                         mf.build_xz_tensor(space.mesh, 1.0))
+        u = mf.interpolate(space, lambda x, y: np.sin(np.pi * x) * np.sin(np.pi * y))
+        system.solve(u)   # linearizes at u and builds the hierarchy the solve below reuses
+        factorizations, iters = system.factorizations, system.krylov_iters
+        tracemalloc.start()
+        try:
+            entry = tracemalloc.get_traced_memory()[0]
+            system.solve(u)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        k = system.krylov_iters - iters
+        assert system.factorizations == factorizations and 0 < k < assembly.KRYLOV_MAX
+        # k + 1 basis vectors and the V-cycle's few temporaries, not KRYLOV_MAX + 1
+        assert peak - entry <= (k + 4) * space.ndof * np.dtype(float).itemsize
 
 
 class TestDriftMatrices:

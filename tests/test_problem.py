@@ -179,7 +179,8 @@ def whole_mesh_loads(space, f, gt, degree):
     gq = np.asarray(gt(xq[..., 0], xq[..., 1]), dtype=float)
     mean = np.einsum("tqd,q->td", gq, rule.weights)
     vector = np.einsum("td,tid->ti", mean, space.elem_grads) * mesh.areas[:, None]
-    return assembly._scatter_load(space, scalar), assembly._scatter_load(space, vector)
+    return (assembly._scatter_load(space, lambda blk: scalar[blk]),
+            assembly._scatter_load(space, lambda blk: vector[blk]))
 
 
 class TestOneTrigPass:
