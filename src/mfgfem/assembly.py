@@ -43,8 +43,12 @@ another linearization, and retry GMRES once; otherwise, or when the retry
 misses too, solve directly.  A direct solution passes ``checked``, the same
 test, so every solution passes it exactly once.  ``H1Gram(space)`` solves with
 the space's H1 Gram matrix, that of the residual dual norms, by CG
-preconditioned with the V-cycle of its own hierarchy, or one LU when CG falls short.
-``factorize`` is the one place a sparse LU is made.
+preconditioned with the V-cycle of its own hierarchy, or one LU when CG falls
+short; its ``DualNormBracket`` of a load holds certified lower and upper bounds
+on the load's dual norm, from the CG energy and the CG residual over a lower
+bound of the spectrum of G, which each further cycle narrows until the CG
+meets its rule and the bracket closes at ``dual_norm``, bitwise the value of
+a full solve.  ``factorize`` is the one place a sparse LU is made.
 """
 
 from __future__ import annotations
@@ -218,6 +222,14 @@ def scatter_columns(space, col, full=None):
     return _scatter(space, lambda blk: np.repeat(col(blk)[:, None, :], 3, axis=1), full)
 
 
+def norms2(v):
+    """|v| over a last axis of length 2: sqrt(v0 v0 + v1 v1), bitwise
+    ``np.linalg.norm(v, axis=-1)`` at a fraction of its cost.  The squares
+    underflow to 0 below about 1e-162; ``drift_excess``, ``finite_control`` and
+    ``Mesh2D.edge_lengths`` measure with ``np.hypot``, which does not."""
+    return np.sqrt(v[..., 0] * v[..., 0] + v[..., 1] * v[..., 1])
+
+
 def drift_excess(drift, bound):
     """How far the largest |b_K| of an element-wise drift exceeds ``bound``,
     with a warning; 0.0 within a relative 1e-12 of it."""
@@ -315,34 +327,49 @@ class H1Gram:
     correction is the same damped Jacobi, and the coarse operators are
     Galerkin products.  ``solve`` runs CG preconditioned with that cycle and
     falls back to one LU of G, made once and then kept for every later solve.
-    Where the hierarchy is exact, ``solve`` is its LU.  ``cycles`` counts the
-    V-cycles applied.
+    Where the hierarchy is exact, ``solve`` is its LU.  A ``DualNormBracket``
+    of a load bounds its dual norm from both sides and narrows the bounds one
+    cycle of the same CG at a time.  ``cycles`` counts the V-cycles applied.
     """
 
     def __init__(self, space):
         self.G = space.h1_gram
         self._multigrid = Multigrid(space, self.G)
         self._lu = self._multigrid.lu if self._multigrid.exact else None
+        # a lower bound on the least eigenvalue of G (see DualNormBracket)
+        self.eig_low = None if self._lu is not None else space.mass.diagonal().min() / 2.0
         self.cycles = 0
 
     def solve(self, r):
         """G^-1 r: by ``_pcg``, or by the LU of G once ``_pcg`` has failed."""
         if self._lu is None:
-            x = self._pcg(r)
-            if x is not None:
-                return x
+            steps = self._pcg(r)
+            try:
+                while True:
+                    next(steps)
+            except StopIteration as done:
+                if done.value is not None:
+                    return done.value
+        return self.direct(r)
+
+    def direct(self, r):
+        """G^-1 r by the LU of G, made on first use if the hierarchy is not
+        exact and then held, the hierarchy released."""
+        if self._lu is None:
             self._multigrid = None   # release the hierarchy before the LU
             self._lu = factorize(self.G)
         return self._lu.solve(r)
 
     def _pcg(self, r):
-        """Preconditioned CG for G x = r from x = 0.
+        """Preconditioned CG for G x = r from x = 0, as a generator.
 
         The dual norm reads only r^T x_k.  It grows by alpha_k rho_k in
         iteration k, toward r^T G^-1 r, and falls short of it by the squared
-        energy norm of the error of x_k.  Returns the first x_k whose increment
-        is at most KRYLOV_RTOL times r^T x_k, so no residual of x_k is needed;
-        None after KRYLOV_MAX iterations, or when a curvature is not positive.
+        energy norm of the error of x_k.  The generator returns the first x_k
+        whose increment is at most KRYLOV_RTOL times r^T x_k, so no residual
+        of x_k is needed; None after KRYLOV_MAX iterations, or when a curvature
+        is not positive.  Every iteration that does not return yields the sum
+        r^T x_k of the increments and the residual r - G x_k.
         """
         x = np.zeros(r.size)
         if not r.any():
@@ -365,7 +392,97 @@ class H1Gram:
             if alpha * rho <= KRYLOV_RTOL * energy:
                 return x
             resid -= alpha * q
+            yield energy, resid
         return None
+
+
+def dual_norm(r, x):
+    """sqrt(r^T x) for x = G^-1 r, G symmetric positive definite; a value of
+    r^T x below rounding of zero means G is not."""
+    val = float(r @ x)
+    if val < -1e-12 * max(1.0, float(r @ r)):
+        raise SolverError("Gram matrix is not positive definite")
+    return math.sqrt(max(val, 0.0))
+
+
+class DualNormBracket:
+    """Certified bounds lo <= sqrt(r^T G^-1 r) <= hi on the dual norm of a
+    load r, for the ``H1Gram`` G, narrowed one V-cycle at a time.
+
+    ``refine`` runs one more iteration of the CG of ``H1Gram.solve``.  After k
+    of them, with x_k the iterate, r_k = r - G x_k its residual and e_k =
+    G^-1 r - x_k its error, Galerkin orthogonality splits r^T G^-1 r into
+    x_k^T G x_k = r^T x_k = sum_j alpha_j rho_j, the ``energy`` CG sums, and
+    e_k^T G e_k = r_k^T G^-1 r_k (Golub & Meurant, BIT 37, 1997; Strakos &
+    Tichy, ETNA 13, 2002).  The energy is the lower bound.  For the upper
+    bound, r_k^T G^-1 r_k <= |r_k|^2 / lambda for any lower bound lambda of
+    the eigenvalues of G, and ``H1Gram.eig_low`` = min(diag M) / 2 is one:
+    each element mass block (|K|/12)(I + 1 1^T) is at least (|K|/12) I on the
+    element's nodes, and summed over the elements of a vertex that is
+    (patch area)/12 = M_ii / 2, so M >= diag(M) / 2 >= (min_i M_ii / 2) I,
+    and G, M plus a positive semidefinite stiffness, is at least M.  So
+    before any iteration the bracket is [0, |r| / sqrt(eig_low)].  Both bounds
+    are widened by a relative KRYLOV_RTOL, above the rounding that separates
+    the energy from r^T x_k, so that a bracket holds the computed value.
+
+    The bracket closes once CG meets its KRYLOV_RTOL rule: ``value``, lo and
+    hi are then ``dual_norm(r, x)`` of the iterate ``H1Gram.solve`` returns,
+    bitwise.  On a space whose hierarchy is exact, for a zero load, and once
+    the CG falls short or the Gram solver holds its LU, it closes through
+    ``H1Gram.solve`` or ``H1Gram.direct``.  ``release`` drops the CG's
+    vectors; a later ``refine`` replays the iterations made so far from zero,
+    which reproduces them, V-cycles counted again.
+    """
+
+    def __init__(self, gram, r):
+        self.gram, self.r = gram, r
+        self.cycles = 0       # CG iterations behind lo and hi
+        self._steps = None    # the live CG, ``gram._pcg(r)``
+        self.value = None
+        if gram._lu is not None or not r.any():
+            self._close(gram.solve(r))
+        else:
+            self._bound(0.0, r)
+
+    @property
+    def closed(self):
+        return self.value is not None
+
+    def refine(self):
+        """One more CG iteration of an open bracket, or its closure."""
+        if self.gram._lu is not None:
+            self._close(self.gram.direct(self.r))
+            return
+        if self._steps is None:   # replay the released iterations
+            self._steps = self.gram._pcg(self.r)
+            for _ in range(self.cycles):
+                next(self._steps)
+        try:
+            energy, resid = next(self._steps)
+        except StopIteration as done:
+            x = done.value
+            self._close(self.gram.direct(self.r) if x is None else x)
+            return
+        self.cycles += 1
+        self._bound(energy, resid)
+
+    def close(self):
+        """Refine until closed; returns ``value``."""
+        while not self.closed:
+            self.refine()
+        return self.value
+
+    def release(self):
+        """Drop the vectors of the CG; the bounds stay."""
+        self._steps = None
+
+    def _bound(self, energy, resid):
+        self.lo = math.sqrt(energy) * (1.0 - KRYLOV_RTOL)
+        self.hi = math.sqrt(energy + (resid @ resid) / self.gram.eig_low) * (1.0 + KRYLOV_RTOL)
+
+    def _close(self, x):
+        self.value = self.lo = self.hi = dual_norm(self.r, x)
+        self._steps = None
 
 
 def grad_p_field(hamiltonian, u):

@@ -54,23 +54,30 @@ def huber_ball(R):
         raise ConfigurationError("R must be positive")
 
     def value(p):
-        p = np.asarray(p, dtype=float)
-        r = np.linalg.norm(p, axis=-1)
+        r = assembly.norms2(np.asarray(p, dtype=float))
         return np.where(r <= R, 0.5 * r ** 2, R * r - 0.5 * R ** 2)
 
     def grad_p(p):
         p = np.asarray(p, dtype=float)
-        r = np.linalg.norm(p, axis=-1)
-        scale = R / np.maximum(r, R)   # 1 on the disk, R / |p| outside it
+        scale = R / np.maximum(assembly.norms2(p), R)   # 1 on the disk, R / |p| outside it
         return scale[..., None] * p
 
     def hess_p(p):
-        # I on the disk, (R / |p|)(I - q q^T) with q = p / |p| outside it
+        # I on the disk, (R / |p|)(I - q q^T) with q = p / |p| outside it,
+        # formed entry by entry
         p = np.asarray(p, dtype=float)
-        r = np.linalg.norm(p, axis=-1)
-        scale = R / np.maximum(r, R)
-        q = (r > R)[..., None] * p / np.maximum(r, R)[..., None]
-        return scale[..., None, None] * (np.eye(2) - q[..., :, None] * q[..., None, :])
+        r = assembly.norms2(p)
+        reach = np.maximum(r, R)
+        scale = R / reach
+        outside = r > R
+        q0 = outside * p[..., 0] / reach
+        q1 = outside * p[..., 1] / reach
+        hess = np.empty(r.shape + (2, 2))
+        hess[..., 0, 0] = scale * (1.0 - q0 * q0)
+        hess[..., 0, 1] = scale * (0.0 - q0 * q1)
+        hess[..., 1, 0] = scale * (0.0 - q1 * q0)
+        hess[..., 1, 1] = scale * (1.0 - q1 * q1)
+        return hess
 
     return HamiltonianSpec(value=value, grad_p=grad_p, hess_p=hess_p, L_H=float(R),
                            C_H=float(max(R, 0.5 * R * R)), L_Hp=1.0)
@@ -171,8 +178,8 @@ def check_gradient(spec, samples=1000, seed=0):
         dp = np.zeros(2)
         dp[comp] = FD_STEP
         fd[:, comp] = (spec.value(p + dp) - spec.value(p - dp)) / (2.0 * FD_STEP)
-    err = np.linalg.norm(fd - grad, axis=1)
-    scale = np.maximum(1.0, np.linalg.norm(grad, axis=1))
+    err = assembly.norms2(fd - grad)
+    scale = np.maximum(1.0, assembly.norms2(grad))
     return float((err / scale).max())
 
 

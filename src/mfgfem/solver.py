@@ -13,9 +13,14 @@ only when it belongs to another linearization.
 Convergence is declared on the dual norms of the two discrete residual
 operators (the quantities the stability theory controls), computed via the H1
 Gram matrix: ||r||_{V*} = sqrt(r^T Gram^-1 r).  A solve builds one
-``assembly.H1Gram(space)``, of the space's ``h1_gram``, for them: CG preconditioned
-with a V-cycle to a relative ``assembly.KRYLOV_RTOL`` in r^T Gram^-1 r, or
-one LU on a space of at most ``assembly.COARSE_DOFS`` dofs.  Newton starts
+``assembly.H1Gram(space)``, of the space's ``h1_gram``, for them, and holds
+each norm as a certified bracket (``assembly.DualNormBracket``): CG
+preconditioned with a V-cycle narrows it one cycle at a time, only until the
+line search or the stop test it feeds is decided, and closes it at a relative
+``assembly.KRYLOV_RTOL`` in r^T Gram^-1 r, the value of ``riesz_dual_norm``;
+on a space of at most ``assembly.COARSE_DOFS`` dofs one LU closes it at once.
+Every decision is the one the closed values make.  The returned pair's norms
+are closed; ``history`` records the upper bounds of the others.  Newton starts
 at the zero pair, with no KFP solve; the returned density is always a KFP
 solve (of a stop test), never a Newton iterate, so it obeys the discrete
 maximum principle whenever the scheme does.
@@ -23,13 +28,12 @@ maximum principle whenever the scheme does.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field as dataclass_field
 
 import numpy as np
 
 from . import assembly
-from .errors import ConfigurationError, NonConvergenceError, SolverError
+from .errors import ConfigurationError, NonConvergenceError
 from .fespace import P1Function
 
 
@@ -60,10 +64,7 @@ def riesz_dual_norm(gram, r):
     """Discrete V* norm sqrt(r^T Gram^-1 r) of the functional with load r;
     ``gram`` solves with the Gram matrix (an ``assembly.H1Gram`` or an LU)."""
     r = np.asarray(r, dtype=float)
-    val = float(r @ gram.solve(r))
-    if val < -1e-12 * max(1.0, float(r @ r)):
-        raise SolverError("Gram matrix is not positive definite")
-    return math.sqrt(max(val, 0.0))
+    return assembly.dual_norm(r, gram.solve(r))
 
 
 def solve_kfp(system, u_fixed, m0=None):
@@ -89,6 +90,48 @@ def solve_m_k_plus(space, problem, tensor):
     return P1Function(space, assembly.checked(L.T, assembly.factorize(L.T).solve(load), load))
 
 
+def _exceeds(left, right):
+    """Whether max(left) > max(right) for the closed values of two groups of
+    ``assembly.DualNormBracket``s, decided from their bounds.
+
+    The answer is certain once the lower bound of one maximum passes the upper
+    bound of the other: True when max lo(left) > max hi(right), False when
+    max hi(left) <= max lo(right).  Until then the widest open bracket that
+    can still move its group's maximum (its hi above the group's largest lo)
+    is refined; once all such are closed, the bounds are the closed values and
+    the comparison is theirs.
+    """
+    while True:
+        (lo_left, hi_left), (lo_right, hi_right) = _bounds(left), _bounds(right)
+        if lo_left > hi_right:
+            return True
+        if hi_left <= lo_right:
+            return False
+        movable = ([b for b in left if b.hi > lo_left and not b.closed]
+                   + [b for b in right if b.hi > lo_right and not b.closed])
+        max(movable, key=_width).refine()
+
+
+def _within(brackets, tol):
+    """Whether the closed values of the brackets are all at most tol, decided
+    from their bounds: True once every hi is, False once some lo is above it;
+    until then the widest bracket whose hi is above tol (an open one, since a
+    closed one decides) is refined."""
+    while max(b.hi for b in brackets) > tol:
+        if max(b.lo for b in brackets) > tol:
+            return False
+        max((b for b in brackets if b.hi > tol), key=_width).refine()
+    return True
+
+
+def _bounds(brackets):
+    return max(b.lo for b in brackets), max(b.hi for b in brackets)
+
+
+def _width(bracket):
+    return bracket.hi - bracket.lo
+
+
 def solve_mfg(space, problem, tensor, cfg=None):
     """Damped semismooth Newton on the HJB and KFP residuals (r1, r2) at once.
 
@@ -104,13 +147,25 @@ def solve_mfg(space, problem, tensor, cfg=None):
     dual norms there: the pair is returned if they pass, and the steps go on
     from it if not; ``outer_iters`` counts the stop tests.
 
+    Every dual norm is an ``assembly.DualNormBracket``, refined one Gram
+    V-cycle at a time only until the line-search comparison or the stop test
+    it feeds is certain (``_exceeds``, ``_within``).  Each decision is the one
+    the closed values, those of ``riesz_dual_norm``, would make, so the
+    iterates are too; a stop passes only on the upper bounds.  The brackets'
+    CG vectors are released before each Newton step.  The returned pair's two
+    norms are closed, so ``residual1_dual`` and ``residual2_dual`` are
+    ``riesz_dual_norm``'s values, as are those of a NonConvergenceError.
+
     Each Newton step appends an entry to ``history``: the dual norms and min m
     of the pair it leaves (after its stop test, if it made one), the step
     length and halvings, the factorizations and GMRES iterations of its
     linear solves, the V-cycles of its dual norms (``gram_cycles``, 0 where
-    the Gram solver is an LU) and the largest excess of a drift it assembled
-    over L_H, 0.0 when all were within it (the first entry counts the zero
-    pair's too).  A NonConvergenceError carries the history of the steps before it.
+    the Gram solver is an LU or the bounds decided without one) and the
+    largest excess of a drift it assembled over L_H, 0.0 when all were within
+    it (the first entry counts the zero pair's too).  An entry's dual norms
+    are the certified upper bounds when its decisions left them open, and the
+    closed values in the last entry of a converged solve.  A
+    NonConvergenceError carries the history of the steps before it.
     """
     cfg = cfg or SolverConfig()
     if space.ndof == 0:
@@ -127,7 +182,7 @@ def solve_mfg(space, problem, tensor, cfg=None):
     def residuals(x):
         u, m = pair(x)
         r = np.concatenate([system.hjb_residual(u, m), system.kfp_residual(u, m)])
-        return r, (riesz_dual_norm(gram, r[:n]), riesz_dual_norm(gram, r[n:]))
+        return r, tuple(assembly.DualNormBracket(gram, load) for load in (r[:n], r[n:]))
 
     x = np.zeros(2 * n)
     gram = assembly.H1Gram(space)
@@ -137,29 +192,35 @@ def solve_mfg(space, problem, tensor, cfg=None):
     counted = (0, 0, 0)
     for newton in range(cfg.max_newton + 1):   # pass 0 measures the zero pair
         if newton:
+            for dual in duals:
+                dual.release()
             delta = system.newton_step(*pair(x), r)
             step, halvings = 1.0, 0
             r_new, duals_new = residuals(x + delta)
-            while max(duals_new) > max(duals):
+            while _exceeds(duals_new, duals):
                 if step <= 2.0 ** -10:
+                    last = max(dual.close() for dual in duals)
                     raise NonConvergenceError(
                         f"Newton line search raised the residual at step 2^-10 "
-                        f"(residual {max(duals):.3e})", history=history,
-                        last_residual=max(duals))
+                        f"(residual {last:.3e})", history=history, last_residual=last)
                 step *= 0.5
                 halvings += 1
                 r_new, duals_new = residuals(x + step * delta)
             x += step * delta
             r, duals = r_new, duals_new
-        stop = max(duals) <= cfg.tol_outer
+        stop = _within(duals, cfg.tol_outer)
         if stop:   # the stop test is made at (u, KFP(u)), solved from m
             u, m = pair(x)
             x[n:] = solve_kfp(system, u, m0=m).coeffs
             r, duals = residuals(x)
             outer += 1
+        done = stop and _within(duals, cfg.tol_outer)
+        if done:
+            for dual in duals:
+                dual.close()
         if newton:
-            history.append({"newton": newton, "residual1_dual": duals[0],
-                            "residual2_dual": duals[1], "step": step,
+            history.append({"newton": newton, "residual1_dual": duals[0].hi,
+                            "residual2_dual": duals[1].hi, "step": step,
                             "linesearch_halvings": halvings, "stop_test": stop,
                             "min_m": float(x[n:].min()),
                             "factorizations": system.factorizations - counted[0],
@@ -168,12 +229,13 @@ def solve_mfg(space, problem, tensor, cfg=None):
                             "drift_excess": system.drift_excess})
             counted = (system.factorizations, system.krylov_iters, gram.cycles)
             system.drift_excess = 0.0
-        if max(duals) <= cfg.tol_outer:
+        if done:
             u, m = pair(x)
             return DiscreteSolution(u=u, m=m, outer_iters=outer, newton_iters_total=newton,
-                                    residual1_dual=duals[0], residual2_dual=duals[1],
-                                    history=history)
+                                    residual1_dual=duals[0].value,
+                                    residual2_dual=duals[1].value, history=history)
 
+    last = max(dual.close() for dual in duals)
     raise NonConvergenceError(
         f"Newton did not reach {cfg.tol_outer:.1e} in {cfg.max_newton} steps "
-        f"(last residual {max(duals):.3e})", history=history, last_residual=max(duals))
+        f"(last residual {last:.3e})", history=history, last_residual=last)

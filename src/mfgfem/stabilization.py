@@ -109,7 +109,7 @@ def build_acute_tensor(mesh, L_H, nu, mu=1.1):
         raise ConfigurationError("mesh is not strictly acute (theta = 0)")
 
     diameters = mesh.diameters
-    grad_norms = np.linalg.norm(mesh.basis_gradients, axis=2)  # (nt, 3)
+    grad_norms = assembly.norms2(mesh.basis_gradients)  # (nt, 3)
     sigma_K = diameters * grad_norms.min(axis=1)
     sigma_k = float(sigma_K.min())
     coeff = np.maximum(mu * L_H * diameters / (sigma_k * np.sin(theta)) - nu, 0.0)
@@ -186,7 +186,7 @@ def certify_dmp(space, nu, tensor, L_H):
     K = assembly.assemble_diffusion(space, nu, tensor, full=pattern)
     g, areas = space.elem_grads, space.elem_areas
     B_star = assembly.scatter_columns(
-        space, lambda blk: (L_H * np.linalg.norm(g[blk], axis=2)
+        space, lambda blk: (L_H * assembly.norms2(g[blk])
                             * (areas[blk] / 3.0)[:, None]), full=pattern)
     # both hold the one full pattern; adding the data keeps exact zeros stored
     data = K.data + B_star.data

@@ -402,7 +402,9 @@ class TestSolve:
             blobs.append((out / "telemetry.json").read_bytes())
         assert blobs[0] == blobs[1]
         history = json.loads(blobs[0])["history"]
-        assert all(entry["gram_cycles"] > 0 for entry in history)
+        # measured to KRYLOV_RTOL, the dual norms of this solve took 77
+        # V-cycles; refined only as far as their decisions, at most half
+        assert 0 < sum(entry["gram_cycles"] for entry in history) <= 77 // 2
 
 
 class TestConvergence:

@@ -79,6 +79,34 @@ class TestHuberBall:
             + 0.5 * np.einsum("sd,sd->s", g, g)
         assert np.abs(residual).max() < 1e-12
 
+    @pytest.mark.parametrize("R", [0.5, 1.0, 2.0, 4.0])
+    def test_bitwise_the_linalg_norm_forms(self, R):
+        # |p| = sqrt(p0 p0 + p1 p1) and the Hessian built entry by entry are
+        # bitwise the forms written with np.linalg.norm(p, axis=-1) and
+        # np.eye(2) - q q^T, signed zeros included, on samples that hold
+        # p = 0 and |p| = R, in the shapes of a mesh and of a batch of meshes
+        rng = np.random.default_rng(int(4 * R))
+        p = 3.0 * R * rng.standard_normal((25000, 2))
+        p[:100] = 0.0
+        angle = rng.uniform(0.0, 2.0 * math.pi, 100)
+        p[100:200] = R * np.column_stack([np.cos(angle), np.sin(angle)])
+        p[200:300] = np.column_stack([np.zeros(100), rng.choice([-R, R], 100)])
+        spec = mf.huber_ball(R)
+        for sample in (p, p.reshape(-1, 5, 2)):
+            r = np.linalg.norm(sample, axis=-1)
+            assert np.array_equal(assembly.norms2(sample), r)
+            reach = np.maximum(r, R)
+            q = (r > R)[..., None] * sample / reach[..., None]
+            oracles = (np.where(r <= R, 0.5 * r ** 2, R * r - 0.5 * R ** 2),
+                       (R / reach)[..., None] * sample,
+                       (R / reach)[..., None, None]
+                       * (np.eye(2) - q[..., :, None] * q[..., None, :]))
+            for got, oracle in zip((spec.value(sample), spec.grad_p(sample),
+                                    spec.hess_p(sample)), oracles):
+                assert got.shape == oracle.shape
+                assert np.array_equal(got, oracle)
+                assert np.array_equal(np.signbit(got), np.signbit(oracle))
+
 
 class TestFiniteControl:
     def test_two_sided_max_is_absolute_value(self):
