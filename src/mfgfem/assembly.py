@@ -15,7 +15,9 @@ scaled copy of M.
 The local element matrices are formed and added into their slots block by
 block over ``mesh.element_blocks()``, in element order, so no (nt, 3, 3) or
 (nt, 2, 2) temporary is formed and the sums are bitwise those of one
-whole-mesh scatter.
+whole-mesh scatter; a stiffness block G A G^T is formed in closed form from
+the two gradient columns.  One ``linearization`` pass per new u gives K + B(u)
+and the H load from the same gradients, and the system caches both.
 
 Drift fields are element-wise constant 2-vectors.  Because P1 gradients are
 constant per triangle and the Hamiltonians do not depend on x, the Hamiltonian
@@ -61,6 +63,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .errors import ConfigurationError, SolverError
+from .mesh import ELEMENT_BLOCK
 
 # every linear solve must leave |op x - rhs| <= LINEAR_RESIDUAL_TOL (1 + |rhs|)
 LINEAR_RESIDUAL_TOL = 1e-10
@@ -192,12 +195,18 @@ def assemble_diffusion(space, nu, tensor=None, full=None):
 
 def assemble_stiffness(space, tensors, full=None):
     """Stiffness of element-wise tensors A_K: sum_K area (A_K grad xi_j).grad xi_i,
-    where ``tensors(blk)`` gives the (k, 2, 2) tensors of the triangles ``blk``."""
+    where ``tensors(blk)`` gives the (k, 2, 2) tensors of the triangles ``blk``;
+    G A G^T is (gT0 gx^T + gT1 gy^T), gTc = gx A_0c + gy A_1c, in one buffer."""
     g, areas = space.elem_grads, space.elem_areas
+    buf = np.empty((min(ELEMENT_BLOCK, len(areas)), 3, 3))
 
     def local(blk):
-        gb = g[blk]
-        blocks = gb @ tensors(blk) @ gb.transpose(0, 2, 1)
+        gx, gy, T = g[blk, :, 0], g[blk, :, 1], tensors(blk)
+        gT0, gT1 = (gx * T[:, None, 0, c] + gy * T[:, None, 1, c] for c in (0, 1))
+        del T
+        blocks = np.multiply(gT0[:, :, None], gx[:, None, :], out=buf[:len(gx)])
+        del gT0
+        blocks += gT1[:, :, None] * gy[:, None, :]
         blocks *= areas[blk, None, None]
         return blocks
 
@@ -209,10 +218,28 @@ def assemble_hjb_drift(space, drift, full=None):
 
     Its transpose is the divergence-form drift of the KFP equation."""
     drift = np.asarray(drift, dtype=float)
-    g, areas = space.elem_grads, space.elem_areas
-    return scatter_columns(
-        space, lambda blk: (np.einsum("td,tjd->tj", drift[blk], g[blk])
-                            * (areas[blk] / 3.0)[:, None]), full)
+    return scatter_columns(space, lambda blk: _drift_columns(space, drift[blk], blk), full)
+
+
+def _drift_columns(space, b, blk):
+    """(k, 3) columns (b_K . grad xi_j) area/3 of the drift b on the triangles ``blk``."""
+    return (np.einsum("td,tjd->tj", b, space.elem_grads[blk])
+            * (space.elem_areas[blk] / 3.0)[:, None])
+
+
+def linearization(space, K, drift):
+    """``(L, worst)`` from one pass over the drift b of the triangles ``blk``,
+    ``drift(blk)``: L = K + B(b), bitwise ``pattern_sum(K, assemble_hjb_drift(space,
+    b))``, and the largest |b_K| by ``np.hypot``, for ``drift_excess``."""
+    worst = 0.0
+
+    def columns(blk):
+        nonlocal worst
+        b = np.asarray(drift(blk), dtype=float)
+        worst = max(worst, float(np.hypot(b[:, 0], b[:, 1]).max(initial=0.0)))
+        return _drift_columns(space, b, blk)
+
+    return pattern_sum(K, scatter_columns(space, columns)), worst
 
 
 def scatter_columns(space, col, full=None):
@@ -230,10 +257,9 @@ def norms2(v):
     return np.sqrt(v[..., 0] * v[..., 0] + v[..., 1] * v[..., 1])
 
 
-def drift_excess(drift, bound):
-    """How far the largest |b_K| of an element-wise drift exceeds ``bound``,
-    with a warning; 0.0 within a relative 1e-12 of it."""
-    worst = np.hypot(drift[:, 0], drift[:, 1]).max(initial=0.0)
+def drift_excess(worst, bound):
+    """How far ``worst``, the largest |b_K| of a drift (``linearization``),
+    exceeds ``bound``, with a warning; 0.0 within a relative 1e-12 of it."""
     if worst <= bound * (1 + 1e-12):
         return 0.0
     warnings.warn(f"drift magnitude {worst:.3g} exceeds bound {bound:.3g}", stacklevel=3)
@@ -485,22 +511,6 @@ class DualNormBracket:
         self._steps = None
 
 
-def grad_p_field(hamiltonian, u):
-    """Element-wise drift dH/dp(grad u|_K), shape (nt, 2)."""
-    return np.asarray(hamiltonian.grad_p(u.element_gradients()), dtype=float)
-
-
-def hamiltonian_load(space, hamiltonian, u):
-    """Load vector of H[grad u] against the nodal basis, exact by the area/3
-    rule because H[grad u] is constant per triangle.  The gradients, H and
-    the loads are evaluated block by block over ``mesh.element_blocks()``, so
-    no whole-mesh per-element temporary is formed; the sum is bitwise that of
-    one whole-mesh evaluation."""
-    nodal = u.nodal_values()
-    return _scatter_load(space, lambda blk: _constant_loads(
-        space, hamiltonian.value(u.element_gradients(blk, nodal)), blk))
-
-
 def element_constant_load(space, values):
     """Load of a piecewise constant scalar field against the basis (area/3 rule)."""
     values = np.asarray(values, dtype=float)
@@ -518,7 +528,7 @@ class CoupledJacobian:
     view, the space's mass matrix M, the scalar c_F and C, acting on vectors
     stacked in (u, m) block order.  No scaled copy of M is formed: the
     coupling term is c_F (M m) (``coupling``), and only ``tocsc``, for a
-    direct solve, builds -c_F M."""
+    direct solve, builds -c_F M.  C is None where it vanishes, at m = 0."""
 
     def __init__(self, L, M, c_F, C):
         self.L, self.LT, self.M, self.c_F, self.C = L, L.T, M, c_F, C
@@ -531,7 +541,7 @@ class CoupledJacobian:
         n = self.L.shape[0]
         out = np.empty_like(x)
         out[:n] = self.L @ x[:n] - self.coupling(x[n:])
-        out[n:] = self.C @ x[:n] + self.LT @ x[n:]
+        out[n:] = self.LT @ x[n:] if self.C is None else self.C @ x[:n] + self.LT @ x[n:]
         return out
 
     def tocsc(self):
@@ -547,20 +557,19 @@ class DiscreteSystem:
     linearization K + B(u), the coupling block C(u, m) of the Newton
     Jacobian, the coupling load <F[m], xi_i> and both residuals.  The H1 Gram
     solver of the dual norms belongs to the solve, not to the system.
-    ``linearize`` caches the latest linearization and keeps in ``drift_excess``
-    the largest excess of a drift over L_H since it was last reset.  ``solve``
-    and ``newton_step`` hold one ``Multigrid`` hierarchy, that of the last
-    linearization they had to rebuild it for, and count their sparse LU
-    ``factorizations`` and GMRES iterations (``krylov_iters``).
+    ``linearize`` caches the latest linearization with its H load and keeps in
+    ``drift_excess`` the largest excess of a drift over L_H since it was last
+    reset.  ``solve`` and ``newton_step`` hold one ``Multigrid`` hierarchy,
+    that of the last linearization they had to rebuild it for, and count their
+    sparse LU ``factorizations`` and GMRES iterations (``krylov_iters``).
     """
 
     def __init__(self, space, problem, tensor):
         self.space = space
         self.problem = problem
         self.K = assemble_diffusion(space, problem.nu, tensor)
-        self.f0_load = problem.coupling.offset_load(space)
-        self.g_load = problem.source.load_vector(space)
-        # (u coefficients, L = K + B(u))
+        self.f0_load, self.g_load = problem.data_loads(space)
+        # (u coefficients, L = K + B(u), the load of H[grad u])
         self._linearization = None
         self._multigrid = None
         self.factorizations = 0
@@ -572,15 +581,24 @@ class DiscreteSystem:
         field dH/dp[grad u].
 
         The KFP operator at u is L^T.  Reassembles unless u equals the point
-        of the previous call.
+        of the previous call, in one ``linearization`` pass whose gradients also
+        give the area/3 load of H[grad u] that ``hjb_residual`` reads.
         """
         if (self._linearization is None
                 or not np.array_equal(self._linearization[0], u.coeffs)):
-            hspec = self.problem.hamiltonian
-            drift = grad_p_field(hspec, u)
-            self.drift_excess = max(self.drift_excess, drift_excess(drift, hspec.L_H))
-            self._linearization = (u.coeffs.copy(),
-                                   pattern_sum(self.K, assemble_hjb_drift(self.space, drift)))
+            hspec, space = self.problem.hamiltonian, self.space
+            nodal, dofs, tris = u.nodal_values(), space.dof_of_vertex, space.mesh.triangles
+            h_load = np.zeros(space.ndof + 1)   # dof -1 indexes slot ndof, which is dropped
+
+            def drift(blk):
+                p = u.element_gradients(blk, nodal)
+                np.add.at(h_load, dofs[tris[blk]].ravel(),
+                          _constant_loads(space, hspec.value(p), blk).ravel())
+                return hspec.grad_p(p)
+
+            L, worst = linearization(space, self.K, drift)
+            self.drift_excess = max(self.drift_excess, drift_excess(worst, hspec.L_H))
+            self._linearization = (u.coeffs.copy(), L, h_load[:-1])
         return self._linearization[1]
 
     def solve(self, u, x0=None):
@@ -718,7 +736,7 @@ class DiscreteSystem:
         mbar_K = |K|/3 sum_{i in K} m_i, a stiffness matrix on the pattern of K
         whose tensors, gradients included, are evaluated block by block.  J
         holds the space's M and the scalar c_F, not a scaled copy of M
-        (``CoupledJacobian``)."""
+        (``CoupledJacobian``); at m = 0, where C vanishes, it is None."""
         hess_p = self.problem.hamiltonian.hess_p
         nodal_u, nodal_m = u.nodal_values(), m.nodal_values()
         triangles = self.space.mesh.triangles
@@ -727,8 +745,8 @@ class DiscreteSystem:
             mean = nodal_m[triangles[blk]].mean(axis=1)
             return mean[:, None, None] * hess_p(u.element_gradients(blk, nodal_u))
 
-        return CoupledJacobian(self.linearize(u), self.space.mass, self.problem.coupling.c_F,
-                               assemble_stiffness(self.space, tensors))
+        C = assemble_stiffness(self.space, tensors) if m.coeffs.any() else None
+        return CoupledJacobian(self.linearize(u), self.space.mass, self.problem.coupling.c_F, C)
 
     def coupling_load(self, m):
         """<F[m], xi_i> for a P1 density m."""
@@ -736,9 +754,9 @@ class DiscreteSystem:
 
     def hjb_residual(self, u, m):
         """Residual load of the discrete HJB equation at (m, u):
-        <F[m], xi_i> - int A grad u . grad xi_i + H[grad u] xi_i."""
-        return (self.coupling_load(m) - self.K @ u.coeffs
-                - hamiltonian_load(self.space, self.problem.hamiltonian, u))
+        <F[m], xi_i> - int A grad u . grad xi_i + H[grad u] xi_i (``linearize``)."""
+        self.linearize(u)
+        return self.coupling_load(m) - self.K @ u.coeffs - self._linearization[2]
 
     def kfp_residual(self, u, m):
         """Residual load of the discrete KFP equation at (m, u):

@@ -114,9 +114,6 @@ class P1Space:
         return sp.csr_matrix((vals[keep], (rows[keep], cols[keep])),
                              shape=(self.ndof, parent.ndof))
 
-    def zero_function(self):
-        return P1Function(self, np.zeros(self.ndof))
-
     def __repr__(self):
         return f"P1Space(ndof={self.ndof}, mesh={self.mesh!r})"
 

@@ -20,7 +20,6 @@ import numpy as np
 from . import assembly
 from .errors import ConfigurationError
 from .fespace import P1Function
-from .solver import riesz_dual_norm
 
 # central finite-difference step and the standard deviation of the sampled p
 # in ``check_gradient``
@@ -197,8 +196,10 @@ def check_semismooth_bound(spec, space, seed=0):
     """Worst observed ratio ||remainder||_{V*} / ||v - w||_{H1}^{1+gamma} over
     SEMISMOOTH_PAIRS random P1 pairs, with the two-dimensional exponent
     gamma = SEMISMOOTH_GAMMA.
-    Dual norms go through an ``assembly.H1Gram`` of the space's ``h1_gram``,
-    as in a solve.
+    Dual norms are ``assembly.DualNormBracket``s on an ``assembly.H1Gram`` of
+    the space's ``h1_gram``, each refined only while its upper bound over
+    ||v - w||^{1+gamma} exceeds the largest ratio so far: only candidates for
+    the maximum close, and it is bitwise that of ``riesz_dual_norm``.
 
     The constant multiplying ||v - w||^{1+gamma} in the bound is existential,
     so callers assert boundedness/stability of this ratio, not a value.
@@ -216,8 +217,10 @@ def check_semismooth_bound(spec, space, seed=0):
         h1 = math.sqrt(max(float(diff @ (space.h1_gram @ diff)), 0.0))
         if h1 == 0.0:
             continue
-        remainder = linearization_remainder(spec, v, w)
-        load = assembly.element_constant_load(space, remainder)
-        ratio = riesz_dual_norm(gram_solver, load) / h1 ** (1.0 + SEMISMOOTH_GAMMA)
-        worst = max(worst, ratio)
+        bracket = assembly.DualNormBracket(gram_solver, assembly.element_constant_load(
+            space, linearization_remainder(spec, v, w)))
+        denom = h1 ** (1.0 + SEMISMOOTH_GAMMA)
+        while not bracket.closed and bracket.hi / denom > worst:
+            bracket.refine()
+        worst = max(worst, bracket.lo / denom)
     return worst

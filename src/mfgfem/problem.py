@@ -8,7 +8,10 @@ The manufactured construction works backwards from the exact pair:
 * source           gtilde := nu grad(m*) + m* dH/dp[grad u*]  (forces the KFP row),
 
 so no second derivatives of m* are ever needed and the pairing assembled for
-the source is exactly the one the discrete KFP equation tests against.
+the source is exactly the one the discrete KFP equation tests against.  A
+system reads <f0, xi_i> and <G, xi_i> from one walk over the element blocks
+(``MFGProblem.data_loads``), one set of quadrature points per block, and for a
+manufactured instance one evaluation of the exact jet (``ManufacturedData``).
 """
 
 from __future__ import annotations
@@ -114,12 +117,6 @@ class CouplingF:
     c_F: float
     offset: Optional[Callable] = None          # f0(x, y)
 
-    def offset_load(self, space):
-        """<f0, xi_i> by degree-4 quadrature."""
-        if self.offset is None:
-            return np.zeros(space.ndof)
-        return scalar_load(space, self.offset)
-
 
 # -- source -------------------------------------------------------------------
 
@@ -143,51 +140,49 @@ class SourceG:
     nonneg_certified: bool = False
     exact_load: Optional[Callable] = None  # space -> load vector
 
-    def load_vector(self, space):
-        """<G, xi_i> by degree-4 quadrature, or by ``exact_load`` when given."""
-        return source_load(space, self)
-
 
 def scalar_load(space, f, degree=4):
-    """<f, xi_i> by symmetric quadrature of the stated degree, evaluated over
-    ``mesh.element_blocks()``; each element's load is reduced as over the
-    whole mesh at once, so the blocks change no bit of it."""
-    rule = quadrature(degree)
-    mesh = space.mesh
-
-    def loads(blk):
-        x, y = quadrature_xy(mesh, rule, blk.start, blk.stop)
-        fq = np.broadcast_to(np.asarray(f(x, y), dtype=float), x.shape)
-        return np.einsum("tq,q,qi->ti", fq, rule.weights, rule.points) * mesh.areas[blk, None]
-
-    return assembly._scatter_load(space, loads)
+    """<f, xi_i> by symmetric quadrature of the stated degree (``_quadrature_loads``)."""
+    return _quadrature_loads(space, lambda x, y: (f(x, y),), degree)[0].copy()
 
 
 def vector_load(space, gt, degree=4):
-    """<gtilde, grad xi_i> by quadrature over ``mesh.element_blocks()``, as
-    ``scalar_load``; exact when gtilde is constant per element."""
-    rule = quadrature(degree)
-    mesh = space.mesh
-    grads = space.elem_grads
-
-    def loads(blk):
-        x, y = quadrature_xy(mesh, rule, blk.start, blk.stop)
-        gq = np.asarray(gt(x, y), dtype=float)   # (block, nq, 2)
-        mean = np.einsum("tqd,q->td", gq, rule.weights)
-        return np.einsum("td,tid->ti", mean, grads[blk]) * mesh.areas[blk, None]
-
-    return assembly._scatter_load(space, loads)
+    """<gtilde, grad xi_i> by quadrature, as ``scalar_load``; exact when gtilde
+    is constant per element."""
+    return _quadrature_loads(space, lambda x, y: (None, gt(x, y)), degree)[1].copy()
 
 
 def source_load(space, source):
+    """<G, xi_i> by degree-4 quadrature, or by ``exact_load`` when given."""
     if source.exact_load is not None:
         return source.exact_load(space)
-    out = np.zeros(space.ndof)
-    if source.g0 is not None:
-        out += scalar_load(space, source.g0)
-    if source.g_tilde is not None:
-        out += vector_load(space, source.g_tilde)
-    return out
+    loads = _quadrature_loads(space, lambda x, y: (None,) + tuple(
+        None if h is None else h(x, y) for h in (source.g_tilde, source.g0)))
+    return loads[1] + loads[2]
+
+
+def _quadrature_loads(space, fields, degree=4):
+    """(3, ndof) loads <f, xi_i>, <gtilde, grad xi_i>, <g0, xi_i> of the values
+    ``fields(x, y)`` gives (None or missing for zero) at the quadrature points
+    of each of ``mesh.element_blocks()``, one ``quadrature_xy`` per block; each
+    element's load is reduced and summed in element order as over the whole mesh."""
+    rule, mesh = quadrature(degree), space.mesh
+    sums = np.zeros((3, space.ndof + 1))   # dof -1 indexes slot ndof, which is dropped
+    for blk in mesh.element_blocks():
+        x, y = quadrature_xy(mesh, rule, blk.start, blk.stop)
+        dofs = space.dof_of_vertex[mesh.triangles[blk]].ravel()
+        for total, values, vector in zip(sums, fields(x, y), (False, True, False)):
+            if values is None:
+                continue
+            values = np.asarray(values, dtype=float)
+            if vector:
+                mean = np.einsum("tqd,q->td", values, rule.weights)
+                loads = np.einsum("td,tid->ti", mean, space.elem_grads[blk])
+            else:
+                loads = np.einsum("tq,q,qi->ti", np.broadcast_to(values, x.shape),
+                                  rule.weights, rule.points)
+            np.add.at(total, dofs, (loads * space.elem_areas[blk, None]).ravel())
+    return sums[:, :-1]
 
 
 def halfplane_clipped_areas(mesh, threshold):
@@ -228,6 +223,21 @@ class MFGProblem:
         if not (math.isfinite(self.nu) and self.nu > 0):
             raise ConfigurationError("nu must be finite and positive")
 
+    def data_loads(self, space):
+        """(<f0, xi_i>, <G, xi_i>), bitwise ``scalar_load`` of the offset (zero
+        without one) and ``source_load``, from one ``_quadrature_loads`` walk;
+        the offset and gtilde of one ``ManufacturedData`` share its jet."""
+        offset, source = self.coupling.offset, self.source
+        fields = (offset, source.g_tilde, source.g0) if source.exact_load is None else (offset,)
+        joint = getattr(offset, "__self__", None)
+        if isinstance(joint, ManufacturedData) and fields == (offset, joint.g_tilde, None):
+            values = joint.fields
+        else:
+            def values(x, y):
+                return tuple(None if h is None else h(x, y) for h in fields)
+        f0, gt, g0 = _quadrature_loads(space, values)
+        return f0.copy(), gt + g0 if source.exact_load is None else source.exact_load(space)
+
 
 def make_manufactured(nu, hamiltonian, c_F, domain="xz_square"):
     """Manufactured instance with exact pair u* = m* the mapped sine product
@@ -245,20 +255,32 @@ def make_manufactured(nu, hamiltonian, c_F, domain="xz_square"):
         raise ConfigurationError("manufactured instances require a smooth Hamiltonian")
     sine = sine_product_field(
         RHOMBUS_TRANSFORM if domain == "acute_rhombus" else None)
-
-    def f0(x, y):
-        value, grad, laplacian = sine.jet(x, y)
-        return -nu * laplacian + hamiltonian.value(grad) - c_F * value
-
-    def g_tilde(x, y):
-        value, grad, _ = sine.jet(x, y)
-        return nu * grad + value[..., None] * hamiltonian.grad_p(grad)
-
-    source = SourceG(g0=None, g_tilde=g_tilde, nonneg_certified=False)
+    data = ManufacturedData(sine, nu, c_F, hamiltonian)
+    source = SourceG(g0=None, g_tilde=data.g_tilde, nonneg_certified=False)
     return MFGProblem(nu=float(nu), hamiltonian=hamiltonian,
-                      coupling=CouplingF(c_F=float(c_F), offset=f0),
+                      coupling=CouplingF(c_F=float(c_F), offset=data.offset),
                       source=source, domain=domain,
                       exact=ExactSolution(u=sine, m=sine))
+
+
+@dataclass(frozen=True)
+class ManufacturedData:
+    """f0 and gtilde of a manufactured instance, from one jet of its field (``fields``)."""
+    field: ScalarField
+    nu: float
+    c_F: float
+    hamiltonian: HamiltonianSpec
+
+    def offset(self, x, y):
+        return self.fields(x, y)[0]
+
+    def g_tilde(self, x, y):
+        return self.fields(x, y)[1]
+
+    def fields(self, x, y):
+        value, grad, laplacian = self.field.jet(x, y)
+        return (-self.nu * laplacian + self.hamiltonian.value(grad) - self.c_F * value,
+                self.nu * grad + value[..., None] * self.hamiltonian.grad_p(grad))
 
 
 def make_g_one_problem(nu=1.0, hamiltonian=None, c_F=1.0, domain="xz_square"):

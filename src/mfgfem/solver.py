@@ -35,6 +35,7 @@ import numpy as np
 from . import assembly
 from .errors import ConfigurationError, NonConvergenceError
 from .fespace import P1Function
+from .problem import source_load
 
 
 @dataclass
@@ -80,13 +81,12 @@ def solve_m_k_plus(space, problem, tensor):
     EXACT value function's gradient (sampled at element barycenters)."""
     if problem.exact is None:
         raise ConfigurationError("problem carries no exact solution")
-    bary = space.mesh.barycenters
-    grads = problem.exact.u.grad(bary[:, 0], bary[:, 1])
-    drift = np.asarray(problem.hamiltonian.grad_p(grads), dtype=float)
-    assembly.drift_excess(drift, problem.hamiltonian.L_H)
-    L = assembly.pattern_sum(assembly.assemble_diffusion(space, problem.nu, tensor),
-                             assembly.assemble_hjb_drift(space, drift))
-    load = problem.source.load_vector(space)
+    bary, grad_p = space.mesh.barycenters, problem.hamiltonian.grad_p
+    L, worst = assembly.linearization(
+        space, assembly.assemble_diffusion(space, problem.nu, tensor),
+        lambda blk: grad_p(problem.exact.u.grad(bary[blk, 0], bary[blk, 1])))
+    assembly.drift_excess(worst, problem.hamiltonian.L_H)
+    load = source_load(space, problem.source)
     return P1Function(space, assembly.checked(L.T, assembly.factorize(L.T).solve(load), load))
 
 

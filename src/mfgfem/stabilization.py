@@ -208,13 +208,13 @@ def verify_h2_dmp(space, nu, tensor, L_H=None, drift=None, trials=200, seed=0):
     """
     if drift is None and L_H is None:
         raise ConfigurationError("provide either a fixed drift field or L_H")
-    if drift is not None and L_H is not None:  # a drawn drift lies in the disk
-        assembly.drift_excess(np.asarray(drift, dtype=float), L_H)
     rng = np.random.default_rng(seed)
     K = assembly.assemble_diffusion(space, nu, tensor)
-    for _ in range(trials):
+    for trial in range(trials):
         b_field = drift if drift is not None else random_disk_drift(space.mesh, L_H, rng)
-        L = assembly.pattern_sum(K, assembly.assemble_hjb_drift(space, b_field))
+        L, worst = assembly.linearization(space, K, lambda blk: b_field[blk])
+        if trial == 0 and drift is not None and L_H is not None:   # a drawn one lies in the disk
+            assembly.drift_excess(worst, L_H)
         lu = assembly.factorize(L)
         load = rng.uniform(0.0, 1.0, size=space.ndof)
         if assembly.checked(L, lu.solve(load), load).min(initial=0.0) < DMP_TOL:

@@ -34,6 +34,21 @@ def kfp_drift_oracle(space, drift):
     return C
 
 
+def drift_oracle(hamiltonian, u):
+    """Element-wise drift dH/dp(grad u|_K), (nt, 2), over the whole mesh at once."""
+    return np.asarray(hamiltonian.grad_p(u.element_gradients()), dtype=float)
+
+
+def hamiltonian_load_oracle(space, hamiltonian, u):
+    """Load of H[grad u] by the area/3 rule over the whole mesh at once: all
+    gradients, H, then one scatter of the (nt, 3) loads in element order."""
+    values = np.asarray(hamiltonian.value(u.element_gradients()), dtype=float)
+    loads = (values * space.elem_areas / 3.0)[:, None] * np.ones(3)
+    out = np.zeros(space.ndof + 1)
+    np.add.at(out, space.elem_dofs.ravel(), loads.ravel())
+    return out[:-1]
+
+
 def pytest_terminal_summary(terminalreporter):
     if ACCEPTANCE_RESULTS:
         terminalreporter.write_sep("-", "acceptance criteria")

@@ -36,7 +36,7 @@ class TestErrorNorms:
         space = square_spaces[2]
         zero = lambda x, y: np.zeros(np.shape(x))
         zero_grad = lambda x, y: np.zeros(np.shape(x) + (2,))
-        fn = space.zero_function()
+        fn = mf.P1Function(space, np.zeros(space.ndof))
         assert error_l2(fn, zero) < 1e-13
         assert error_h1(fn, zero, zero_grad) < 1e-13
         # hat-function check: exact = the hat itself, described per element
@@ -130,7 +130,7 @@ class TestInjection:
     def test_unrelated_meshes_rejected(self):
         a = mf.P1Space(mf.generate_structured_square(4))
         b = mf.P1Space(mf.generate_structured_square(8))
-        fn = a.zero_function()
+        fn = mf.P1Function(a, np.zeros(a.ndof))
         with pytest.raises(ConfigurationError):
             inject_to_descendant(fn, b)
 

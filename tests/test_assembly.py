@@ -1,4 +1,5 @@
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -13,7 +14,7 @@ from mfgfem.mesh import write_mesh
 from mfgfem.problem import scalar_load
 from mfgfem.stabilization import StabilizationTensor
 
-from conftest import kfp_drift_oracle
+from conftest import drift_oracle, hamiltonian_load_oracle, kfp_drift_oracle
 
 # hand-derived element matrices on the reference triangle (0,0), (1,0), (0,1):
 # gradients (-1,-1), (1,0), (0,1) over area 1/2
@@ -162,7 +163,18 @@ def whole_mesh_data(space, blocks):
 
 
 def whole_mesh_stiffness(space, A):
-    """(nt, 3, 3) stiffness blocks of the (nt, 2, 2) tensors A."""
+    """(nt, 3, 3) stiffness blocks of the (nt, 2, 2) tensors A by the local
+    closed form (gT0 gx^T + gT1 gy^T) area, gTc = gx A_0c + gy A_1c."""
+    gx, gy = space.elem_grads[:, :, 0], space.elem_grads[:, :, 1]
+    gT0 = gx * A[:, None, 0, 0] + gy * A[:, None, 1, 0]
+    gT1 = gx * A[:, None, 0, 1] + gy * A[:, None, 1, 1]
+    blocks = gT0[:, :, None] * gx[:, None, :] + gT1[:, :, None] * gy[:, None, :]
+    blocks *= space.elem_areas[:, None, None]
+    return blocks
+
+
+def matmul_stiffness(space, A):
+    """(nt, 3, 3) stiffness blocks G A G^T area by numpy's batched matmul."""
     g = space.elem_grads
     blocks = g @ A @ g.transpose(0, 2, 1)
     blocks *= space.elem_areas[:, None, None]
@@ -184,6 +196,18 @@ class TestBlockedAssembly:
                 K = assembly.assemble_diffusion(space, 0.7, D)
                 want = whole_mesh_data(space, whole_mesh_stiffness(space, tensors))
                 assert np.array_equal(K.data, want)
+                # the closed form is G A G^T up to the rounding of matmul
+                blocks = whole_mesh_stiffness(space, tensors)
+                gold = matmul_stiffness(space, tensors)
+                assert np.abs(blocks - gold).max() <= 1e-15 * np.abs(gold).max()
+
+    def test_stiffness_is_the_matmul_on_xz_meshes(self, square_spaces):
+        # dyadic XZ gradients make every product exact: bitwise the matmul
+        for space in square_spaces[2:7]:
+            tensor = mf.build_xz_tensor(space.mesh, 1.0)
+            A = np.eye(2) + tensor.per_element
+            gold = whole_mesh_data(space, matmul_stiffness(space, A))
+            assert np.array_equal(assembly.assemble_diffusion(space, 1.0, tensor).data, gold)
 
     def test_mass(self, blocked_spaces):
         for space in blocked_spaces:
@@ -230,16 +254,29 @@ class TestBlockedAssembly:
         mf.finite_control([(1.0, 0.0), (-1.0, 0.0), (0.0, 1.0)], [0.0, 0.1, 0.2], smoothing=0.05)],
         ids=["huber", "smoothed_finite_control"])
     def test_hamiltonian_load(self, blocked_spaces, hamiltonian):
-        # bitwise the whole-mesh evaluation: all gradients, H, then one
-        # scatter of the (nt, 3) area/3 loads in element order
+        # the H load the linearization at u caches, which the HJB residual
+        # reads, is bitwise the whole-mesh evaluation, and so is its drift
         rng = np.random.default_rng(14)
         for space in blocked_spaces:
+            problem = mf.MFGProblem(0.5, hamiltonian, mf.CouplingF(2.0), mf.SourceG())
+            system = assembly.DiscreteSystem(space, problem, None)
             u = mf.P1Function(space, rng.standard_normal(space.ndof))
-            values = np.asarray(hamiltonian.value(u.element_gradients()), dtype=float)
-            loads = (values * space.elem_areas / 3.0)[:, None] * np.ones(3)
-            want = np.zeros(space.ndof + 1)
-            np.add.at(want, space.elem_dofs.ravel(), loads.ravel())
-            assert np.array_equal(assembly.hamiltonian_load(space, hamiltonian, u), want[:-1])
+            m = mf.P1Function(space, rng.uniform(0, 1, space.ndof))
+            want = (system.coupling_load(m) - system.K @ u.coeffs
+                    - hamiltonian_load_oracle(space, hamiltonian, u))
+            assert np.array_equal(system.hjb_residual(u, m), want)
+            drift = assembly.assemble_hjb_drift(space, drift_oracle(hamiltonian, u))
+            assert np.array_equal(system.linearize(u).data, system.K.data + drift.data)
+
+    def test_linearization_measures_the_largest_drift(self, blocked_spaces):
+        rng = np.random.default_rng(15)
+        for space in blocked_spaces:
+            K = assembly.assemble_diffusion(space, 1.0)
+            drift = rng.uniform(-1, 1, (space.mesh.num_triangles, 2))
+            L, worst = assembly.linearization(space, K, lambda blk: drift[blk])
+            assert np.array_equal(L.data, assembly.pattern_sum(
+                K, assembly.assemble_hjb_drift(space, drift)).data)
+            assert worst == np.hypot(drift[:, 0], drift[:, 1]).max()
 
     def test_operators_of_a_solve_hold_the_pattern(self, square_spaces, sine_problem):
         space = square_spaces[4]
@@ -255,7 +292,7 @@ class TestBlockedAssembly:
             assert A.indptr is indptr and A.indices is indices
         assert np.array_equal(system.linearize(u).data,
                               (system.K + assembly.assemble_hjb_drift(
-                                  space, assembly.grad_p_field(sine_problem.hamiltonian, u))).data)
+                                  space, drift_oracle(sine_problem.hamiltonian, u))).data)
         # J holds the space's mass matrix and the scalar c_F, not a scaled copy
         assert J.M is space.mass
         assert J.c_F == sine_problem.coupling.c_F
@@ -278,6 +315,23 @@ class TestBlockedAssembly:
             tracemalloc.stop()
         assert J.C.nnz > 0
         assert peak - kept < 9 * nt * np.dtype(float).itemsize
+
+    def test_jacobian_at_zero_density_has_no_coupling_block(self, square_spaces, sine_problem):
+        # C vanishes with m: J at m = 0 acts as the one with an assembled zero C
+        space = square_spaces[5]
+        n = space.ndof
+        system = assembly.DiscreteSystem(space, sine_problem,
+                                         mf.build_xz_tensor(space.mesh, 1.0))
+        rng = np.random.default_rng(16)
+        u = mf.P1Function(space, rng.standard_normal(n))
+        J = system.jacobian(u, mf.P1Function(space, np.zeros(n)))
+        assert J.C is None
+        zero_C = assembly.assemble_stiffness(
+            space, lambda blk: np.zeros((blk.stop - blk.start, 2, 2)))
+        assembled = assembly.CoupledJacobian(J.L, J.M, J.c_F, zero_C)
+        x = rng.standard_normal(2 * n)
+        assert np.array_equal(J @ x, assembled @ x)
+        assert abs(J.tocsc() - assembled.tocsc()).max() == 0.0
 
 
 class TestHeldArrays:
@@ -378,10 +432,21 @@ class TestDriftMatrices:
         space = square_spaces[2]
         drift = np.tile([2.0, 0.0], (space.mesh.num_triangles, 1))
         with pytest.warns(UserWarning):
-            assert assembly.drift_excess(drift, 1.0) == pytest.approx(1.0)
+            assert assembly.drift_excess(2.0, 1.0) == pytest.approx(1.0)
         # the sampled DMP checks a fixed drift against the bound it is given
         with pytest.warns(UserWarning, match="exceeds bound"):
             mf.verify_h2_dmp(space, 1.0, None, L_H=1.0, drift=drift, trials=1)
+
+    def test_drift_excess_threshold(self):
+        # silent up to a relative 1e-12 above the bound, warning past it
+        bound = 1.5
+        edge = bound * (1 + 1e-12)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert assembly.drift_excess(edge, bound) == 0.0
+        above = float(np.nextafter(edge, np.inf))
+        with pytest.warns(UserWarning, match="exceeds bound"):
+            assert assembly.drift_excess(above, bound) == above - bound
 
 
 class TestMassAndGram:
@@ -432,7 +497,7 @@ class TestLoadsAndResiduals:
                                 source=mf.SourceG(nonneg_certified=True))
         rng = np.random.default_rng(5)
         m = mf.P1Function(space, rng.standard_normal(space.ndof))
-        u = space.zero_function()
+        u = mf.P1Function(space, np.zeros(space.ndof))
         r = assembly.DiscreteSystem(space, problem, None).hjb_residual(u, m)
         M = assembly.assemble_mass(space)
         assert np.abs(r - M @ m.coeffs).max() < 1e-14
@@ -444,7 +509,7 @@ class TestLoadsAndResiduals:
         ham = mf.huber_ball(1.0)
         rng = np.random.default_rng(6)
         u = mf.P1Function(space, rng.standard_normal(space.ndof))
-        load = assembly.hamiltonian_load(space, ham, u)
+        load = hamiltonian_load_oracle(space, ham, u)
         rule = quadrature(2)
         grads = np.repeat(u.element_gradients()[:, None, :], len(rule.weights), axis=1)
         hq = ham.value(grads)                                       # (nt, nq)

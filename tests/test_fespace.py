@@ -222,7 +222,8 @@ class TestInterpolation:
 
 class TestEvalAndGradients:
     def test_zero_function_zero_gradient(self, square_spaces):
-        fn = square_spaces[2].zero_function()
+        space = square_spaces[2]
+        fn = mf.P1Function(space, np.zeros(space.ndof))
         assert np.all(fn.element_gradients() == 0.0)
 
     def test_gradient_of_coordinate_interpolant(self, square_spaces):

@@ -96,7 +96,7 @@ def test_singular_triangle_returns_none(stale, g_one_problem, square_hierarchy):
     mesh = square_hierarchy[3]
     space = mf.P1Space(mesh)
     system = DiscreteSystem(space, g_one_problem, mf.build_xz_tensor(mesh, 1.0))
-    u = space.zero_function()
+    u = mf.P1Function(space, np.zeros(space.ndof))
     other = mf.P1Function(space, 0.1 * np.random.default_rng(3).standard_normal(space.ndof))
     system.solve(other if stale else u)
     L = system.linearize(u)

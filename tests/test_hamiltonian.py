@@ -178,9 +178,11 @@ class TestFiniteControl:
         space = square_spaces[3]
         u = mf.P1Function(space, np.random.default_rng(7).standard_normal(space.ndof))
         drift = spec.grad_p(u.element_gradients())
+        K = assembly.assemble_diffusion(space, 1.0)
+        _, worst = assembly.linearization(space, K, lambda blk: drift[blk])
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            assert assembly.drift_excess(drift, spec.L_H) == 0.0
+            assert assembly.drift_excess(worst, spec.L_H) == 0.0
 
 
 @pytest.mark.parametrize("spec", [
@@ -319,6 +321,25 @@ class TestSemismoothBound:
         r4 = check_semismooth_bound(spec, square_spaces[4], seed=0)
         assert r3 > 0 and r4 > 0
         assert max(r3, r4) / min(r3, r4) <= 2.0
+
+    def test_ratio_closes_only_candidates_for_the_maximum(self, square_spaces, monkeypatch):
+        # the largest ratio is bitwise that of closing every bracket, the
+        # riesz_dual_norm values, with at most half the Gram V-cycles
+        spec = mf.huber_ball(1.0)
+        space = square_spaces[6]
+        grams, init = [], assembly.H1Gram.__init__
+        monkeypatch.setattr(assembly.H1Gram, "__init__",
+                            lambda self, space: grams.append(self) or init(self, space))
+        ratio = check_semismooth_bound(spec, space, seed=0)
+
+        class Closed(assembly.DualNormBracket):
+            def __init__(self, gram, r):
+                super().__init__(gram, r)
+                self.close()
+
+        monkeypatch.setattr(assembly, "DualNormBracket", Closed)
+        assert check_semismooth_bound(spec, space, seed=0) == ratio
+        assert 0 < grams[0].cycles <= grams[1].cycles / 2
 
     def test_ratio_measured_by_the_solve_gram(self, square_spaces, monkeypatch):
         # above COARSE_DOFS the dual norms go through the multigrid Gram

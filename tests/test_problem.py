@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -9,6 +10,7 @@ from mfgfem.errors import ConfigurationError
 from mfgfem.fespace import quadrature, quadrature_xy
 from mfgfem.mesh import ELEMENT_BLOCK
 from mfgfem.problem import (
+    ManufacturedData,
     halfplane_clipped_areas,
     scalar_load,
     sine_product_field,
@@ -207,6 +209,40 @@ class TestOneTrigPass:
 
 
 class TestBlockedLoads:
+    @pytest.mark.parametrize("make", [
+        lambda: mf.make_manufactured(0.7, mf.huber_ball(0.8), 1.3),
+        lambda: mf.make_manufactured(1.0, mf.huber_ball(1.0), 1.0, domain="acute_rhombus"),
+        lambda: mf.make_rough_density_problem(),
+        lambda: mf.make_g_one_problem(),
+        lambda: mf.make_zero_problem()],
+        ids=["sine_square", "sine_rhombus", "rough", "g_one", "zero"])
+    def test_one_pass_data_loads(self, make, blocked_spaces, rhombus_spaces):
+        # both loads of a system from one walk, bitwise the separate loads
+        problem = make()
+        offset, source = problem.coupling.offset, problem.source
+        for space in blocked_spaces + [rhombus_spaces[4]]:
+            f0_load, g_load = problem.data_loads(space)
+            assert np.array_equal(f0_load, np.zeros(space.ndof) if offset is None
+                                  else scalar_load(space, offset))
+            assert np.array_equal(g_load, source_load(space, source))
+            if source.exact_load is None and source.g_tilde is not None:
+                assert np.array_equal(g_load, vector_load(space, source.g_tilde))
+
+    def test_manufactured_data_share_one_jet_per_block(self, blocked_spaces):
+        sine, calls = sine_product_field(), []
+
+        def jet(x, y):
+            calls.append(x.shape[0])
+            return sine.jet(x, y)
+
+        ham = mf.huber_ball(1.0)
+        data = ManufacturedData(dataclasses.replace(sine, jet=jet), 1.0, 1.0, ham)
+        problem = mf.MFGProblem(1.0, ham, mf.CouplingF(1.0, offset=data.offset),
+                                mf.SourceG(g_tilde=data.g_tilde))
+        space = blocked_spaces[2]
+        problem.data_loads(space)
+        assert calls == [blk.stop - blk.start for blk in space.mesh.element_blocks()]
+
     @pytest.mark.parametrize("degree", [1, 2, 3, 4, 5, 6])
     def test_bitwise_equal_to_whole_mesh_quadrature(self, degree, blocked_spaces, sine_problem):
         f0, gt = sine_problem.coupling.offset, sine_problem.source.g_tilde
@@ -280,7 +316,7 @@ class TestRoughInstance:
         # clipped-area load and the degree-6 quadrature load agree
         space = square_spaces[4]
         prob = mf.make_rough_density_problem(jump_x=0.5)
-        exact = prob.source.load_vector(space)
+        exact = source_load(space, prob.source)
         quad = vector_load(space, prob.source.g_tilde, degree=6)
         scale = np.abs(exact).max()
         assert np.abs(exact - quad).max() <= 1e-10 * scale
@@ -288,7 +324,7 @@ class TestRoughInstance:
     def test_load_vanishes_right_of_jump(self, square_spaces):
         space = square_spaces[3]
         prob = mf.make_rough_density_problem(jump_x=1.0 / 3.0)
-        b = prob.source.load_vector(space)
+        b = source_load(space, prob.source)
         xs = space.mesh.vertices[space.vertex_of_dof, 0]
         # hat functions supported strictly right of the jump see zero load
         far_right = xs > 1.0 / 3.0 + 1.5 * space.mesh.h_max

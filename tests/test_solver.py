@@ -21,7 +21,7 @@ from mfgfem.solver import (
     solve_mfg,
 )
 
-from conftest import kfp_drift_oracle
+from conftest import drift_oracle, hamiltonian_load_oracle, kfp_drift_oracle
 
 # independent oracle: Fourier series value of the Poisson problem -lap u = 1
 # at the center of the unit square, sum over odd (m, n) of
@@ -75,14 +75,14 @@ class TestLinearSolve:
         system = DiscreteSystem(space, g_one_problem, None)
         monkeypatch.setattr(assembly, "LINEAR_RESIDUAL_TOL", 0.0)
         with pytest.raises(SolverError, match="above tolerance"):
-            system.solve(space.zero_function())
+            system.solve(mf.P1Function(space, np.zeros(space.ndof)))
 
     def test_non_finite_solution_raises(self, g_one_problem, square_spaces):
         space = square_spaces[3]
         system = DiscreteSystem(space, g_one_problem, None)
         system.g_load[0] = np.nan
         with pytest.raises(SolverError, match="non-finite"):
-            system.solve(space.zero_function())
+            system.solve(mf.P1Function(space, np.zeros(space.ndof)))
 
 
 def _h1_gram(space):
@@ -157,7 +157,7 @@ def _dual_norm_loads(space, problem, tensor, seed):
     system = DiscreteSystem(space, problem, tensor)
     u = mf.interpolate(space, problem.exact.u.value)
     m = mf.interpolate(space, problem.exact.m.value)
-    zero = space.zero_function()
+    zero = mf.P1Function(space, np.zeros(space.ndof))
     loads = [10.0 ** rng.uniform(-8, 2) * rng.standard_normal(space.ndof) for _ in range(4)]
     loads += [system.hjb_residual(u, m), system.kfp_residual(u, m),
               system.hjb_residual(zero, zero), system.kfp_residual(zero, zero)]
@@ -426,7 +426,7 @@ class TestHJB:
         with pytest.raises(NonConvergenceError, match="2\\^-10") as err:
             solve_mfg(space, sine_problem, None)
         system = DiscreteSystem(space, sine_problem, None)
-        zero = space.zero_function()
+        zero = mf.P1Function(space, np.zeros(space.ndof))
         gram = assembly.H1Gram(space)
         start = max(riesz_dual_norm(gram, system.hjb_residual(zero, zero)),
                     riesz_dual_norm(gram, system.kfp_residual(zero, zero)))
@@ -445,42 +445,44 @@ class TestHJB:
         r = system.hjb_residual(u, m)
         ham = sine_problem.hamiltonian
         oracle = (system.coupling_load(m)
-                  + assembly.assemble_hjb_drift(space, assembly.grad_p_field(ham, u))
-                  @ u.coeffs
-                  - assembly.hamiltonian_load(space, ham, u))
+                  + assembly.assemble_hjb_drift(space, drift_oracle(ham, u)) @ u.coeffs
+                  - hamiltonian_load_oracle(space, ham, u))
         got = r + system.linearize(u) @ u.coeffs
         assert np.linalg.norm(got - oracle) <= 1e-13 * np.linalg.norm(oracle)
 
     @pytest.mark.parametrize("overshoot", [1.0, 4.0])
-    def test_one_hamiltonian_load_per_residual(self, overshoot, sine_problem,
-                                               square_hierarchy, monkeypatch):
-        # H is loaded once per pair whose residuals are measured: the zero
-        # pair, each step, each halving and each stop test; the Jacobian needs
-        # no load, and an overshooting step makes the line search halve
+    def test_one_linearization_per_iterate(self, overshoot, sine_problem,
+                                           square_hierarchy, monkeypatch):
+        # one element pass forms L(u) and the H load per new u: the zero pair,
+        # each step and each halving; the stop test's KFP solve and residuals,
+        # and the Jacobian, reuse it, and an overshooting step makes the line
+        # search halve
         space, tensor = _sine_system(3, square_hierarchy)
-        load = assembly.hamiltonian_load
+        linearization = assembly.linearization
         calls = []
-        monkeypatch.setattr(assembly, "hamiltonian_load",
-                            lambda *args: calls.append(None) or load(*args))
+        monkeypatch.setattr(assembly, "linearization",
+                            lambda *args: calls.append(None) or linearization(*args))
         newton = DiscreteSystem.newton_step
         monkeypatch.setattr(DiscreteSystem, "newton_step",
                             lambda self, u, m, rhs: overshoot * newton(self, u, m, rhs))
         sol = solve_mfg(space, sine_problem, tensor)
         halvings = sum(h["linesearch_halvings"] for h in sol.history)
         assert sol.newton_iters_total > 0 and (halvings > 0) is (overshoot > 1.0)
-        assert len(calls) == 1 + sol.newton_iters_total + halvings + sol.outer_iters
+        assert len(calls) == 1 + sol.newton_iters_total + halvings
 
 
 class TestKFP:
     def test_g_one_pure_diffusion_nonnegative(self, g_one_problem, square_spaces):
         space = square_spaces[3]
-        m = solve_kfp(DiscreteSystem(space, g_one_problem, None), space.zero_function())
+        zero = mf.P1Function(space, np.zeros(space.ndof))
+        m = solve_kfp(DiscreteSystem(space, g_one_problem, None), zero)
         assert m.coeffs.min() >= 0.0
 
     def test_zero_source(self, square_spaces):
         space = square_spaces[3]
         problem = mf.make_zero_problem()
-        m = solve_kfp(DiscreteSystem(space, problem, None), space.zero_function())
+        zero = mf.P1Function(space, np.zeros(space.ndof))
+        m = solve_kfp(DiscreteSystem(space, problem, None), zero)
         assert np.all(m.coeffs == 0.0)
 
     def test_attainable_accuracy_accepts_without_refactorizing(
@@ -493,7 +495,7 @@ class TestKFP:
         mesh = square_hierarchy[4]
         space = mf.P1Space(mesh)
         system = DiscreteSystem(space, sine_problem, mf.build_xz_tensor(mesh, 1.0))
-        system.solve(space.zero_function())
+        system.solve(mf.P1Function(space, np.zeros(space.ndof)))
         u = mf.interpolate(space, sine_problem.exact.u.value)
         monkeypatch.setattr(assembly, "KRYLOV_RTOL", 1e-16)
         x = system.solve(u)
@@ -511,7 +513,7 @@ class TestKFP:
         mesh = square_hierarchy[4]
         space = mf.P1Space(mesh)
         system = DiscreteSystem(space, sine_problem, mf.build_xz_tensor(mesh, 1.0))
-        system.solve(space.zero_function())
+        system.solve(mf.P1Function(space, np.zeros(space.ndof)))
         assert len(system._multigrid.levels) == 2
         iters = system.krylov_iters
         u = mf.interpolate(space, sine_problem.exact.u.value)
@@ -557,7 +559,7 @@ class TestKFP:
         mesh = square_hierarchy[4]
         space = mf.P1Space(mesh)
         system = DiscreteSystem(space, sine_problem, mf.build_xz_tensor(mesh, 1.0))
-        system.solve(space.zero_function())
+        system.solve(mf.P1Function(space, np.zeros(space.ndof)))
         u = mf.interpolate(space, sine_problem.exact.u.value)
         op = system.linearize(u).T
         held = system._multigrid
@@ -599,7 +601,7 @@ class TestKFP:
         u = mf.P1Function(space, 0.3 * rng.standard_normal(space.ndof))
         L = DiscreteSystem(space, g_one_problem, None).linearize(u)
         op = L.T.toarray()
-        drift = assembly.grad_p_field(g_one_problem.hamiltonian, u)
+        drift = drift_oracle(g_one_problem.hamiltonian, u)
         oracle = (assembly.assemble_diffusion(space, 1.0).toarray()
                   + kfp_drift_oracle(space, drift))
         assert np.abs(op - oracle).max() < 1e-14
@@ -784,7 +786,7 @@ class TestMFG:
         assert space.ndof > assembly.COARSE_DOFS and space.prolongation is None
         tensor = mf.build_xz_tensor(mesh, 1.0)
         system = DiscreteSystem(space, sine_problem, tensor)
-        system.solve(space.zero_function())
+        system.solve(mf.P1Function(space, np.zeros(space.ndof)))
         assert system._multigrid.exact and not system._multigrid.levels
         sol = solve_mfg(space, sine_problem, tensor)
         assert (sol.outer_iters, sol.newton_iters_total) == (1, 3)
@@ -903,7 +905,7 @@ class TestMFG:
         assert (sol.outer_iters, sol.newton_iters_total, sol.history) == (1, 0, [])
         assert not sol.u.coeffs.any()
         system = DiscreteSystem(space, sine_problem, tensor)
-        m0 = solve_kfp(system, space.zero_function())
+        m0 = solve_kfp(system, mf.P1Function(space, np.zeros(space.ndof)))
         assert np.abs(sol.m.coeffs - m0.coeffs).max() <= 1e-14 * np.abs(m0.coeffs).max()
 
     def test_nonconvergence_carries_history(self, sine_problem, square_hierarchy):
@@ -1062,7 +1064,7 @@ class TestMultigridProperty:
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(assembly, "COARSE_DOFS", 40)
             system = DiscreteSystem(space, problem, tensor)
-            system.solve(space.zero_function())
+            system.solve(mf.P1Function(space, np.zeros(space.ndof)))
             assert len(system._multigrid.levels) == space.mesh.level - 2
             sol = solve_mfg(space, problem, tensor, cfg)
             direct = _all_direct_solve(space, problem, tensor, cfg)
