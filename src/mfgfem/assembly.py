@@ -50,7 +50,11 @@ short; its ``DualNormBracket`` of a load holds certified lower and upper bounds
 on the load's dual norm, from the CG energy and the CG residual over a lower
 bound of the spectrum of G, which each further cycle narrows until the CG
 meets its rule and the bracket closes at ``dual_norm``, bitwise the value of
-a full solve.  ``factorize`` is the one place a sparse LU is made.
+a full solve.  ``factorize`` is the one place an LU is made: of an operator
+on a space of at most COARSE_DOFS dofs (a coarsest level, a small space's
+solves, the DMP trials) a LAPACK ``BandLU``, a quarter of SuperLU's cost, since
+with the dofs ordered row by row of the mesh it is a band about 2^level wide;
+of any larger operator and of the 2n Jacobian a SuperLU.
 """
 
 from __future__ import annotations
@@ -61,6 +65,7 @@ import warnings
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from scipy.linalg import lapack
 
 from .errors import ConfigurationError, SolverError
 from .mesh import ELEMENT_BLOCK
@@ -213,14 +218,6 @@ def assemble_stiffness(space, tensors, full=None):
     return _scatter(space, local, full)
 
 
-def assemble_hjb_drift(space, drift, full=None):
-    """Advection tested against nodal basis: B[i,j] = sum_K (b.grad xi_j) area/3.
-
-    Its transpose is the divergence-form drift of the KFP equation."""
-    drift = np.asarray(drift, dtype=float)
-    return scatter_columns(space, lambda blk: _drift_columns(space, drift[blk], blk), full)
-
-
 def _drift_columns(space, b, blk):
     """(k, 3) columns (b_K . grad xi_j) area/3 of the drift b on the triangles ``blk``."""
     return (np.einsum("td,tjd->tj", b, space.elem_grads[blk])
@@ -229,8 +226,10 @@ def _drift_columns(space, b, blk):
 
 def linearization(space, K, drift):
     """``(L, worst)`` from one pass over the drift b of the triangles ``blk``,
-    ``drift(blk)``: L = K + B(b), bitwise ``pattern_sum(K, assemble_hjb_drift(space,
-    b))``, and the largest |b_K| by ``np.hypot``, for ``drift_excess``."""
+    ``drift(blk)``: L = K + B(b), with the advection tested against the nodal
+    basis B[i,j] = sum_K (b_K . grad xi_j) area/3, whose transpose is the
+    divergence-form drift of the KFP equation, and the largest |b_K| by
+    ``np.hypot``, for ``drift_excess``."""
     worst = 0.0
 
     def columns(blk):
@@ -280,12 +279,49 @@ def assemble_h1_gram(space):
     return pattern_sum(space.mass, assemble_diffusion(space, 1.0))
 
 
-def factorize(op):
-    """Sparse LU of a square operator."""
+def factorize(op, space=None):
+    """LU of a square operator, with ``solve(b, trans="N"|"T")``.
+
+    An operator on the ndof dofs of ``space``, 0 < ndof <= COARSE_DOFS, is a
+    ``BandLU``; any other, the 2n Jacobian and an empty space included, a
+    SuperLU of its CSC form.  A zero pivot raises SolverError."""
+    if space is not None and 0 < op.shape[0] == space.ndof <= COARSE_DOFS:
+        return BandLU(op, space)
     try:
         return spla.splu(op.tocsc())
     except RuntimeError as exc:
         raise SolverError(f"sparse factorization failed: {exc}") from exc
+
+
+class BandLU:
+    """LU with partial pivoting of an operator on the dofs of a space, in
+    LAPACK band storage (dgbtrf, dgbtrs; Anderson et al., LAPACK Users' Guide,
+    1999).  With the dofs ranked row by row of the mesh, by y and then x, the
+    band of a mesh of level l is about 2^l wide on either side (George & Liu,
+    Computer Solution of Large Sparse Positive Definite Systems, 1981); each
+    CSR entry goes to the band slot of its row and column ranks."""
+
+    def __init__(self, op, space):
+        op = op.tocsr()
+        xy = space.mesh.vertices[space.vertex_of_dof]
+        self.order = np.lexsort((xy[:, 0], xy[:, 1]))
+        rank = np.empty_like(self.order)
+        rank[self.order] = np.arange(len(rank))
+        cols = rank[op.indices]
+        offset = np.repeat(rank, np.diff(op.indptr)) - cols   # row - column
+        self.kl, self.ku = int(offset.max(initial=0)), int(-offset.min(initial=0))
+        band = np.zeros((len(rank), 2 * self.kl + self.ku + 1))   # its transpose
+        band[cols, self.kl + self.ku + offset] = op.data
+        self.lu, self.piv, info = lapack.dgbtrf(band.T, self.kl, self.ku, overwrite_ab=True)
+        if info > 0:
+            raise SolverError(f"sparse factorization failed: zero pivot in column {info}")
+
+    def solve(self, b, trans="N"):
+        """x with op x = b, or op^T x = b if trans is "T"."""
+        x = np.empty(np.shape(b))
+        x[self.order], _ = lapack.dgbtrs(self.lu, self.kl, self.ku, b[self.order],
+                                         self.piv, trans=int(trans == "T"), overwrite_b=True)
+        return x
 
 
 def checked(op, x, rhs):
@@ -293,7 +329,7 @@ def checked(op, x, rhs):
     if not np.all(np.isfinite(x)):
         raise SolverError("singular operator: non-finite solution")
     resid = np.linalg.norm(op @ x - rhs)
-    if resid > LINEAR_RESIDUAL_TOL * (1.0 + np.linalg.norm(rhs)):
+    if not resid <= LINEAR_RESIDUAL_TOL * (1.0 + np.linalg.norm(rhs)):
         raise SolverError(f"linear solve residual {resid:.3e} above tolerance")
     return x
 
@@ -322,7 +358,7 @@ class Multigrid:
             self.levels.append((op, op.T, P, R, JACOBI_WEIGHT / op.diagonal()))
             op = (R @ op @ P).tocsr()
             space = space.parent
-        self.lu = factorize(op)
+        self.lu = factorize(op, space)
         self.exact = not self.levels
 
     def solve(self, b, trans="N"):
@@ -650,7 +686,8 @@ class DiscreteSystem:
             x = self._gmres(op, precondition, rhs, x0)
         if x is None:
             self.factorizations += 1
-            return checked(op, factorize(op).solve(rhs), rhs)
+            lu = factorize(op, None if isinstance(op, CoupledJacobian) else self.space)
+            return checked(op, lu.solve(rhs), rhs)
         return x
 
     def _gmres(self, op, precondition, rhs, x0):

@@ -87,7 +87,8 @@ def solve_m_k_plus(space, problem, tensor):
         lambda blk: grad_p(problem.exact.u.grad(bary[blk, 0], bary[blk, 1])))
     assembly.drift_excess(worst, problem.hamiltonian.L_H)
     load = source_load(space, problem.source)
-    return P1Function(space, assembly.checked(L.T, assembly.factorize(L.T).solve(load), load))
+    lu = assembly.factorize(L.T, space)
+    return P1Function(space, assembly.checked(L.T, lu.solve(load), load))
 
 
 def _exceeds(left, right):

@@ -6,8 +6,8 @@ The DMP is checked two ways.  ``certify_dmp`` proves it for every drift with
 |b| <= L_H at once, from one assembly per mesh: if K plus the entrywise
 supremum of the drift matrices has negative off-diagonals, every operator of
 the class is a nonsingular M-matrix.  ``verify_h2_dmp`` samples it, one LU per
-random drift; it decides where the certificate fails and cross-checks it,
-with DMP_CROSS_CHECK_TRIALS trials, where it holds.
+random drift or one for a fixed drift; it decides where the certificate fails
+and cross-checks it, with DMP_CROSS_CHECK_TRIALS trials, where it holds.
 
 Two constructions:
 
@@ -210,12 +210,16 @@ def verify_h2_dmp(space, nu, tensor, L_H=None, drift=None, trials=200, seed=0):
         raise ConfigurationError("provide either a fixed drift field or L_H")
     rng = np.random.default_rng(seed)
     K = assembly.assemble_diffusion(space, nu, tensor)
-    for trial in range(trials):
-        b_field = drift if drift is not None else random_disk_drift(space.mesh, L_H, rng)
-        L, worst = assembly.linearization(space, K, lambda blk: b_field[blk])
-        if trial == 0 and drift is not None and L_H is not None:   # a drawn one lies in the disk
+    if drift is not None:   # one L and LU for every trial
+        L, worst = assembly.linearization(space, K, lambda blk: drift[blk])
+        if L_H is not None:   # a drawn drift lies in the disk
             assembly.drift_excess(worst, L_H)
-        lu = assembly.factorize(L)
+        lu = assembly.factorize(L, space)
+    for _ in range(trials):
+        if drift is None:
+            b_field = random_disk_drift(space.mesh, L_H, rng)
+            L, _ = assembly.linearization(space, K, lambda blk: b_field[blk])
+            lu = assembly.factorize(L, space)
         load = rng.uniform(0.0, 1.0, size=space.ndof)
         if assembly.checked(L, lu.solve(load), load).min(initial=0.0) < DMP_TOL:
             return False

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import mfgfem as mf
+from mfgfem import assembly
 from mfgfem.mesh import ELEMENT_BLOCK
 from mfgfem.solver import SolverConfig
 
@@ -32,6 +33,34 @@ def kfp_drift_oracle(space, drift):
                 if j >= 0:
                     C[i, j] += weight
     return C
+
+
+def assemble_hjb_drift(space, drift, full=None):
+    """Advection tested against nodal basis: B[i,j] = sum_K (b.grad xi_j) area/3,
+    on the pattern of the space or on ``full``; its transpose is the
+    divergence-form drift of the KFP equation.  ``assembly.linearization``
+    forms K + B(b) bitwise ``pattern_sum(K, assemble_hjb_drift(space, b))``."""
+    drift = np.asarray(drift, dtype=float)
+    return assembly.scatter_columns(
+        space, lambda blk: (np.einsum("td,tjd->tj", drift[blk], space.elem_grads[blk])
+                            * (space.elem_areas[blk] / 3.0)[:, None]), full)
+
+
+def track_factorizations(monkeypatch):
+    """Patch ``assembly.factorize`` to record the size of every LU it makes,
+    2n for the 2n ``CoupledJacobian``, with the operator and the LU; returns
+    the list of ``(size, op, lu)`` it appends to."""
+    made = []
+    factorize = assembly.factorize
+
+    def tracking(op, space=None):
+        lu = factorize(op, space)
+        jacobian = isinstance(op, assembly.CoupledJacobian)
+        made.append((2 * op.L.shape[0] if jacobian else op.shape[0], op, lu))
+        return lu
+
+    monkeypatch.setattr(assembly, "factorize", tracking)
+    return made
 
 
 def drift_oracle(hamiltonian, u):

@@ -35,7 +35,7 @@ from mfgfem.analysis import check_l2_monotonicity_inequality, error_l2
 from mfgfem.hamiltonian import check_gradient, check_semismooth_bound
 from mfgfem.solver import solve_m_k_plus
 
-from conftest import kfp_drift_oracle, record_criterion
+from conftest import assemble_hjb_drift, kfp_drift_oracle, record_criterion
 
 
 def in_window(value, lo, hi):
@@ -260,7 +260,7 @@ class TestCriterion9AssemblyOracles:
         space = square_spaces[4]
         rng = np.random.default_rng(9)
         drift = rng.uniform(-1, 1, (space.mesh.num_triangles, 2))
-        B = assembly.assemble_hjb_drift(space, drift)
+        B = assemble_hjb_drift(space, drift)
         C = kfp_drift_oracle(space, drift)
         transpose_ok = np.abs(C - B.T.toarray()).max() < 1e-14
 

@@ -5,16 +5,19 @@ import numpy as np
 import pytest
 import scipy.linalg
 import scipy.sparse as sp
+import scipy.sparse.linalg
 
 import mfgfem as mf
 from mfgfem import assembly
 from mfgfem.assembly import csr_pattern
+from mfgfem.errors import SolverError
 from mfgfem.fespace import quadrature
 from mfgfem.mesh import write_mesh
 from mfgfem.problem import scalar_load
 from mfgfem.stabilization import StabilizationTensor
 
-from conftest import drift_oracle, hamiltonian_load_oracle, kfp_drift_oracle
+from conftest import (assemble_hjb_drift, drift_oracle, hamiltonian_load_oracle,
+                      kfp_drift_oracle, track_factorizations)
 
 # hand-derived element matrices on the reference triangle (0,0), (1,0), (0,1):
 # gradients (-1,-1), (1,0), (0,1) over area 1/2
@@ -78,6 +81,22 @@ def check_pattern_and_scatter(space, full, blocks):
     assert np.array_equal(A.data, data)
 
 
+def shuffled_file_space(tmp_path, n):
+    """The space of the structured n-square read back from a file whose
+    vertices and triangles are in random order, and the generator that
+    shuffled them."""
+    rng = np.random.default_rng(11)
+    base = mf.generate_structured_square(n)
+    perm = rng.permutation(base.num_vertices)
+    vertices = np.empty_like(base.vertices)
+    vertices[perm] = base.vertices
+    triangles = rng.permuted(perm[base.triangles], axis=1)
+    triangles = triangles[rng.permutation(base.num_triangles)]
+    path = tmp_path / "shuffled.mesh"
+    write_mesh(mf.Mesh2D(vertices, triangles), path)
+    return mf.P1Space(mf.read_mesh(path)), rng
+
+
 class TestElementOracles:
     def test_reference_stiffness(self):
         space = reference_space()
@@ -92,7 +111,7 @@ class TestElementOracles:
     def test_constant_drift_on_reference(self):
         # column j entry = (grad xi_j)_x * area / 3 = (grad xi_j)_x / 6
         space = reference_space()
-        B = assembly.assemble_hjb_drift(space, [[1.0, 0.0]],
+        B = assemble_hjb_drift(space, [[1.0, 0.0]],
                                         full=assembly.full_pattern(space)).toarray()
         expected_cols = np.array([-1.0, 1.0, 0.0]) / 6.0
         assert np.allclose(B, np.tile(expected_cols, (3, 1)), atol=1e-15)
@@ -109,16 +128,7 @@ class TestElementOracles:
     def test_pattern_of_shuffled_file_mesh(self, full, tmp_path):
         # vertex and triangle order of a file are arbitrary: the dofs of the
         # interior vertices and the edge ends then follow no grid order
-        rng = np.random.default_rng(11)
-        base = mf.generate_structured_square(7)
-        perm = rng.permutation(base.num_vertices)
-        vertices = np.empty_like(base.vertices)
-        vertices[perm] = base.vertices
-        triangles = rng.permuted(perm[base.triangles], axis=1)
-        triangles = triangles[rng.permutation(base.num_triangles)]
-        path = tmp_path / "shuffled.mesh"
-        write_mesh(mf.Mesh2D(vertices, triangles), path)
-        space = mf.P1Space(mf.read_mesh(path))
+        space, rng = shuffled_file_space(tmp_path, 7)
         blocks = rng.standard_normal((space.mesh.num_triangles, 3, 3))
         check_pattern_and_scatter(space, full, blocks)
 
@@ -222,7 +232,7 @@ class TestBlockedAssembly:
             col = (np.einsum("td,tjd->tj", drift, space.elem_grads)
                    * (space.elem_areas / 3.0)[:, None])
             blocks = np.repeat(col[:, None, :], 3, axis=1)
-            assert np.array_equal(assembly.assemble_hjb_drift(space, drift).data,
+            assert np.array_equal(assemble_hjb_drift(space, drift).data,
                                   whole_mesh_data(space, blocks))
 
     @pytest.mark.parametrize("hamiltonian", [
@@ -265,7 +275,7 @@ class TestBlockedAssembly:
             want = (system.coupling_load(m) - system.K @ u.coeffs
                     - hamiltonian_load_oracle(space, hamiltonian, u))
             assert np.array_equal(system.hjb_residual(u, m), want)
-            drift = assembly.assemble_hjb_drift(space, drift_oracle(hamiltonian, u))
+            drift = assemble_hjb_drift(space, drift_oracle(hamiltonian, u))
             assert np.array_equal(system.linearize(u).data, system.K.data + drift.data)
 
     def test_linearization_measures_the_largest_drift(self, blocked_spaces):
@@ -275,7 +285,7 @@ class TestBlockedAssembly:
             drift = rng.uniform(-1, 1, (space.mesh.num_triangles, 2))
             L, worst = assembly.linearization(space, K, lambda blk: drift[blk])
             assert np.array_equal(L.data, assembly.pattern_sum(
-                K, assembly.assemble_hjb_drift(space, drift)).data)
+                K, assemble_hjb_drift(space, drift)).data)
             assert worst == np.hypot(drift[:, 0], drift[:, 1]).max()
 
     def test_operators_of_a_solve_hold_the_pattern(self, square_spaces, sine_problem):
@@ -291,7 +301,7 @@ class TestBlockedAssembly:
                   assembly.assemble_h1_gram(space)):
             assert A.indptr is indptr and A.indices is indices
         assert np.array_equal(system.linearize(u).data,
-                              (system.K + assembly.assemble_hjb_drift(
+                              (system.K + assemble_hjb_drift(
                                   space, drift_oracle(sine_problem.hamiltonian, u))).data)
         # J holds the space's mass matrix and the scalar c_F, not a scaled copy
         assert J.M is space.mass
@@ -395,14 +405,14 @@ class TestDriftMatrices:
     def test_zero_drift(self, square_spaces):
         space = square_spaces[2]
         drift = np.zeros((space.mesh.num_triangles, 2))
-        assert assembly.assemble_hjb_drift(space, drift).nnz == 0 or \
-            abs(assembly.assemble_hjb_drift(space, drift)).max() == 0.0
+        assert assemble_hjb_drift(space, drift).nnz == 0 or \
+            abs(assemble_hjb_drift(space, drift)).max() == 0.0
 
     def test_kfp_is_transpose_of_hjb(self, square_spaces):
         space = square_spaces[3]
         rng = np.random.default_rng(0)
         drift = rng.standard_normal((space.mesh.num_triangles, 2))
-        B = assembly.assemble_hjb_drift(space, drift)
+        B = assemble_hjb_drift(space, drift)
         C = kfp_drift_oracle(space, drift)
         assert np.abs(C - B.T.toarray()).max() < 1e-14
 
@@ -412,7 +422,7 @@ class TestDriftMatrices:
         rng = np.random.default_rng(1)
         drift = rng.uniform(-1, 1, (space.mesh.num_triangles, 2))
         L = (assembly.assemble_diffusion(space, 1.0)
-             + assembly.assemble_hjb_drift(space, drift))
+             + assemble_hjb_drift(space, drift))
         for _ in range(5):
             v = rng.standard_normal(space.ndof)
             w = rng.standard_normal(space.ndof)
@@ -422,7 +432,7 @@ class TestDriftMatrices:
         # int b . grad(phi) = 0 for constant b and phi in the zero-trace space
         space = square_spaces[3]
         drift = np.tile([0.4, -0.3], (space.mesh.num_triangles, 1))
-        C = assembly.assemble_hjb_drift(space, drift).T
+        C = assemble_hjb_drift(space, drift).T
         ones = mf.interpolate(space, lambda x, y: np.ones_like(x))
         # sum_i (C 1)_i pairs the constant drift against grad of the hat sums
         total = float(np.sum(C.T @ ones.coeffs))
@@ -532,7 +542,8 @@ class TestMultigrid:
         # level 5 is its own coarsest level: its hierarchy is the LU of L
         L = self.linearization(sine_problem, square_spaces[6])
         mg = assembly.Multigrid(square_spaces[6], L)
-        assert len(mg.levels) == 1 and mg.lu.shape == (961, 961) and not mg.exact
+        assert len(mg.levels) == 1 and len(mg.lu.order) == 961 and not mg.exact
+        assert isinstance(mg.lu, assembly.BandLU)
         L = self.linearization(sine_problem, square_spaces[5])
         mg = assembly.Multigrid(square_spaces[5], L)
         assert not mg.levels and mg.exact
@@ -572,3 +583,105 @@ class TestMultigrid:
         a, c = rng.standard_normal((2, space.ndof))
         lhs, rhs = a @ mg.solve(c), mg.solve(a, "T") @ c
         assert abs(lhs - rhs) <= 1e-14 * np.linalg.norm(a) * np.linalg.norm(mg.solve(c))
+
+
+class TestBandLU:
+    def operators(self, space, problem, rng):
+        """K, L(u) at a random u and the H1 Gram matrix of a space."""
+        system = assembly.DiscreteSystem(space, problem, None)
+        u = mf.P1Function(space, rng.standard_normal(space.ndof))
+        return {"K": system.K, "L": system.linearize(u), "G": space.h1_gram}
+
+    def check_matches_superlu(self, space, ops, rng):
+        for name, op in ops.items():
+            lu = assembly.factorize(op, space)
+            assert isinstance(lu, assembly.BandLU)
+            oracle = assembly.factorize(op)
+            b = rng.standard_normal(space.ndof)
+            for trans in "NT":
+                x, y = lu.solve(b, trans), oracle.solve(b, trans=trans)
+                assert np.linalg.norm(x - y) <= 1e-12 * np.linalg.norm(y), (name, trans)
+
+    @pytest.mark.parametrize("family", ["square", "rhombus"])
+    def test_solves_match_superlu(self, family, request, sine_problem, sine_problem_rhombus):
+        # K, L(u), G and the Galerkin coarse operator P^T L P of the finer
+        # level, at levels 2-5, in both directions
+        spaces = request.getfixturevalue(f"{family}_spaces")
+        problem = sine_problem if family == "square" else sine_problem_rhombus
+        rng = np.random.default_rng(29)
+        for level in range(2, 6):
+            space, fine = spaces[level], spaces[level + 1]
+            assert space.ndof <= assembly.COARSE_DOFS
+            ops = self.operators(space, problem, rng)
+            P = fine.prolongation
+            L_fine = self.operators(fine, problem, rng)["L"]
+            ops["galerkin"] = (P.T.tocsr() @ L_fine @ P).tocsr()
+            self.check_matches_superlu(space, ops, rng)
+
+    def test_file_mesh_matches_superlu(self, sine_problem, tmp_path):
+        # a file's vertex order is arbitrary; the band follows the coordinates
+        space, rng = shuffled_file_space(tmp_path, 17)
+        assert 0 < space.ndof <= assembly.COARSE_DOFS
+        self.check_matches_superlu(space, self.operators(space, sine_problem, rng), rng)
+        lu = assembly.factorize(space.h1_gram, space)
+        assert max(lu.kl, lu.ku) <= 17
+
+    @pytest.mark.parametrize("family", ["square", "rhombus"])
+    def test_band_width(self, family, request):
+        # ordered row by row, the dofs of level l couple within 2^l + 1 ranks
+        spaces = request.getfixturevalue(f"{family}_spaces")
+        for level in range(1, 6):
+            space = spaces[level]
+            lu = assembly.factorize(space.h1_gram, space)
+            assert 0 <= lu.kl <= 2 ** level + 1 and 0 <= lu.ku <= 2 ** level + 1
+
+    def test_singular_operator_raises(self, square_spaces):
+        # a zero column stays zero through the elimination: an exact zero pivot
+        space = square_spaces[3]
+        A = assembly.assemble_diffusion(space, 1.0)
+        A.data[A.indices == 3] = 0.0
+        with pytest.raises(SolverError, match="sparse factorization failed"):
+            assembly.factorize(A, space)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_operator_fails_checked(self, value, square_spaces):
+        # on the diagonal of the last dof of the band order, the factorization
+        # meets it only at its last pivot; the solution or its residual is not
+        # finite, and the residual test rejects it
+        space = square_spaces[3]
+        A = assembly.assemble_diffusion(space, 1.0).tolil()
+        xy = space.mesh.vertices[space.vertex_of_dof]
+        last = np.lexsort((xy[:, 0], xy[:, 1]))[-1]
+        A[last, last] = value
+        A = A.tocsr()
+        b = np.ones(space.ndof)
+        x = assembly.factorize(A, space).solve(b)
+        with pytest.raises(SolverError):
+            assembly.checked(A, x, b)
+
+    def test_superlu_above_coarse_dofs_and_for_the_jacobian(self, sine_problem,
+                                                            square_hierarchy, monkeypatch):
+        # a space above COARSE_DOFS, an empty space and no space at all get a
+        # SuperLU; so does the 2n Newton Jacobian of the direct fallback,
+        # while L's own direct solve is a band LU
+        space = mf.P1Space(square_hierarchy[6])
+        assert space.ndof > assembly.COARSE_DOFS
+        superlu = scipy.sparse.linalg.SuperLU
+        assert isinstance(assembly.factorize(space.h1_gram, space), superlu)
+        empty = mf.P1Space(square_hierarchy[0])
+        assert isinstance(assembly.factorize(sp.csr_matrix((0, 0)), empty), superlu)
+        small = mf.P1Space(square_hierarchy[3])
+        assert isinstance(assembly.factorize(small.h1_gram), superlu)
+
+        made = track_factorizations(monkeypatch)
+        monkeypatch.setattr(assembly.DiscreteSystem, "_gmres", lambda self, *args: None)
+        system = assembly.DiscreteSystem(small, sine_problem, None)
+        n = small.ndof
+        u = mf.interpolate(small, sine_problem.exact.u.value)
+        m = mf.interpolate(small, sine_problem.exact.m.value)
+        rhs = np.concatenate([system.hjb_residual(u, m), system.kfp_residual(u, m)])
+        system.newton_step(u, m, rhs)
+        system.solve(u)
+        assert [size for size, _, _ in made] == [n, 2 * n, n]
+        kinds = [type(lu) for _, _, lu in made]
+        assert kinds == [assembly.BandLU, superlu, assembly.BandLU]

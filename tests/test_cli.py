@@ -565,7 +565,7 @@ class TestVerify:
         factorize = assembly.factorize
         calls = []
         monkeypatch.setattr(assembly, "factorize",
-                            lambda op: calls.append(op) or factorize(op))
+                            lambda op, space=None: calls.append(op) or factorize(op, space))
         out = tmp_path / "out"
         path = self.make_config(tmp_path, out, extra="""
             problem.kind = g_one

@@ -6,7 +6,6 @@ import warnings
 
 import numpy as np
 import pytest
-import scipy.sparse.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -20,6 +19,8 @@ from mfgfem.hamiltonian import (
     check_semismooth_bound,
     linearization_remainder,
 )
+
+from conftest import track_factorizations
 
 
 class TestHuberBall:
@@ -347,17 +348,10 @@ class TestSemismoothBound:
         # LU it falls back to when CG is capped at one iteration
         spec = mf.huber_ball(1.0)
         space = square_spaces[6]
-        splu = scipy.sparse.linalg.splu
-        sizes = []
-
-        def tracking_splu(A, *args, **kwargs):
-            sizes.append(A.shape[0])
-            return splu(A, *args, **kwargs)
-
-        monkeypatch.setattr(scipy.sparse.linalg, "splu", tracking_splu)
+        made = track_factorizations(monkeypatch)
         ratio = check_semismooth_bound(spec, space, seed=0)
-        assert max(sizes) <= assembly.COARSE_DOFS < space.ndof
+        assert max(size for size, _, _ in made) <= assembly.COARSE_DOFS < space.ndof
         monkeypatch.setattr(assembly, "KRYLOV_MAX", 1)
         assert check_semismooth_bound(spec, space, seed=0) == pytest.approx(
             ratio, rel=1e-12, abs=0.0)
-        assert max(sizes) == space.ndof
+        assert max(size for size, _, _ in made) == space.ndof

@@ -10,6 +10,8 @@ from mfgfem import analysis, assembly
 from mfgfem.errors import ConfigurationError, InvariantViolation, SolverError
 from mfgfem.stabilization import StabilizationTensor, random_disk_drift
 
+from conftest import assemble_hjb_drift, track_factorizations
+
 SQRT2 = math.sqrt(2.0)
 # certificate margins at levels 2-6 with each family's own tensor, nu = L_H = 1
 CERTIFIED_MARGINS = {
@@ -297,7 +299,7 @@ class TestCertifyDMP:
 
         # every drift of the class stays below the bound entrywise
         drift = random_disk_drift(mesh, L_H, np.random.default_rng(seed))
-        L = K + assembly.assemble_hjb_drift(space, drift, full=pattern).toarray()
+        L = K + assemble_hjb_drift(space, drift, full=pattern).toarray()
         slack = 1e-14 * np.abs(bound).max()
         assert np.all(L[mask] <= bound[mask] + slack)
 
@@ -310,7 +312,7 @@ class TestCertifyDMP:
         for t in np.nonzero((mesh.tri_edges == edge).any(axis=1))[0]:
             grad_j = mesh.basis_gradients[t, list(mesh.triangles[t]).index(j)]
             drift[t] = L_H * grad_j / np.linalg.norm(grad_j)
-        B = assembly.assemble_hjb_drift(space, drift, full=pattern)
+        B = assemble_hjb_drift(space, drift, full=pattern)
         B_star = bound - K
         assert B[i, j] == pytest.approx(B_star[i, j], rel=1e-15)
 
@@ -346,6 +348,19 @@ class TestVerifyH2DMP:
         drift = np.tile([8.0, 8.0], (space.mesh.num_triangles, 1))
         result = mf.verify_h2_dmp(space, 0.05, None, drift=drift, trials=40, seed=3)
         assert result is False
+
+    def test_fixed_drift_factorizes_once(self, square_spaces, monkeypatch):
+        # a fixed drift gives one L for every trial, so one LU; a drawn drift
+        # gives a new L, and LU, per trial
+        made = track_factorizations(monkeypatch)
+        space = square_spaces[3]
+        drift = np.tile([8.0, 8.0], (space.mesh.num_triangles, 1))
+        assert mf.verify_h2_dmp(space, 1.0, None, drift=drift, trials=40, seed=3)
+        assert len(made) == 1
+        tensor = mf.build_xz_tensor(space.mesh, 1.0)
+        assert mf.verify_h2_dmp(space, 1.0, tensor, L_H=1.0, trials=5, seed=2)
+        assert len(made) == 1 + 5
+        assert all(isinstance(lu, assembly.BandLU) for _, _, lu in made)
 
     def test_disk_drift_radius(self, square_hierarchy):
         rng = np.random.default_rng(0)
