@@ -31,7 +31,7 @@ for level in range(5):
     tensor = mf.build_acute_tensor(mesh, L_H, NU, mu=1.1)
     size = np.abs(tensor.per_element).max()
     print(f"  level {mesh.level}: max |D| = {size:.4f}"
-          + ("  (vanished)" if tensor.is_zero else ""))
+          + ("  (vanished)" if not tensor.per_element.any() else ""))
     mesh = mf.refine_red(mesh)
 
 print()

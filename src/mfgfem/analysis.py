@@ -185,6 +185,8 @@ FAMILY_ROOTS = {
 def mesh_hierarchy(family, max_level, root=None):
     """Nested meshes of a family up to ``max_level`` (index = level), at most
     ``mesh.MAX_LEVEL``."""
+    if max_level < 0:
+        raise ConfigurationError(f"mesh level {max_level} is negative")
     if max_level > MAX_LEVEL:
         raise ConfigurationError(f"mesh level {max_level} exceeds MAX_LEVEL = {MAX_LEVEL}")
     if root is None:
@@ -225,6 +227,8 @@ def run_convergence_study(problem, family, levels, stabilization_kind, cfg=None,
         raise ConfigurationError("no levels requested")
     if len(set(levels)) < len(levels):
         raise ConfigurationError(f"repeated level in {levels}")
+    if levels[0] < 0:
+        raise ConfigurationError(f"negative level in {levels}")
     cfg = cfg or SolverConfig()
     use_reference = problem.exact is None
     if use_reference and reference_offset < 1:

@@ -43,18 +43,18 @@ KRYLOV_RTOL and accepts it if its true residual passes LINEAR_RESIDUAL_TOL.
 After a miss, the one rule: rebuild only when the held hierarchy belongs to
 another linearization, and retry GMRES once; otherwise, or when the retry
 misses too, solve directly.  A direct solution passes ``checked``, the same
-test, so every solution passes it exactly once.  ``H1Gram(space)`` solves with
-the space's H1 Gram matrix, that of the residual dual norms, by CG
-preconditioned with the V-cycle of its own hierarchy, or one LU when CG falls
-short; its ``DualNormBracket`` of a load holds certified lower and upper bounds
-on the load's dual norm, from the CG energy and the CG residual over a lower
-bound of the spectrum of G, which each further cycle narrows until the CG
-meets its rule and the bracket closes at ``dual_norm``, bitwise the value of
-a full solve.  ``factorize`` is the one place an LU is made: of an operator
-on a space of at most COARSE_DOFS dofs (a coarsest level, a small space's
-solves, the DMP trials) a LAPACK ``BandLU``, a quarter of SuperLU's cost, since
-with the dofs ordered row by row of the mesh it is a band about 2^level wide;
-of any larger operator and of the 2n Jacobian a SuperLU.
+test, so every solution passes it exactly once.  ``H1Gram(space)`` holds the
+space's H1 Gram matrix, that of the residual dual norms, with the V-cycle of
+its own hierarchy, or one LU when CG falls short; a ``DualNormBracket`` of a
+load is the one path to its dual norm, holding certified lower and upper
+bounds from the CG energy and the CG residual over a lower bound of the
+spectrum of G, which each further cycle narrows until the CG meets its rule
+and the bracket closes at ``dual_norm``.  ``factorize`` is the one place an
+LU is made: of an operator on a space of at most COARSE_DOFS dofs (a
+coarsest level, a small space's solves, the DMP trials) a LAPACK ``BandLU``,
+a quarter of SuperLU's cost, since with the dofs ordered row by row of the
+mesh it is a band about 2^level wide; of any larger operator and of the 2n
+Jacobian a SuperLU.
 """
 
 from __future__ import annotations
@@ -387,11 +387,12 @@ class H1Gram:
     G is symmetric positive definite, and so is the V-cycle of its
     ``Multigrid`` hierarchy: the smoothing before and after each coarse
     correction is the same damped Jacobi, and the coarse operators are
-    Galerkin products.  ``solve`` runs CG preconditioned with that cycle and
-    falls back to one LU of G, made once and then kept for every later solve.
-    Where the hierarchy is exact, ``solve`` is its LU.  A ``DualNormBracket``
-    of a load bounds its dual norm from both sides and narrows the bounds one
-    cycle of the same CG at a time.  ``cycles`` counts the V-cycles applied.
+    Galerkin products.  A ``DualNormBracket`` of a load bounds its dual norm
+    from both sides and narrows the bounds one iteration at a time of CG
+    preconditioned with that cycle (``_pcg``), which falls back to one LU of G
+    (``direct``), made once and then kept for every later load.  Where the
+    hierarchy is exact, ``direct`` is its LU.  ``cycles`` counts the V-cycles
+    applied.
     """
 
     def __init__(self, space):
@@ -401,18 +402,6 @@ class H1Gram:
         # a lower bound on the least eigenvalue of G (see DualNormBracket)
         self.eig_low = None if self._lu is not None else space.mass.diagonal().min() / 2.0
         self.cycles = 0
-
-    def solve(self, r):
-        """G^-1 r: by ``_pcg``, or by the LU of G once ``_pcg`` has failed."""
-        if self._lu is None:
-            steps = self._pcg(r)
-            try:
-                while True:
-                    next(steps)
-            except StopIteration as done:
-                if done.value is not None:
-                    return done.value
-        return self.direct(r)
 
     def direct(self, r):
         """G^-1 r by the LU of G, made on first use if the hierarchy is not
@@ -434,8 +423,6 @@ class H1Gram:
         r^T x_k of the increments and the residual r - G x_k.
         """
         x = np.zeros(r.size)
-        if not r.any():
-            return x
         resid = r.copy()
         p = None
         rho = energy = 0.0
@@ -471,7 +458,7 @@ class DualNormBracket:
     """Certified bounds lo <= sqrt(r^T G^-1 r) <= hi on the dual norm of a
     load r, for the ``H1Gram`` G, narrowed one V-cycle at a time.
 
-    ``refine`` runs one more iteration of the CG of ``H1Gram.solve``.  After k
+    ``refine`` runs one more iteration of the CG ``H1Gram._pcg``.  After k
     of them, with x_k the iterate, r_k = r - G x_k its residual and e_k =
     G^-1 r - x_k its error, Galerkin orthogonality splits r^T G^-1 r into
     x_k^T G x_k = r^T x_k = sum_j alpha_j rho_j, the ``energy`` CG sums, and
@@ -488,10 +475,10 @@ class DualNormBracket:
     the energy from r^T x_k, so that a bracket holds the computed value.
 
     The bracket closes once CG meets its KRYLOV_RTOL rule: ``value``, lo and
-    hi are then ``dual_norm(r, x)`` of the iterate ``H1Gram.solve`` returns,
-    bitwise.  On a space whose hierarchy is exact, for a zero load, and once
-    the CG falls short or the Gram solver holds its LU, it closes through
-    ``H1Gram.solve`` or ``H1Gram.direct``.  ``release`` drops the CG's
+    hi are then ``dual_norm(r, x)`` of the iterate the CG returns.  A zero
+    load closes at 0 without a solve; on a space whose hierarchy is exact, and
+    once the CG falls short or the Gram solver holds its LU, a bracket closes
+    through ``H1Gram.direct``.  ``release`` drops the CG's
     vectors; a later ``refine`` replays the iterations made so far from zero,
     which reproduces them, V-cycles counted again.
     """
@@ -501,8 +488,10 @@ class DualNormBracket:
         self.cycles = 0       # CG iterations behind lo and hi
         self._steps = None    # the live CG, ``gram._pcg(r)``
         self.value = None
-        if gram._lu is not None or not r.any():
-            self._close(gram.solve(r))
+        if not r.any():
+            self.value = self.lo = self.hi = 0.0
+        elif gram._lu is not None:
+            self._close(gram.direct(r))
         else:
             self._bound(0.0, r)
 

@@ -13,10 +13,10 @@ reference-error injection both use.
 A space holds what depends on it alone, each built by ``assembly`` on first
 use: the CSR pattern of its operators (``pattern``), its mass matrix
 (``mass``) and its H1 Gram matrix, mass plus unit stiffness (``h1_gram``).
-Per-element data it reads from its mesh where used: ``elem_dofs`` is gathered
-on each read (the scatters gather it per element block), and ``elem_grads`` is
-the mesh's ``basis_gradients``, so a parent space that only serves a
-prolongation never computes basis gradients.
+Per-element data it reads from its mesh where used: the scatters gather the
+dofs ``dof_of_vertex[triangles]`` per element block, and ``elem_grads`` is the
+mesh's ``basis_gradients``, so a parent space that only serves a prolongation
+never computes basis gradients.
 ``quadrature_xy`` gives the physical quadrature points of any range of
 elements, so loads and errors can walk the mesh in blocks.
 """
@@ -35,10 +35,9 @@ from .errors import ConfigurationError, NumericError
 
 
 class P1Space:
-    """Interior-vertex P1 space: dof maps, and the element areas, dofs and
-    basis gradients of its mesh.  Of these it stores the dof maps and the
-    mesh's ``areas``; ``elem_dofs`` and ``elem_grads`` are read from the mesh
-    when used."""
+    """Interior-vertex P1 space: dof maps, and the element areas and basis
+    gradients of its mesh.  Of these it stores the dof maps and the mesh's
+    ``areas``; ``elem_grads`` is read from the mesh when used."""
 
     _live = weakref.WeakValueDictionary()  # mesh -> its space, while one is referenced
 
@@ -58,12 +57,6 @@ class P1Space:
         for arr in (self.vertex_of_dof, self.dof_of_vertex):
             arr.setflags(write=False)
         P1Space._live[mesh] = self
-
-    @property
-    def elem_dofs(self):
-        """Dofs of the vertices of every triangle, (nt, 3); -1 marks a
-        boundary vertex.  Gathered on each read."""
-        return self.dof_of_vertex[self.mesh.triangles]
 
     @property
     def elem_grads(self):

@@ -32,11 +32,10 @@ from .hamiltonian import HamiltonianSpec, huber_ball
 
 @dataclass(frozen=True)
 class ScalarField:
-    """C^2 scalar field bundle: value, gradient and Laplacian, and ``jet``,
-    which returns the three at once from one evaluation of the field."""
+    """C^2 scalar field bundle: value, gradient, and ``jet``, which returns
+    value, gradient and Laplacian at once from one evaluation of the field."""
     value: Callable                      # (x, y) -> (...)
     grad: Callable                       # (x, y) -> (..., 2)
-    laplacian: Callable                  # (x, y) -> (...)
     jet: Callable                        # (x, y) -> (value, grad, laplacian)
 
 
@@ -83,14 +82,11 @@ def sine_product_field(transform=None):
     def grad(x, y):
         return _grad(*_trig(x, y))
 
-    def laplacian(x, y):
-        return _laplacian(*_trig(x, y))
-
     def jet(x, y):
         trig = _trig(x, y)
         return trig[0] * trig[2], _grad(*trig), _laplacian(*trig)
 
-    return ScalarField(value=value, grad=grad, laplacian=laplacian, jet=jet)
+    return ScalarField(value=value, grad=grad, jet=jet)
 
 
 def zero_field():
@@ -103,7 +99,7 @@ def zero_field():
     def jet(x, y):
         return value(x, y), grad(x, y), value(x, y)
 
-    return ScalarField(value=value, grad=grad, laplacian=value, jet=jet)
+    return ScalarField(value=value, grad=grad, jet=jet)
 
 
 RHOMBUS_TRANSFORM = np.array([[1.0, 0.5], [0.0, math.sqrt(3.0) / 2.0]])
@@ -131,34 +127,15 @@ class SourceG:
     gives a nonnegative density only for a certified source, and
     ``analysis.verify_dmp_at_solution`` refuses any other.
 
-    ``exact_load`` overrides the quadrature path for sources whose pairing has
-    a closed form (used for indicator fields, where clipped element areas make
-    the load exact even when the jump crosses element interiors).
+    ``exact_load`` replaces the quadrature in ``MFGProblem.data_loads`` for
+    sources whose pairing has a closed form (used for indicator fields, where
+    clipped element areas make the load exact even when the jump crosses
+    element interiors).
     """
     g0: Optional[Callable] = None          # (x, y) -> (...)
     g_tilde: Optional[Callable] = None     # (x, y) -> (..., 2)
     nonneg_certified: bool = False
     exact_load: Optional[Callable] = None  # space -> load vector
-
-
-def scalar_load(space, f, degree=4):
-    """<f, xi_i> by symmetric quadrature of the stated degree (``_quadrature_loads``)."""
-    return _quadrature_loads(space, lambda x, y: (f(x, y),), degree)[0].copy()
-
-
-def vector_load(space, gt, degree=4):
-    """<gtilde, grad xi_i> by quadrature, as ``scalar_load``; exact when gtilde
-    is constant per element."""
-    return _quadrature_loads(space, lambda x, y: (None, gt(x, y)), degree)[1].copy()
-
-
-def source_load(space, source):
-    """<G, xi_i> by degree-4 quadrature, or by ``exact_load`` when given."""
-    if source.exact_load is not None:
-        return source.exact_load(space)
-    loads = _quadrature_loads(space, lambda x, y: (None,) + tuple(
-        None if h is None else h(x, y) for h in (source.g_tilde, source.g0)))
-    return loads[1] + loads[2]
 
 
 def _quadrature_loads(space, fields, degree=4):
@@ -224,9 +201,11 @@ class MFGProblem:
             raise ConfigurationError("nu must be finite and positive")
 
     def data_loads(self, space):
-        """(<f0, xi_i>, <G, xi_i>), bitwise ``scalar_load`` of the offset (zero
-        without one) and ``source_load``, from one ``_quadrature_loads`` walk;
-        the offset and gtilde of one ``ManufacturedData`` share its jet."""
+        """(<f0, xi_i>, <G, xi_i>), the one path to a problem's loads: the
+        offset (zero without one) and the source by degree-4 quadrature, from
+        one ``_quadrature_loads`` walk, or the source by its ``exact_load``
+        when given; the offset and gtilde of one ``ManufacturedData`` share
+        its jet."""
         offset, source = self.coupling.offset, self.source
         fields = (offset, source.g_tilde, source.g0) if source.exact_load is None else (offset,)
         joint = getattr(offset, "__self__", None)

@@ -35,7 +35,6 @@ import numpy as np
 from . import assembly
 from .errors import ConfigurationError, NonConvergenceError
 from .fespace import P1Function
-from .problem import source_load
 
 
 @dataclass
@@ -62,10 +61,9 @@ class DiscreteSolution:
 
 
 def riesz_dual_norm(gram, r):
-    """Discrete V* norm sqrt(r^T Gram^-1 r) of the functional with load r;
-    ``gram`` solves with the Gram matrix (an ``assembly.H1Gram`` or an LU)."""
-    r = np.asarray(r, dtype=float)
-    return assembly.dual_norm(r, gram.solve(r))
+    """Discrete V* norm sqrt(r^T Gram^-1 r) of the functional with load r, for
+    the ``assembly.H1Gram`` gram: its closed ``assembly.DualNormBracket``."""
+    return assembly.DualNormBracket(gram, np.asarray(r, dtype=float)).close()
 
 
 def solve_kfp(system, u_fixed, m0=None):
@@ -86,7 +84,7 @@ def solve_m_k_plus(space, problem, tensor):
         space, assembly.assemble_diffusion(space, problem.nu, tensor),
         lambda blk: grad_p(problem.exact.u.grad(bary[blk, 0], bary[blk, 1])))
     assembly.drift_excess(worst, problem.hamiltonian.L_H)
-    load = source_load(space, problem.source)
+    load = problem.data_loads(space)[1]
     lu = assembly.factorize(L.T, space)
     return P1Function(space, assembly.checked(L.T, lu.solve(load), load))
 

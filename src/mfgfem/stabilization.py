@@ -42,10 +42,6 @@ class StabilizationTensor:
     """Symmetric PSD 2x2 matrix per triangle."""
     per_element: np.ndarray  # (nt, 2, 2)
 
-    @property
-    def is_zero(self):
-        return not np.any(self.per_element)
-
 
 def build_xz_tensor(mesh, L_H, omega_factor=None):
     """Edge-tensor stabilization for XZ meshes.

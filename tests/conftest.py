@@ -24,7 +24,7 @@ def kfp_drift_oracle(space, drift):
     """Dense divergence-form drift C[i,j] = sum_K (b_K . grad xi_i) |K| / 3,
     one triangle and one entry at a time."""
     C = np.zeros((space.ndof, space.ndof))
-    for t, dofs in enumerate(space.elem_dofs):
+    for t, dofs in enumerate(space.dof_of_vertex[space.mesh.triangles]):
         for a, i in enumerate(dofs):
             if i < 0:
                 continue
@@ -74,7 +74,7 @@ def hamiltonian_load_oracle(space, hamiltonian, u):
     values = np.asarray(hamiltonian.value(u.element_gradients()), dtype=float)
     loads = (values * space.elem_areas / 3.0)[:, None] * np.ones(3)
     out = np.zeros(space.ndof + 1)
-    np.add.at(out, space.elem_dofs.ravel(), loads.ravel())
+    np.add.at(out, space.dof_of_vertex[space.mesh.triangles].ravel(), loads.ravel())
     return out[:-1]
 
 

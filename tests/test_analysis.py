@@ -203,6 +203,20 @@ class TestStudies:
         with pytest.raises(ConfigurationError, match="MAX_LEVEL"):
             mf.mesh_hierarchy("xz_square", mf.mesh.MAX_LEVEL + 1)
 
+    def test_negative_hierarchy_level_rejected(self):
+        # range(-3) is empty, so the hierarchy was the root alone
+        with pytest.raises(ConfigurationError, match="negative"):
+            mf.mesh_hierarchy("xz_square", -3)
+
+    def test_negative_study_level_rejected(self, sine_problem, monkeypatch):
+        # meshes[-1] is the finest mesh: level -1 was solved on the level-3 one
+        def no_solve(*args, **kwargs):
+            raise AssertionError("solved before the level check")
+
+        monkeypatch.setattr("mfgfem.analysis.solve_mfg", no_solve)
+        with pytest.raises(ConfigurationError, match="negative level"):
+            mf.run_convergence_study(sine_problem, "xz_square", [-1, 2, 3], "xz")
+
 
 class TestVerdictHelpers:
     def test_dmp_gate_requires_certificate(self, sine_problem, square_spaces):

@@ -13,7 +13,7 @@ from mfgfem.assembly import csr_pattern
 from mfgfem.errors import SolverError
 from mfgfem.fespace import quadrature
 from mfgfem.mesh import write_mesh
-from mfgfem.problem import scalar_load
+from mfgfem.problem import _quadrature_loads
 from mfgfem.stabilization import StabilizationTensor
 
 from conftest import (assemble_hjb_drift, drift_oracle, hamiltonian_load_oracle,
@@ -66,7 +66,7 @@ def check_pattern_and_scatter(space, full, blocks):
         dofs, n = mesh.triangles, mesh.num_vertices
         pattern = csr_pattern(mesh, np.arange(n))
     else:
-        dofs, n = space.elem_dofs, space.ndof
+        dofs, n = space.dof_of_vertex[mesh.triangles], space.ndof
         pattern = space.pattern
     for got, want in zip(pattern, sorted_keys_pattern(dofs, n)):
         assert got.dtype == want.dtype == np.int32
@@ -254,7 +254,7 @@ class TestBlockedAssembly:
         rng = np.random.default_rng(12)
         for space in blocked_spaces:
             loads = rng.standard_normal((space.mesh.num_triangles, 3))
-            dofs = space.elem_dofs.ravel()
+            dofs = space.dof_of_vertex[space.mesh.triangles].ravel()
             keep = dofs >= 0
             want = np.bincount(dofs[keep], weights=loads.ravel()[keep], minlength=space.ndof)
             assert np.array_equal(assembly._scatter_load(space, lambda blk: loads[blk]), want)
@@ -493,8 +493,8 @@ class TestLoadsAndResiduals:
     def test_quadrature_consistency_for_polynomial_data(self, square_spaces):
         space = square_spaces[3]
         f = lambda x, y: 1.0 + 2.0 * x - y + 3.0 * x * y
-        b2 = scalar_load(space, f, degree=2)
-        b4 = scalar_load(space, f, degree=4)
+        b2 = _quadrature_loads(space, lambda x, y: (f(x, y),), degree=2)[0]
+        b4 = _quadrature_loads(space, lambda x, y: (f(x, y),), degree=4)[0]
         assert np.abs(b2 - b4).max() < 1e-12
 
     def test_zero_hamiltonian_residual_is_mass_action(self, square_spaces):
@@ -524,7 +524,7 @@ class TestLoadsAndResiduals:
         grads = np.repeat(u.element_gradients()[:, None, :], len(rule.weights), axis=1)
         hq = ham.value(grads)                                       # (nt, nq)
         expected = np.zeros(space.ndof)
-        for t, dofs in enumerate(space.elem_dofs):
+        for t, dofs in enumerate(space.dof_of_vertex[space.mesh.triangles]):
             for i, dof in enumerate(dofs):
                 if dof >= 0:
                     expected[dof] += space.elem_areas[t] * float(

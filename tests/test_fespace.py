@@ -208,7 +208,7 @@ class TestInterpolation:
         rule = quadrature(3)
         x, _ = quadrature_xy(space.mesh, rule)
         vals = fn.values_at_quadrature(rule)
-        interior_elems = np.all(space.elem_dofs >= 0, axis=1)
+        interior_elems = np.all(space.dof_of_vertex[space.mesh.triangles] >= 0, axis=1)
         assert np.allclose(vals[interior_elems], x[interior_elems], atol=1e-13)
 
     def test_non_finite_rejected(self, square_spaces):
@@ -230,7 +230,7 @@ class TestEvalAndGradients:
         space = square_spaces[3]
         fn = mf.interpolate(space, lambda x, y: x)
         grads = fn.element_gradients()
-        interior_elems = np.all(space.elem_dofs >= 0, axis=1)
+        interior_elems = np.all(space.dof_of_vertex[space.mesh.triangles] >= 0, axis=1)
         assert np.allclose(grads[interior_elems], [1.0, 0.0], atol=1e-13)
 
     def test_reference_triangle_nodal_solve(self):
@@ -254,7 +254,7 @@ class TestEvalAndGradients:
         space = rhombus_spaces[2]
         fn = mf.interpolate(space, lambda x, y: 2.0 * x - 3.0 * y + 1.0)
         grads = fn.element_gradients()
-        interior_elems = np.all(space.elem_dofs >= 0, axis=1)
+        interior_elems = np.all(space.dof_of_vertex[space.mesh.triangles] >= 0, axis=1)
         err = np.abs(grads[interior_elems] - np.array([2.0, -3.0]))
         assert err.max() < 1e-13 * 3.0
 

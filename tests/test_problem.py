@@ -11,11 +11,9 @@ from mfgfem.fespace import quadrature, quadrature_xy
 from mfgfem.mesh import ELEMENT_BLOCK
 from mfgfem.problem import (
     ManufacturedData,
+    _quadrature_loads,
     halfplane_clipped_areas,
-    scalar_load,
     sine_product_field,
-    source_load,
-    vector_load,
 )
 from mfgfem.solver import riesz_dual_norm
 
@@ -25,7 +23,7 @@ class TestExactFields:
         field = sine_product_field()
         assert field.value(0.5, 0.5) == pytest.approx(1.0)
         assert field.value(0.0, 0.3) == pytest.approx(0.0, abs=1e-15)
-        assert field.laplacian(0.5, 0.5) == pytest.approx(-2.0 * math.pi ** 2)
+        assert field.jet(0.5, 0.5)[2] == pytest.approx(-2.0 * math.pi ** 2)
         assert np.allclose(field.grad(0.5, 0.5), [0.0, 0.0], atol=1e-15)
 
     def test_sine_rhombus_vanishes_on_boundary(self):
@@ -54,7 +52,7 @@ class TestExactFields:
         lap_fd = (field.value(x + h, y) + field.value(x - h, y)
                   + field.value(x, y + h) + field.value(x, y - h)
                   - 4 * field.value(x, y)) / h ** 2
-        assert field.laplacian(x, y)[0] == pytest.approx(lap_fd[0], abs=1e-5)
+        assert field.jet(x, y)[2][0] == pytest.approx(lap_fd[0], abs=1e-5)
 
 
 class TestManufactured:
@@ -74,7 +72,7 @@ class TestManufactured:
     @pytest.mark.parametrize("nu", [1.0, 5.0, 10.0])
     def test_claims_no_sign_and_assembles_nothing(self, nu, domain, monkeypatch):
         spaces, loads = [], []
-        space_init, load = mf.P1Space.__init__, mf.problem.source_load
+        space_init, load = mf.P1Space.__init__, mf.problem._quadrature_loads
 
         def counting_init(self, mesh):
             spaces.append(mesh)
@@ -85,7 +83,7 @@ class TestManufactured:
             return load(*args, **kwargs)
 
         monkeypatch.setattr(mf.P1Space, "__init__", counting_init)
-        monkeypatch.setattr(mf.problem, "source_load", counting_load)
+        monkeypatch.setattr(mf.problem, "_quadrature_loads", counting_load)
         problem = mf.make_manufactured(nu, mf.huber_ball(1.0), 1.0, domain=domain)
         assert problem.source.nonneg_certified is False
         assert spaces == [] and loads == []
@@ -96,8 +94,8 @@ class TestManufactured:
         # why no nu earns the sign: the level-6 loads of the nu = 5 square
         # instance are all positive, but the level-7 ones are not
         problem = mf.make_manufactured(5.0, mf.huber_ball(1.0), 1.0)
-        mins = [source_load(mf.P1Space(mf.generate_structured_square(2 ** level)),
-                            problem.source).min() for level in (6, 7)]
+        meshes = [mf.generate_structured_square(2 ** level) for level in (6, 7)]
+        mins = [problem.data_loads(mf.P1Space(mesh))[1].min() for mesh in meshes]
         assert mins[0] > 0.0
         assert mins[1] == pytest.approx(-4.37e-5, rel=1e-3)
 
@@ -119,9 +117,11 @@ class TestManufactured:
         space = square_spaces[3]
         ex = sine_problem.exact
         phi = mf.interpolate(space, ex.m.value)
-        lhs = float(vector_load(space, sine_problem.source.g_tilde, degree=6) @ phi.coeffs)
+        g_tilde = sine_problem.source.g_tilde
+        load = _quadrature_loads(space, lambda x, y: (None, g_tilde(x, y)), degree=6)[1]
+        lhs = float(load @ phi.coeffs)
         rule = quadrature(6)
-        gt = sine_problem.source.g_tilde(*quadrature_xy(space.mesh, rule))
+        gt = g_tilde(*quadrature_xy(space.mesh, rule))
         grads = phi.element_gradients()
         rhs = float(np.einsum("tqd,td,q,t->", gt, grads, rule.weights,
                               space.elem_areas))
@@ -150,8 +150,9 @@ class TestSourceLoads:
         # b_i = int xi_i = 1/3 sum of adjacent element areas
         space = square_spaces[2]
         mesh = space.mesh
-        src = mf.SourceG(g0=lambda x, y: np.ones_like(x))
-        b = source_load(space, src)
+        problem = mf.MFGProblem(1.0, mf.huber_ball(1.0), mf.CouplingF(1.0),
+                                mf.SourceG(g0=lambda x, y: np.ones_like(x)))
+        b = problem.data_loads(space)[1]
         expected = np.zeros(space.ndof)
         for t, tri in enumerate(mesh.triangles):
             for v in tri:
@@ -161,14 +162,15 @@ class TestSourceLoads:
         assert np.allclose(b, expected, rtol=1e-13)
 
     def test_empty_source(self, square_spaces):
-        assert np.all(source_load(square_spaces[2], mf.SourceG()) == 0.0)
+        assert np.all(mf.make_zero_problem().data_loads(square_spaces[2])[1] == 0.0)
 
     def test_constant_vector_field_load_vanishes(self, square_spaces):
         # divergence theorem: int c . grad xi_i = 0 for interior hat functions
         space = square_spaces[3]
-        src = mf.SourceG(g_tilde=lambda x, y: np.stack(
-            [np.full(np.shape(x), 0.7), np.full(np.shape(x), -0.2)], axis=-1))
-        assert np.abs(source_load(space, src)).max() < 1e-14
+        problem = mf.MFGProblem(1.0, mf.huber_ball(1.0), mf.CouplingF(1.0), mf.SourceG(
+            g_tilde=lambda x, y: np.stack(
+                [np.full(np.shape(x), 0.7), np.full(np.shape(x), -0.2)], axis=-1)))
+        assert np.abs(problem.data_loads(space)[1]).max() < 1e-14
 
 
 def whole_mesh_loads(space, f, gt, degree):
@@ -194,14 +196,18 @@ class TestOneTrigPass:
         value, grad, laplacian = field.jet(x, y)
         assert np.array_equal(value, field.value(x, y))
         assert np.array_equal(grad, field.grad(x, y))
-        assert np.array_equal(laplacian, field.laplacian(x, y))
+        h = 1e-4
+        lap_fd = (field.value(x + h, y) + field.value(x - h, y)
+                  + field.value(x, y + h) + field.value(x, y - h)
+                  - 4 * field.value(x, y)) / h ** 2
+        assert np.abs(laplacian - lap_fd).max() < 1e-5
 
     def test_manufactured_fields_equal_separate_evaluations(self):
         nu, c_F, ham = 0.7, 1.3, mf.huber_ball(0.8)
         problem = mf.make_manufactured(nu, ham, c_F)
         sine = problem.exact.u
         x, y = np.random.default_rng(17).uniform(0, 1, (2, 40, 6))
-        f0 = -nu * sine.laplacian(x, y) + ham.value(sine.grad(x, y)) - c_F * sine.value(x, y)
+        f0 = -nu * sine.jet(x, y)[2] + ham.value(sine.grad(x, y)) - c_F * sine.value(x, y)
         grad = sine.grad(x, y)
         g_tilde = nu * grad + sine.value(x, y)[..., None] * ham.grad_p(grad)
         assert np.array_equal(problem.coupling.offset(x, y), f0)
@@ -217,16 +223,18 @@ class TestBlockedLoads:
         lambda: mf.make_zero_problem()],
         ids=["sine_square", "sine_rhombus", "rough", "g_one", "zero"])
     def test_one_pass_data_loads(self, make, blocked_spaces, rhombus_spaces):
-        # both loads of a system from one walk, bitwise the separate loads
+        # both loads of a system, bitwise those of each field evaluated
+        # on its own (a manufactured instance's jet once per field)
         problem = make()
-        offset, source = problem.coupling.offset, problem.source
+        source = problem.source
+        fields = (problem.coupling.offset, source.g_tilde, source.g0)
         for space in blocked_spaces + [rhombus_spaces[4]]:
             f0_load, g_load = problem.data_loads(space)
-            assert np.array_equal(f0_load, np.zeros(space.ndof) if offset is None
-                                  else scalar_load(space, offset))
-            assert np.array_equal(g_load, source_load(space, source))
-            if source.exact_load is None and source.g_tilde is not None:
-                assert np.array_equal(g_load, vector_load(space, source.g_tilde))
+            f0, gt, g0 = _quadrature_loads(space, lambda x, y: tuple(
+                None if h is None else h(x, y) for h in fields))
+            assert np.array_equal(f0_load, f0)
+            assert np.array_equal(g_load, gt + g0 if source.exact_load is None
+                                  else source.exact_load(space))
 
     def test_manufactured_data_share_one_jet_per_block(self, blocked_spaces):
         sine, calls = sine_product_field(), []
@@ -248,8 +256,10 @@ class TestBlockedLoads:
         f0, gt = sine_problem.coupling.offset, sine_problem.source.g_tilde
         for space in blocked_spaces:
             scalar, vector = whole_mesh_loads(space, f0, gt, degree)
-            assert np.array_equal(scalar_load(space, f0, degree), scalar)
-            assert np.array_equal(vector_load(space, gt, degree), vector)
+            assert np.array_equal(
+                _quadrature_loads(space, lambda x, y: (f0(x, y),), degree)[0], scalar)
+            assert np.array_equal(
+                _quadrature_loads(space, lambda x, y: (None, gt(x, y)), degree)[1], vector)
 
     def test_fields_are_evaluated_in_blocks(self, blocked_spaces):
         space = blocked_spaces[2]
@@ -263,8 +273,8 @@ class TestBlockedLoads:
             rows.append(x.shape[0])
             return np.stack([x, y], axis=-1)
 
-        scalar_load(space, f)
-        vector_load(space, gt)
+        _quadrature_loads(space, lambda x, y: (f(x, y),))
+        _quadrature_loads(space, lambda x, y: (None, gt(x, y)))
         nt = space.mesh.num_triangles
         blocks = [ELEMENT_BLOCK] * (nt // ELEMENT_BLOCK) + [nt % ELEMENT_BLOCK]
         assert rows == blocks + blocks
@@ -316,15 +326,16 @@ class TestRoughInstance:
         # clipped-area load and the degree-6 quadrature load agree
         space = square_spaces[4]
         prob = mf.make_rough_density_problem(jump_x=0.5)
-        exact = source_load(space, prob.source)
-        quad = vector_load(space, prob.source.g_tilde, degree=6)
+        exact = prob.data_loads(space)[1]
+        gt = prob.source.g_tilde
+        quad = _quadrature_loads(space, lambda x, y: (None, gt(x, y)), degree=6)[1]
         scale = np.abs(exact).max()
         assert np.abs(exact - quad).max() <= 1e-10 * scale
 
     def test_load_vanishes_right_of_jump(self, square_spaces):
         space = square_spaces[3]
         prob = mf.make_rough_density_problem(jump_x=1.0 / 3.0)
-        b = source_load(space, prob.source)
+        b = prob.data_loads(space)[1]
         xs = space.mesh.vertices[space.vertex_of_dof, 0]
         # hat functions supported strictly right of the jump see zero load
         far_right = xs > 1.0 / 3.0 + 1.5 * space.mesh.h_max

@@ -32,7 +32,7 @@ class TestXZTensor:
     def test_zero_for_zero_lipschitz(self, square_hierarchy):
         mesh = square_hierarchy[2]
         tensor = mf.build_xz_tensor(mesh, 0.0)
-        assert tensor.is_zero
+        assert not tensor.per_element.any()
         assert mf.verify_h1(tensor, mesh).c_d_observed == 0.0
 
     def test_blocked_gathers_equal_whole_mesh(self, blocked_spaces):
@@ -151,7 +151,7 @@ class TestXZTensor:
 class TestAcuteTensor:
     def test_clamped_to_zero_for_large_nu(self, rhombus_hierarchy):
         tensor = mf.build_acute_tensor(rhombus_hierarchy[2], 1.0, 1e6)
-        assert tensor.is_zero
+        assert not tensor.per_element.any()
 
     def test_arithmetic_on_unit_rhombus(self):
         # side 1 equilateral: sigma = 2/sqrt(3), theta = pi/6;
@@ -176,10 +176,10 @@ class TestAcuteTensor:
         zero_from = None
         for level, mesh in enumerate(rhombus_hierarchy):
             tensor = mf.build_acute_tensor(mesh, 1.0, 1.0, mu=1.1)
-            if tensor.is_zero and zero_from is None:
+            if not tensor.per_element.any() and zero_from is None:
                 zero_from = level
             if zero_from is not None:
-                assert tensor.is_zero
+                assert not tensor.per_element.any()
         assert zero_from == 1
 
     def test_rejects_bad_parameters(self, rhombus_hierarchy, square_hierarchy):
